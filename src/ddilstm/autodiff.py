@@ -2,10 +2,11 @@
 
 Every forward operation appends a record to the active :class:`Tape`; a
 single reverse sweep over the tape populates ``.grad`` on every tensor
-that requires it. The op set is deliberately small: matrix products,
-elementwise sigmoid/tanh/add/mul, stable softmax, concatenation, row
-gather/scatter and a few structural helpers: enough for an LSTM
-encoder, pooling and a softmax classifier, nothing more.
+that requires it. The op set is deliberately small: matrix products, an
+affine layer, elementwise sigmoid/tanh/add/mul, stable softmax,
+last-axis concatenation, row gather/scatter and a few structural
+helpers. Modules with larger fused ops (the LSTM sequence, pooling, the
+loss) record them through :func:`record_op`.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
 Storage defaults to float32; tests that need headroom (finite-difference
@@ -155,14 +156,20 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and sweep the records in reverse."""
+        """Seed d(loss)/d(loss) = 1 and sweep the records in reverse.
+
+        Each record is released once applied, so the buffers only its
+        backward needed are freed during the sweep; a swept tape is empty.
+        """
         if loss.data.shape != ():
             raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
         if self._swept:
             raise RuntimeError("tape has already been swept; rebuild the graph")
         self._swept = True
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self._records):
+        records = self._records
+        while records:
+            rec = records.pop()
             out_grad = rec.out.grad
             if out_grad is None:
                 continue
@@ -171,11 +178,6 @@ class Tape:
                 if grad is None or not tensor.requires_grad:
                     continue
                 tensor.accumulate(grad)
-
-
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Functional form of :meth:`Tape.backward`."""
-    tape.backward(loss)
 
 
 def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -> Tensor:
@@ -188,10 +190,6 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -
         out.requires_grad = True
         _TAPES[-1]._records.append(_Record(out, tuple(inputs), backward_fn))
     return out
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DTYPE), requires_grad=requires_grad)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -220,14 +218,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), grad_fn)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (k,) vector or each row of an (n, k) matrix x, with
+    w (k, c) and b (c,)."""
+    if (x.data.ndim not in (1, 2) or w.data.ndim != 2
+            or x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]):
+        raise ShapeMismatch(f"affine {x.shape} @ {w.shape} + {b.shape}")
+    out = Tensor(x.data @ w.data + b.data)
+    _check_finite(out.data, "affine")
+    x_data, w_data = x.data, w.data
+
+    def grad_fn(g):
+        rows_g = g.reshape(-1, g.shape[-1])
+        return (g @ w_data.T, x_data.reshape(-1, x_data.shape[-1]).T @ rows_g,
+                rows_g.sum(axis=0))
+
+    return record_op(out, (x, w, b), grad_fn)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # (1 + tanh(x / 2)) / 2: one ufunc pass, and no exp to overflow
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def pointwise(mode: str, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -322,31 +333,24 @@ def softmax_vec(v: Tensor, mask: Optional[Sequence[bool]] = None) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate vectors end to end, or matrices column-wise."""
+    """Join two tensors of equal rank end to end along their last axis."""
     ra, rb = a.data.ndim, b.data.ndim
-    if ra != rb or ra not in (1, 2):
+    if ra != rb or ra == 0:
         raise ShapeMismatch(f"concat ranks {ra} vs {rb}")
-    if ra == 1:
-        split = a.data.shape[0]
-        out = Tensor(np.concatenate([a.data, b.data]))
+    if a.data.shape[:-1] != b.data.shape[:-1]:
+        raise ShapeMismatch(f"concat leading dims {a.shape} vs {b.shape}")
+    split = a.data.shape[-1]
+    out = Tensor(np.concatenate([a.data, b.data], axis=-1))
 
-        def grad_fn(g):
-            return g[:split], g[split:]
-
-    else:
-        if a.data.shape[0] != b.data.shape[0]:
-            raise ShapeMismatch(f"concat row counts {a.shape} vs {b.shape}")
-        split = a.data.shape[1]
-        out = Tensor(np.concatenate([a.data, b.data], axis=1))
-
-        def grad_fn(g):
-            return g[:, :split], g[:, split:]
+    def grad_fn(g):
+        return g[..., :split], g[..., split:]
 
     return record_op(out, (a, b), grad_fn)
 
 
-def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of a matrix by index (embedding lookup)."""
+def rows(m: Tensor, ids) -> Tensor:
+    """Gather rows of a matrix by an index array of any shape (embedding
+    lookup): ids of shape S give a result of shape S + (columns,)."""
     idx = np.asarray(ids, dtype=np.int64)
     if m.data.ndim != 2:
         raise ShapeMismatch(f"rows() needs a matrix, got {m.shape}")
@@ -362,39 +366,6 @@ def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
         return (dm,)
 
     return record_op(out, (m,), grad_fn)
-
-
-def row(x: Tensor, i: int) -> Tensor:
-    """Slice one row of a matrix as a vector."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"row() needs a matrix, got {x.shape}")
-    if not 0 <= i < x.data.shape[0]:
-        raise ValueError(f"row {i} out of range [0, {x.data.shape[0]})")
-    out = Tensor(x.data[i])
-    shape = x.data.shape
-
-    def grad_fn(g):
-        dx = np.zeros(shape, dtype=g.dtype)
-        dx[i] = g
-        return (dx,)
-
-    return record_op(out, (x,), grad_fn)
-
-
-def stack_rows(vs: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    if not vs:
-        raise ValueError("stack_rows of nothing")
-    width = vs[0].data.shape
-    for v in vs:
-        if v.data.ndim != 1 or v.data.shape != width:
-            raise ShapeMismatch("stack_rows needs equal-length vectors")
-    out = Tensor(np.stack([v.data for v in vs]))
-
-    def grad_fn(g):
-        return tuple(g[i] for i in range(len(vs)))
-
-    return record_op(out, tuple(vs), grad_fn)
 
 
 def pick(v: Tensor, i: int) -> Tensor:

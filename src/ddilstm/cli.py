@@ -25,9 +25,8 @@ from .model import (
     ModelConfig,
     build_model,
     default_config,
-    forward,
     load_checkpoint,
-    predict_class,
+    predict,
     save_checkpoint,
 )
 from .training import TrainConfig, TrainingDiverged
@@ -184,21 +183,10 @@ def _cmd_train(args) -> int:
         seed=seed, threads=args.threads,
     )
     best = result.log[result.best_epoch]
-    print(f"best epoch {best.epoch}: heldout F1 {best.heldout_f1:.4f} "
-          f"(train loss {best.train_loss:.4f})")
+    heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
+               else "no held-out split")
+    print(f"best epoch {best.epoch}: {heldout} (train loss {best.train_loss:.4f})")
     return 0
-
-
-def _predictions(params, mcfg, instances, vocab, pv, want_alpha: bool):
-    feats = _featurize_all(instances, vocab, pv)
-    preds, alphas = [], []
-    for f in feats:
-        probs, alpha = forward(params, mcfg, f)
-        preds.append(predict_class(probs))
-        alphas.append(None if alpha is None else alpha.data.tolist())
-    if want_alpha and all(a is None for a in alphas):
-        raise ValueError(f"variant {mcfg.variant!r} has no attention weights")
-    return preds, alphas
 
 
 def _write_predictions(path, instances, preds) -> None:
@@ -223,9 +211,10 @@ def _read_predictions(path) -> list[dict]:
 
 def _cmd_predict(args) -> int:
     params, mcfg, vocab, pv = load_checkpoint(args.checkpoint)
+    if args.attention is not None and mcfg.variant == "b-lstm":
+        raise ValueError("variant 'b-lstm' has no attention weights")
     instances = corpus.read_instances(args.instances)
-    preds, alphas = _predictions(params, mcfg, instances, vocab, pv,
-                                 want_alpha=args.attention is not None)
+    preds, alphas = predict(params, mcfg, _featurize_all(instances, vocab, pv))
     _write_predictions(args.out, instances, preds)
     outputs = {"predictions": args.out}
     if args.attention is not None:
@@ -296,7 +285,7 @@ def _cmd_attention_export(args) -> int:
     if mcfg.variant == "b-lstm":
         raise ValueError("checkpoint variant 'b-lstm' has no attention weights")
     instances = corpus.read_instances(args.instances)
-    _, alphas = _predictions(params, mcfg, instances, vocab, pv, want_alpha=True)
+    _, alphas = predict(params, mcfg, _featurize_all(instances, vocab, pv))
     evaluation.write_attention_records(args.out, list(zip(instances, alphas)))
     _write_manifest(_manifest_path(args.out), "attention-export",
                     {"variant": mcfg.variant},

@@ -247,10 +247,6 @@ class RawInstance:
     b_text: str
     swapped: bool  # True when e2 appears before e1 in the text
 
-    @property
-    def separation(self) -> int:
-        return self.drug_b - self.drug_a
-
 
 def _pair_label(pair: PairAnnotation) -> int:
     if not pair.ddi:

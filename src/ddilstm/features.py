@@ -164,18 +164,32 @@ def featurize(tokens: Sequence[str], drug_a: int, drug_b: int, label: int,
     return InstanceFeatures(word_ids, p1_ids, p2_ids, label)
 
 
-def pad_features(f: InstanceFeatures, length: int) -> InstanceFeatures:
-    """Right-pad the id sequences to `length` and attach the token mask."""
-    if length < f.length:
-        raise ValueError(f"cannot pad length {f.length} down to {length}")
-    extra = length - f.length
-    return InstanceFeatures(
-        f.word_ids + [PAD_ID] * extra,
-        f.p1_ids + [PAD_ID] * extra,
-        f.p2_ids + [PAD_ID] * extra,
-        f.label,
-        mask=[True] * f.length + [False] * extra,
-    )
+@dataclass
+class Batch:
+    """Several instances as time-major (L, B) id arrays, right-padded with
+    PAD_ID to the longest, with the (L, B) token mask and the B labels."""
+
+    word_ids: np.ndarray
+    p1_ids: np.ndarray
+    p2_ids: np.ndarray
+    mask: np.ndarray
+    labels: np.ndarray
+
+
+def collate(feats: Sequence[InstanceFeatures]) -> Batch:
+    """Stack unpadded instances column by column, in the order given."""
+    if not feats or any(f.mask is not None for f in feats):
+        raise ValueError("collate needs at least one unpadded instance")
+    lengths = np.array([f.length for f in feats])
+    mask = np.arange(lengths.max())[:, None] < lengths
+
+    def ids(attr):
+        out = np.full(mask.shape, PAD_ID, dtype=np.int64)
+        out.T[mask.T] = np.concatenate([getattr(f, attr) for f in feats])
+        return out
+
+    return Batch(ids("word_ids"), ids("p1_ids"), ids("p2_ids"), mask,
+                 np.array([f.label for f in feats]))
 
 
 def load_word_vectors(path, vocab: Vocabulary, dim: int,
@@ -208,9 +222,10 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     )
 
 
-def embed(f: InstanceFeatures, mw: EmbeddingMatrix, mp1: EmbeddingMatrix,
+def embed(f, mw: EmbeddingMatrix, mp1: EmbeddingMatrix,
           mp2: EmbeddingMatrix) -> Tensor:
-    """Per-token concatenation of the three embedding rows: (m, n1+n2+n3)."""
+    """Per-token concatenation of the three embedding rows: (m, n1+n2+n3)
+    for one InstanceFeatures, (L, B, n1+n2+n3) for a Batch."""
     w = rows(mw.param, f.word_ids)
     p1 = rows(mp1.param, f.p1_ids)
     p2 = rows(mp2.param, f.p2_ids)

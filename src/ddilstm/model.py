@@ -2,8 +2,9 @@
 
 All variants share the same skeleton: embed tokens and distances, encode
 with one or two bidirectional LSTM stacks, pool to a fixed vector h2,
-optionally drop out, squash (h3 = tanh(h2)) and classify through a
-single affine layer plus softmax.
+optionally drop out, squash (h3 = tanh(h2)) and score through a single
+affine layer. The same code scores one instance or a collated time-major
+batch, one tape op per layer; training takes its loss from the scores.
 
     b-lstm   one stack, max pooling           h2 width 2N
     ab-lstm  one stack, attentive pooling     h2 width 2N
@@ -16,7 +17,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +25,9 @@ from . import rng as rng_mod
 from .autodiff import (
     Parameter,
     Tensor,
-    add,
+    affine,
     concat,
     current_dtype,
-    matmul,
     mul,
     softmax_vec,
     tanh,
@@ -37,6 +37,7 @@ from .features import (
     InstanceFeatures,
     PositionVocab,
     Vocabulary,
+    collate,
     embed,
 )
 from .labels import NUM_CLASSES
@@ -48,6 +49,9 @@ VARIANTS = ("b-lstm", "ab-lstm", "joint")
 MANIFEST_FILE = "manifest"
 PARAMS_FILE = "params.bin"
 VOCAB_FILE = "vocab.json"
+
+# instances scored per forward pass by `predict`
+PREDICT_CHUNK = 200
 
 
 @dataclass
@@ -170,14 +174,16 @@ def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
     return ModelParams(word, p1, p2, stacks, attention, out)
 
 
-def forward(params: ModelParams, cfg: ModelConfig, f: InstanceFeatures,
-            training: bool = False,
-            dropout_rng: Optional[np.random.Generator] = None,
-            ) -> tuple[Tensor, Optional[Tensor]]:
-    """Class probabilities (and attention weights where the variant has them).
+def scores(params: ModelParams, cfg: ModelConfig, f,
+           training: bool = False,
+           dropout_rng: Optional[np.random.Generator] = None,
+           ) -> tuple[Tensor, Optional[Tensor]]:
+    """Class scores (and attention weights where the variant has them):
+    (C,) and (m,) for one InstanceFeatures, (B, C) and (L, B) for a Batch.
 
     Dropout hits only the pooled feature h2, and only when training with
-    keep_prob < 1; inference and keep_prob == 1 are bit-identical.
+    keep_prob < 1, drawing one (B, width) block in batch order; inference
+    and keep_prob == 1 are bit-identical.
     """
     mask = f.mask
     X = embed(f, params.word_emb, params.p1_emb, params.p2_emb)
@@ -202,9 +208,31 @@ def forward(params: ModelParams, cfg: ModelConfig, f: InstanceFeatures,
         drop = Tensor((keep / cfg.keep_prob).astype(h2.data.dtype))
         h2 = mul(h2, drop)
 
-    h3 = tanh(h2)
-    scores = add(matmul(h3, params.out.W_o), params.out.b_o)
-    return softmax_vec(scores), alpha
+    return affine(tanh(h2), params.out.W_o, params.out.b_o), alpha
+
+
+def forward(params: ModelParams, cfg: ModelConfig, f: InstanceFeatures,
+            training: bool = False,
+            dropout_rng: Optional[np.random.Generator] = None,
+            ) -> tuple[Tensor, Optional[Tensor]]:
+    """Class probabilities of one instance, and its attention weights."""
+    s, alpha = scores(params, cfg, f, training=training, dropout_rng=dropout_rng)
+    return softmax_vec(s), alpha
+
+
+def predict(params: ModelParams, cfg: ModelConfig,
+            feats: Sequence[InstanceFeatures],
+            ) -> tuple[list[int], list[Optional[list[float]]]]:
+    """Argmax classes, and each instance's attention weights over its
+    tokens (None without attention), PREDICT_CHUNK instances at a time."""
+    preds, alphas = [], []
+    for start in range(0, len(feats), PREDICT_CHUNK):
+        chunk = feats[start:start + PREDICT_CHUNK]
+        s, alpha = scores(params, cfg, collate(chunk))
+        preds += np.argmax(s.data, axis=1).tolist()
+        alphas += [None if alpha is None else alpha.data[:f.length, b].tolist()
+                   for b, f in enumerate(chunk)]
+    return preds, alphas
 
 
 def predict_class(probs: Tensor) -> int:

@@ -1,10 +1,12 @@
 """Cross-entropy training with Adam, minibatches and epoch selection.
 
-Each epoch shuffles under a named stream, pads every batch to its longest
-sentence, averages the per-instance losses and takes one Adam step per
-batch (L2 enters as a gradient term on weight matrices only). A small
-held-out slice is scored after every epoch and the parameters of the
-best held-out epoch are what the caller gets back.
+Each epoch shuffles under a named stream and collates every batch into
+time-major (L, B) arrays padded to its longest sentence. The model scores
+the whole batch in one forward pass; the loss is taken from the (B, C)
+scores by one fused softmax-cross-entropy op, averaged over the batch,
+and one Adam step follows (L2 enters as a gradient term on weight
+matrices only). A small held-out slice is scored after every epoch and
+the parameters of the best held-out epoch are what the caller gets back.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import evaluation, rng as rng_mod
-from .autodiff import Parameter, Tape, Tensor, add, record_op, scale
-from .features import InstanceFeatures, pad_features
-from .model import ModelConfig, ModelParams, forward, predict_class
+from .autodiff import Parameter, ShapeMismatch, Tape, Tensor, record_op
+from .features import InstanceFeatures, collate
+from .model import ModelConfig, ModelParams, predict, scores
 
 PROB_FLOOR = 1e-12
 
@@ -51,7 +53,10 @@ class TrainConfig:
 
 
 def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """-log p(label), with the probability floored at 1e-12 before the log."""
+    """-log p(label), with the probability floored at 1e-12 before the log.
+
+    Its gradient is zero below the floor; training uses the scores instead.
+    """
     if probs.data.ndim != 1:
         raise ValueError(f"probs must be a vector, got {probs.shape}")
     if not 0 <= label < probs.data.shape[0]:
@@ -68,6 +73,35 @@ def cross_entropy(probs: Tensor, label: int) -> Tensor:
         return (d,)
 
     return record_op(out, (probs,), grad_fn)
+
+
+def softmax_cross_entropy(scores: Tensor, labels) -> Tensor:
+    """Mean of logsumexp(s) - s_y over the rows of (B, C) scores, or of
+    one (C,) score vector and a single label.
+
+    Equals -log softmax(s)_y without flooring the probability, and its
+    gradient (softmax(s) - onehot(y)) / B is non-zero for every row whose
+    label does not hold all the mass. Exponentials are taken in float64.
+    """
+    s = scores.data.astype(np.float64).reshape(-1, scores.data.shape[-1])
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.shape != s.shape[:1]:
+        raise ShapeMismatch(f"{y.size} labels for scores of shape {scores.shape}")
+    if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
+        raise ValueError(f"label out of range [0, {s.shape[1]})")
+    shifted = s - s.max(axis=1, keepdims=True)
+    log_total = np.log(np.exp(shifted).sum(axis=1))
+    picked = (np.arange(y.size), y)
+    out = Tensor(np.asarray(np.mean(log_total - shifted[picked]),
+                            dtype=scores.data.dtype))
+
+    def grad_fn(g):
+        d = np.exp(shifted - log_total[:, None])
+        d[picked] -= 1.0
+        d *= float(g) / y.size
+        return (d.reshape(scores.data.shape).astype(g.dtype),)
+
+    return record_op(out, (scores,), grad_fn)
 
 
 class AdamState:
@@ -120,6 +154,7 @@ class TrainResult:
     params: ModelParams
     log: list[EpochRecord]
     best_epoch: int
+    n_heldout: int
 
 
 def select_epoch(log: Sequence[EpochRecord]) -> int:
@@ -136,26 +171,17 @@ def select_epoch(log: Sequence[EpochRecord]) -> int:
 def _batch_loss(params: ModelParams, mcfg: ModelConfig,
                 batch: Sequence[InstanceFeatures],
                 dropout_rng: Optional[np.random.Generator]) -> Tensor:
-    width = max(f.length for f in batch)
-    losses = []
-    for f in batch:
-        padded = pad_features(f, width)
-        probs, _ = forward(params, mcfg, padded, training=True,
-                           dropout_rng=dropout_rng)
-        losses.append(cross_entropy(probs, f.label))
-    total = losses[0]
-    for loss in losses[1:]:
-        total = add(total, loss)
-    return scale(total, 1.0 / len(losses))
+    collated = collate(batch)
+    s, _ = scores(params, mcfg, collated, training=True, dropout_rng=dropout_rng)
+    return softmax_cross_entropy(s, collated.labels)
 
 
 def _heldout_metrics(params: ModelParams, mcfg: ModelConfig,
                      heldout: Sequence[InstanceFeatures]) -> tuple[float, float, float]:
     if not heldout:
         return 0.0, 0.0, 0.0
-    gold = [f.label for f in heldout]
-    preds = [predict_class(forward(params, mcfg, f)[0]) for f in heldout]
-    report = evaluation.evaluate(gold, preds)
+    preds, _ = predict(params, mcfg, heldout)
+    report = evaluation.evaluate([f.label for f in heldout], preds)
     return report.micro_p, report.micro_r, report.micro_f1
 
 
@@ -163,8 +189,8 @@ def train(params: ModelParams, data: Sequence[InstanceFeatures],
           cfg: TrainConfig, mcfg: ModelConfig) -> TrainResult:
     """Run the full protocol and return the best-held-out-epoch weights.
 
-    With val_fraction 0 there is nothing to select on and the final
-    epoch's parameters are returned instead.
+    With no held-out instances there is nothing to select on and the
+    final epoch's parameters are returned instead.
     """
     if not data:
         raise ValueError("no training instances")
@@ -184,8 +210,6 @@ def train(params: ModelParams, data: Sequence[InstanceFeatures],
     state = AdamState(params.named_parameters())
     log: list[EpochRecord] = []
     best_state = None
-    best_epoch = -1
-    best_f1 = -1.0
 
     for epoch in range(cfg.max_epochs):
         perm = shuffle_rng.permutation(len(train_set))
@@ -206,16 +230,13 @@ def train(params: ModelParams, data: Sequence[InstanceFeatures],
 
         p, r, f1 = _heldout_metrics(params, mcfg, heldout)
         log.append(EpochRecord(epoch, float(np.mean(epoch_losses)), p, r, f1))
-        if heldout and f1 > best_f1:
-            best_f1 = f1
-            best_epoch = epoch
+        if heldout and select_epoch(log) == epoch:
             best_state = params.state_copy()
 
-    if best_state is not None:
-        params.load_state(best_state)
-    else:
-        best_epoch = len(log) - 1
-    return TrainResult(params, log, best_epoch)
+    if not heldout:
+        return TrainResult(params, log, len(log) - 1, 0)
+    params.load_state(best_state)
+    return TrainResult(params, log, select_epoch(log), len(heldout))
 
 
 def write_log(path, log: Sequence[EpochRecord]) -> None:

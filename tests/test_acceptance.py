@@ -43,6 +43,7 @@ from ddilstm.training import (
     adam_step,
     cross_entropy,
     select_epoch,
+    softmax_cross_entropy,
     train,
 )
 from test_filtering import EXPECTED_REMOVALS, FIXTURE
@@ -107,10 +108,6 @@ def test_criterion_01_gradients_vs_finite_differences():
             ad.Tensor(np.ones(3)), ad.concat(a, m2)), 5), [a, m2])
         check_grads(lambda: ad.pick(ad.matmul(
             ad.Tensor(np.ones(3)), ad.rows(m2, [0, 0, 2])), 1), [m2])
-        check_grads(lambda: ad.pick(ad.row(m2, 2), 1), [m2])
-        vs = [ad.Tensor(rng.normal(size=3), requires_grad=True) for _ in range(3)]
-        check_grads(lambda: ad.pick(ad.matmul(
-            ad.Tensor(np.ones(3)), ad.stack_rows(vs)), 0), vs)
         check_grads(lambda: ad.scale(ad.pick(v, 0), 0.3), [v])
         check_grads(lambda: cross_entropy(ad.softmax_vec(v), 2), [v])
 
@@ -131,6 +128,24 @@ def test_criterion_01_gradients_vs_finite_differences():
             return ad.pick(ad.softmax_vec(ad.concat(h, c)), 0)
 
         check_grads(step_loss, cell.parameters())
+
+        # the batched path: mixed lengths with a length-1 row, each op once
+        stack = BiLstmStack(3, 2, rng)
+        for p in stack.parameters():
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        xb = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
+        bmask = np.arange(4)[:, None] < np.array([4, 1, 3])
+        att6 = AttentionParams(6, rng)
+        w_o = ad.Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        b_o = ad.Tensor(rng.normal(size=5), requires_grad=True)
+
+        def batch_loss():
+            H = bilstm_forward(stack, xb, bmask)
+            pooled = ad.concat(max_pool(H, bmask), attentive_pool(H, att6, bmask)[0])
+            return softmax_cross_entropy(ad.affine(ad.tanh(pooled), w_o, b_o),
+                                         [0, 3, 4])
+
+        check_grads(batch_loss, [xb, *stack.parameters(), att6.w_a, w_o, b_o])
 
         # full variants on a random 6-token instance, N=8, d=12
         vocab, pv = tiny_vocab()

@@ -48,6 +48,36 @@ class TestMatmul:
         check_grads(loss, [a, b])
 
 
+class TestAffine:
+    def test_bias_added_to_every_row(self):
+        x = ad.Tensor([[1.0, 2.0], [0.0, 0.0]])
+        out = ad.affine(x, ad.Tensor(np.eye(2)), ad.Tensor([5.0, 7.0]))
+        np.testing.assert_array_equal(out.data, [[6.0, 9.0], [5.0, 7.0]])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.affine(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((2, 4))),
+                      ad.Tensor(np.ones(4)))
+        with pytest.raises(ad.ShapeMismatch):
+            ad.affine(ad.Tensor(np.ones(2)), ad.Tensor(np.ones((2, 4))),
+                      ad.Tensor(np.ones(3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_gradients(self, float64_mode, shape):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+
+        def loss():
+            out = ad.affine(x, w, b)
+            if out.data.ndim == 2:
+                out = ad.matmul(ad.Tensor(np.ones(2)), out)
+            return ad.pick(ad.softmax_vec(out), 2)
+
+        check_grads(loss, [x, w, b])
+
+
 class TestPointwise:
     def test_sigmoid_at_zero(self):
         out = ad.sigmoid(ad.Tensor([0.0]))
@@ -194,19 +224,7 @@ class TestStructuralOps:
 
     def test_row_and_pick_bounds(self):
         with pytest.raises(ValueError):
-            ad.row(ad.Tensor(np.ones((2, 2))), 2)
-        with pytest.raises(ValueError):
             ad.pick(ad.Tensor([1.0]), 1)
-
-    def test_stack_rows_roundtrip(self, float64_mode):
-        rng = np.random.default_rng(4)
-        vs = [ad.Tensor(rng.normal(size=3), requires_grad=True) for _ in range(4)]
-
-        def loss():
-            stacked = ad.stack_rows(vs)
-            return ad.pick(ad.softmax_vec(ad.matmul(stacked, ad.Tensor(np.ones(3)))), 2)
-
-        check_grads(loss, vs)
 
     def test_scale_gradient(self, float64_mode):
         a = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)

@@ -174,6 +174,11 @@ class TestTrainPredictEvaluate:
         assert manifest["config"]["model"]["variant"] == "b-lstm"
         assert manifest["config"]["model"]["hidden"] == 4
 
+    def test_no_heldout_split_is_named(self, tmp_path, synthetic_file, capsys):
+        run_train(tmp_path, synthetic_file, extra=("--val-fraction", "0"))
+        out = capsys.readouterr().out
+        assert "no held-out split" in out and "F1" not in out
+
     def test_unknown_config_key_rejected(self, tmp_path, synthetic_file,
                                          capsys):
         cfg = tmp_path / "config.json"

@@ -14,10 +14,10 @@ from ddilstm.features import (
     PositionVocab,
     Vocabulary,
     build_vocab,
+    collate,
     embed,
     featurize,
     load_word_vectors,
-    pad_features,
 )
 
 
@@ -110,20 +110,27 @@ class TestFeaturize:
         assert moved.p2_ids[shift:] == base.p2_ids
 
 
-class TestPadding:
-    def test_pad_appends_pad_ids_and_mask(self):
-        vocab = build_vocab([["a", "b"]])
-        f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(3))
-        padded = pad_features(f, 5)
-        assert padded.word_ids[2:] == [PAD_ID] * 3
-        assert padded.mask == [True, True, False, False, False]
-        assert padded.label == f.label
+class TestCollate:
+    def test_time_major_columns_in_order(self):
+        vocab = build_vocab([["a", "b", "c"]])
+        pv = PositionVocab(3)
+        short = featurize(["a", "b"], 0, 1, 2, vocab, pv)
+        long = featurize(["c", "a", "b"], 0, 2, 4, vocab, pv)
+        batch = collate([short, long])
+        assert batch.word_ids.shape == (3, 2)
+        assert batch.word_ids[:, 0].tolist() == short.word_ids + [PAD_ID]
+        assert batch.p2_ids[:, 1].tolist() == long.p2_ids
+        assert batch.mask.T.tolist() == [[True, True, False], [True, True, True]]
+        assert batch.labels.tolist() == [2, 4]
 
-    def test_cannot_shrink(self):
+    def test_padded_or_empty_input_rejected(self):
         vocab = build_vocab([["a", "b"]])
         f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(3))
+        f.mask = [True, True]
         with pytest.raises(ValueError):
-            pad_features(f, 1)
+            collate([f])
+        with pytest.raises(ValueError):
+            collate([])
 
 
 class TestWordVectors:

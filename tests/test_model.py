@@ -4,20 +4,29 @@ import numpy as np
 import pytest
 
 from ddilstm import autodiff as ad
-from ddilstm.features import PositionVocab, Vocabulary, build_vocab, featurize
+from ddilstm.features import (
+    PositionVocab,
+    Vocabulary,
+    build_vocab,
+    collate,
+    featurize,
+)
 from ddilstm.model import (
     ModelConfig,
     build_model,
     default_config,
     forward,
     load_checkpoint,
+    predict,
     predict_class,
     save_checkpoint,
+    scores,
 )
 from ddilstm.pooling import attentive_pool, max_pool
 from ddilstm.recurrent import bilstm_forward
 from ddilstm.features import embed
 from ddilstm.rng import named_stream
+from ddilstm.synthetic import make_synthetic_instances
 
 
 def tiny_setup(variant="b-lstm", hidden=4, seed=0):
@@ -126,6 +135,55 @@ class TestForward:
             p.data += 0.37
         after = bilstm_forward(params.stacks[1], X).data
         np.testing.assert_array_equal(before, after)
+
+
+class TestBatch:
+    def _mixed(self, variant):
+        insts = make_synthetic_instances(7, seed=4)
+        vocab = build_vocab([i.tokens for i in insts])
+        pv = PositionVocab(10)
+        cfg = ModelConfig(variant=variant, hidden=8, word_dim=6, p1_dim=2,
+                          p2_dim=2, keep_prob=0.7, l2=0.0)
+        params = build_model(cfg, len(vocab), len(pv), seed=5)
+        feats = [featurize(i.tokens, i.drug_a, i.drug_b, i.label, vocab, pv)
+                 for i in insts]
+        assert len({f.length for f in feats}) > 1
+        return cfg, params, feats
+
+    @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm", "joint"])
+    def test_instance_alone_matches_its_batch_column(self, variant):
+        # float32 tolerance only: a 1-row product goes to GEMV, a batch to GEMM
+        cfg, params, feats = self._mixed(variant)
+        batch_scores, batch_alpha = scores(params, cfg, collate(feats))
+        for b, f in enumerate(feats):
+            alone, alpha = scores(params, cfg, f)
+            np.testing.assert_allclose(batch_scores.data[b], alone.data,
+                                       rtol=1e-5, atol=1e-6)
+            if alpha is not None:
+                np.testing.assert_allclose(batch_alpha.data[:f.length, b],
+                                           alpha.data, rtol=1e-5, atol=1e-7)
+                assert not batch_alpha.data[f.length:, b].any()
+
+    def test_batch_dropout_draws_instance_order(self):
+        cfg, params, feats = self._mixed("ab-lstm")
+        batch, _ = scores(params, cfg, collate(feats), training=True,
+                          dropout_rng=named_stream(3, "dropout"))
+        stream = named_stream(3, "dropout")
+        for b, f in enumerate(feats):
+            alone, _ = scores(params, cfg, f, training=True, dropout_rng=stream)
+            np.testing.assert_allclose(batch.data[b], alone.data,
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_predict_matches_per_instance_argmax(self, monkeypatch):
+        import ddilstm.model as model_mod
+
+        cfg, params, feats = self._mixed("joint")
+        expected = [predict_class(forward(params, cfg, f)[0]) for f in feats]
+        preds, alphas = predict(params, cfg, feats)
+        assert preds == expected
+        assert [len(a) for a in alphas] == [f.length for f in feats]
+        monkeypatch.setattr(model_mod, "PREDICT_CHUNK", 3)
+        assert predict(params, cfg, feats) == (preds, alphas)
 
 
 class TestParameterCount:

@@ -133,3 +133,39 @@ class TestAttentivePool:
             return ad.pick(ad.softmax_vec(z), 2)
 
         check_grads(loss, [Z, p.w_a])
+
+
+class TestBatchedPooling:
+    LENGTHS = np.array([3, 1, 4])
+
+    def _batch(self, rng):
+        Z = ad.Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
+        return Z, np.arange(4)[:, None] < self.LENGTHS
+
+    def test_each_column_pools_like_its_own_sentence(self):
+        rng = np.random.default_rng(6)
+        Z, mask = self._batch(rng)
+        p = AttentionParams(2, rng)
+        z_max = max_pool(Z, mask)
+        z_att, alpha = attentive_pool(Z, p, mask)
+        for b, m in enumerate(self.LENGTHS):
+            rows = ad.Tensor(Z.data[:m, b])
+            np.testing.assert_array_equal(z_max.data[b], max_pool(rows).data)
+            z_one, alpha_one = attentive_pool(rows, p)
+            np.testing.assert_allclose(z_att.data[b], z_one.data, atol=1e-6)
+            np.testing.assert_allclose(alpha.data[:m, b], alpha_one.data, atol=1e-7)
+            assert not alpha.data[m:, b].any()
+
+    def test_gradients(self, float64_mode):
+        rng = np.random.default_rng(7)
+        Z, mask = self._batch(rng)
+        p = AttentionParams(2, rng)
+        w = ad.Tensor(rng.normal(size=(4, 5)))
+        b = ad.Tensor(np.zeros(5))
+
+        def loss():
+            pooled = ad.concat(max_pool(Z, mask), attentive_pool(Z, p, mask)[0])
+            return ad.pick(ad.softmax_vec(ad.matmul(
+                ad.Tensor(np.ones(3)), ad.affine(pooled, w, b))), 1)
+
+        check_grads(loss, [Z, p.w_a])

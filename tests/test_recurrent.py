@@ -5,7 +5,13 @@ import pytest
 
 from conftest import check_grads
 from ddilstm import autodiff as ad
-from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward, lstm_step
+from ddilstm.recurrent import (
+    BiLstmStack,
+    LstmParams,
+    bilstm_forward,
+    lstm_sequence,
+    lstm_step,
+)
 
 
 def reference_step(p, x, h_prev, c_prev):
@@ -21,6 +27,12 @@ def reference_step(p, x, h_prev, c_prev):
     c = c_prev * f + g * i
     h = np.tanh(c) * o
     return h, c
+
+
+def weighted_sum(t, weights):
+    """sum(t * weights) as one tape op: a smooth read-out of every entry."""
+    out = ad.Tensor(np.asarray((t.data * weights).sum()))
+    return ad.record_op(out, (t,), lambda g: (g * weights,))
 
 
 def _randomized(params, rng, scale=0.5):
@@ -154,3 +166,51 @@ class TestBilstm:
             stack = self._stack(hidden=hidden)
             Z = bilstm_forward(stack, ad.Tensor(np.ones((3, 2))))
             assert Z.shape == (3, 2 * hidden)
+
+
+class TestLstmSequence:
+    LENGTHS = np.array([4, 1, 3, 4])  # mixed, with a length-1 row
+
+    def _setup(self, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        p = LstmParams(3, 2, rng)
+        _randomized(p, rng)
+        X = ad.Tensor(rng.uniform(-1, 1, (4, len(self.LENGTHS), 2)).astype(dtype),
+                      requires_grad=True)
+        return rng, p, X
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_row_reference_steps(self, reverse):
+        _, p, X = self._setup(21, np.float32)
+        out = lstm_sequence(p, X, self.LENGTHS, reverse=reverse).data
+        for b, m in enumerate(self.LENGTHS):
+            h, c = p.h0.data, p.c0.data
+            order = range(m - 1, -1, -1) if reverse else range(m)
+            for t in order:
+                h, c = reference_step(p, X.data[t, b], h, c)
+                np.testing.assert_allclose(out[t, b], h, atol=1e-6)
+            assert not out[m:, b].any()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_mixed_lengths(self, float64_mode, reverse):
+        rng, p, X = self._setup(22)
+        weights = rng.normal(size=(4, len(self.LENGTHS), 3))
+
+        def loss():
+            return weighted_sum(lstm_sequence(p, X, self.LENGTHS, reverse), weights)
+
+        check_grads(loss, [X, *p.parameters()])
+
+    def test_bilstm_batch_gradients(self, float64_mode):
+        rng = np.random.default_rng(23)
+        stack = BiLstmStack(2, 2, rng)
+        for p in stack.parameters():
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        X = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
+        mask = np.arange(4)[:, None] < np.array([2, 4, 1])
+        weights = rng.normal(size=(4, 3, 4))
+
+        def loss():
+            return weighted_sum(bilstm_forward(stack, X, mask), weights)
+
+        check_grads(loss, [X, *stack.parameters()])

@@ -7,8 +7,15 @@ import pytest
 
 from ddilstm import autodiff as ad
 from ddilstm import training as tr
-from ddilstm.features import PositionVocab, build_vocab, featurize, pad_features
+from ddilstm.features import (
+    PAD_ID,
+    InstanceFeatures,
+    PositionVocab,
+    build_vocab,
+    featurize,
+)
 from ddilstm.model import ModelConfig, build_model, forward
+from ddilstm.rng import named_stream
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
     AdamState,
@@ -18,6 +25,7 @@ from ddilstm.training import (
     adam_step,
     cross_entropy,
     select_epoch,
+    softmax_cross_entropy,
     train,
 )
 
@@ -66,6 +74,47 @@ class TestCrossEntropy:
             return cross_entropy(ad.softmax_vec(scores), 2)
 
         check_grads(loss, [scores])
+
+
+class TestSoftmaxCrossEntropy:
+    def test_equals_floored_probability_loss(self):
+        rng = np.random.default_rng(1)
+        s = ad.Tensor(rng.normal(scale=3.0, size=5))
+        for label in range(5):
+            expected = cross_entropy(ad.softmax_vec(s), label).item()
+            assert softmax_cross_entropy(s, label).item() == pytest.approx(
+                expected, rel=1e-6)
+
+    def test_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(2)
+        s = rng.normal(size=(3, 5)).astype(np.float32)
+        labels = [4, 0, 2]
+        rows = [softmax_cross_entropy(ad.Tensor(s[i]), y).item()
+                for i, y in enumerate(labels)]
+        assert softmax_cross_entropy(ad.Tensor(s), labels).item() == pytest.approx(
+            np.mean(rows), rel=1e-6)
+
+    def test_confidently_wrong_example_keeps_its_gradient(self):
+        # p(label) is about e^-40 < 1e-12: the floored loss goes flat here
+        s = ad.Tensor([40.0, 0.0, 0.0, 0.0, 0.0], requires_grad=True)
+        with ad.Tape() as tape:
+            loss = softmax_cross_entropy(s, 1)
+        tape.backward(loss)
+        assert loss.item() == pytest.approx(40.0, rel=1e-6)
+        np.testing.assert_allclose(s.grad, [1.0, -1.0, 0.0, 0.0, 0.0], atol=1e-6)
+
+    def test_gradient_matches_finite_differences(self, float64_mode):
+        from conftest import check_grads
+
+        rng = np.random.default_rng(3)
+        s = ad.Tensor(rng.normal(scale=2.0, size=(4, 5)), requires_grad=True)
+        check_grads(lambda: softmax_cross_entropy(s, [0, 3, 3, 4]), [s])
+
+    def test_labels_validated(self):
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(ad.Tensor(np.zeros((2, 5))), [0, 5])
+        with pytest.raises(ad.ShapeMismatch):
+            softmax_cross_entropy(ad.Tensor(np.zeros((2, 5))), [0])
 
 
 class TestAdam:
@@ -161,11 +210,31 @@ class TestPadding:
         _, vocab, pv, feats = featurized_synthetic(4)
         mcfg, params = small_model(vocab, pv, variant="joint")
         f = feats[0]
+        pad = [PAD_ID] * 7
         plain, _ = forward(params, mcfg, f)
-        padded, _ = forward(params, mcfg, pad_features(f, f.length + 7))
+        padded, _ = forward(params, mcfg, InstanceFeatures(
+            f.word_ids + pad, f.p1_ids + pad, f.p2_ids + pad, f.label,
+            mask=[True] * f.length + [False] * 7))
         a = cross_entropy(plain, f.label).item()
         b = cross_entropy(padded, f.label).item()
         assert abs(a - b) < 1e-6
+
+
+class TestTapeSize:
+    def test_records_per_batch_independent_of_size_and_length(self):
+        vocab = build_vocab([["DRUG-A", "w", "DRUG-B"]])
+        pv = PositionVocab(10)
+        mcfg, params = small_model(vocab, pv, variant="joint", keep_prob=0.7)
+        sizes = set()
+        for batch_size in (2, 8):
+            for length in (3, 9):
+                tokens = ["DRUG-A"] + ["w"] * (length - 2) + ["DRUG-B"]
+                batch = [featurize(tokens, 0, length - 1, i % 5, vocab, pv)
+                         for i in range(batch_size)]
+                with ad.Tape() as tape:
+                    tr._batch_loss(params, mcfg, batch, named_stream(0, "dropout"))
+                sizes.add(len(tape))
+        assert len(sizes) == 1, sizes
 
 
 class TestTrain:
