@@ -10,5 +10,5 @@ __version__ = "0.1.0"
 
 from .autodiff import Parameter, Tape, Tensor  # noqa: F401
 from .labels import LABELS, label_id, label_name  # noqa: F401
-from .model import ModelConfig, default_config, forward, predict_class  # noqa: F401
+from .model import ModelConfig, default_config, forward  # noqa: F401
 from .training import TrainConfig, train  # noqa: F401

@@ -2,11 +2,11 @@
 
 Every forward operation appends a record to the active :class:`Tape`; a
 single reverse sweep over the tape populates ``.grad`` on every tensor
-that requires it. The op set is deliberately small: matrix products, an
-affine layer, elementwise sigmoid/tanh/add/mul, stable softmax,
-last-axis concatenation, row gather/scatter and a few structural
-helpers. Modules with larger fused ops (the LSTM sequence, pooling, the
-loss) record them through :func:`record_op`.
+that requires it. The op set is deliberately small: the affine layer
+over a (B, k) batch, elementwise tanh and mul, last-axis concatenation
+and row gather. Modules with larger fused ops (the LSTM sequence,
+pooling, the loss) record them through :func:`record_op`; `softmax` is
+a plain float64 helper that records nothing.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
 Storage defaults to float32; tests that need headroom (finite-difference
@@ -192,48 +192,17 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, without broadcasting.
-
-    Supported: (p,q)@(q,r) -> (p,r); (p,q)@(q,) -> (p,); (q,)@(q,r) -> (r,).
-    """
-    ra, rb = a.data.ndim, b.data.ndim
-    if ra not in (1, 2) or rb not in (1, 2) or (ra, rb) == (1, 1):
-        raise ShapeMismatch(f"matmul ranks {ra} x {rb} unsupported")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul inner dims {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
-
-    a_data, b_data = a.data, b.data
-
-    def grad_fn(g):
-        if ra == 2 and rb == 2:
-            return g @ b_data.T, a_data.T @ g
-        if ra == 2 and rb == 1:
-            return np.outer(g, b_data), a_data.T @ g
-        # ra == 1, rb == 2
-        return b_data @ g, np.outer(a_data, g)
-
-    return record_op(out, (a, b), grad_fn)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a (k,) vector or each row of an (n, k) matrix x, with
-    w (k, c) and b (c,)."""
-    if (x.data.ndim not in (1, 2) or w.data.ndim != 2
-            or x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]):
+    """x @ w + b for each row of a (B, k) matrix x, with w (k, c) and b (c,)."""
+    if (x.data.ndim != 2 or w.data.ndim != 2
+            or x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]):
         raise ShapeMismatch(f"affine {x.shape} @ {w.shape} + {b.shape}")
-    out = Tensor(x.data @ w.data + b.data)
-    _check_finite(out.data, "affine")
     x_data, w_data = x.data, w.data
 
     def grad_fn(g):
-        rows_g = g.reshape(-1, g.shape[-1])
-        return (g @ w_data.T, x_data.reshape(-1, x_data.shape[-1]).T @ rows_g,
-                rows_g.sum(axis=0))
+        return g @ w_data.T, x_data.T @ g, g.sum(axis=0)
 
-    return record_op(out, (x, w, b), grad_fn)
+    return record_op(Tensor(x_data @ w_data + b.data), (x, w, b), grad_fn)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -241,95 +210,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def pointwise(mode: str, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Elementwise op: 'sigmoid' | 'tanh' (unary), 'add' | 'mul' (binary)."""
-    if mode in ("sigmoid", "tanh"):
-        if b is not None:
-            raise ValueError(f"{mode} takes one operand")
-        if mode == "sigmoid":
-            s = _sigmoid(a.data)
-            out = Tensor(s)
-
-            def grad_fn(g, s=s):
-                return (g * s * (1.0 - s),)
-
-        else:
-            t = np.tanh(a.data)
-            out = Tensor(t)
-
-            def grad_fn(g, t=t):
-                return (g * (1.0 - t * t),)
-
-        _check_finite(out.data, mode)
-        return record_op(out, (a,), grad_fn)
-
-    if mode in ("add", "mul"):
-        if b is None:
-            raise ValueError(f"{mode} needs two operands")
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatch(f"{mode}: {a.shape} vs {b.shape}")
-        if mode == "add":
-            out = Tensor(a.data + b.data)
-
-            def grad_fn(g):
-                return g, g
-
-        else:
-            a_data, b_data = a.data, b.data
-            out = Tensor(a_data * b_data)
-
-            def grad_fn(g):
-                return g * b_data, g * a_data
-
-        _check_finite(out.data, mode)
-        return record_op(out, (a, b), grad_fn)
-
-    raise ValueError(f"unknown pointwise mode {mode!r}")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return pointwise("sigmoid", a)
-
-
 def tanh(a: Tensor) -> Tensor:
-    return pointwise("tanh", a)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return pointwise("add", a, b)
+    """Elementwise tanh."""
+    t = np.tanh(a.data)
+    return record_op(Tensor(t), (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return pointwise("mul", a, b)
+    """Elementwise product of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
+    a_data, b_data = a.data, b.data
+    return record_op(Tensor(a_data * b_data), (a, b),
+                     lambda g: (g * b_data, g * a_data))
 
 
-def softmax_vec(v: Tensor, mask: Optional[Sequence[bool]] = None) -> Tensor:
-    """Stable softmax over a vector; masked entries come out exactly 0.
-
-    The exponentials are computed in float64 regardless of the storage
-    dtype so the outputs sum to 1 as tightly as the output dtype allows.
-    """
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise ShapeMismatch(f"softmax_vec needs a non-empty vector, got {v.shape}")
-    x = v.data.astype(np.float64)
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != x.shape:
-            raise ShapeMismatch(f"mask length {keep.shape} vs vector {x.shape}")
-        if not keep.any():
-            raise ValueError("softmax_vec: all positions masked")
-        x = np.where(keep, x, -np.inf)
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    p64 = e / np.sum(e)
-    out = Tensor(p64.astype(v.data.dtype))
-
-    def grad_fn(g):
-        g64 = g.astype(np.float64)
-        dv = p64 * (g64 - np.dot(g64, p64))
-        return (dv.astype(g.dtype),)
-
-    return record_op(out, (v,), grad_fn)
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable float64 softmax along `axis`, outside the tape; entries of
+    -inf come out exactly 0."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -366,31 +267,3 @@ def rows(m: Tensor, ids) -> Tensor:
         return (dm,)
 
     return record_op(out, (m,), grad_fn)
-
-
-def pick(v: Tensor, i: int) -> Tensor:
-    """Select one entry of a vector as a scalar."""
-    if v.data.ndim != 1:
-        raise ShapeMismatch(f"pick() needs a vector, got {v.shape}")
-    if not 0 <= i < v.data.shape[0]:
-        raise ValueError(f"index {i} out of range [0, {v.data.shape[0]})")
-    out = Tensor(v.data[i])
-    size = v.data.shape
-
-    def grad_fn(g):
-        dv = np.zeros(size, dtype=g.dtype)
-        dv[i] = g
-        return (dv,)
-
-    return record_op(out, (v,), grad_fn)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain (non-learnable) scalar constant."""
-    out = Tensor(a.data * a.data.dtype.type(c))
-    _check_finite(out.data, "scale")
-
-    def grad_fn(g):
-        return (g * g.dtype.type(c),)
-
-    return record_op(out, (a,), grad_fn)

@@ -22,6 +22,7 @@ from .corpus import CorpusError
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
 from .labels import label_id, label_name
 from .model import (
+    VARIANTS,
     ModelConfig,
     build_model,
     default_config,
@@ -33,12 +34,11 @@ from .training import TrainConfig, TrainingDiverged
 
 
 def _write_manifest(out_path: str, command: str, config: dict,
-                    inputs: dict, outputs: dict, seed=None, threads=1) -> None:
+                    inputs: dict, outputs: dict, seed=None) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "threads": threads,
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
@@ -65,12 +65,21 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _resolve(defaults: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
-    """Precedence: defaults < config file < explicit command-line flags."""
-    resolved = dict(defaults)
+def _resolve(options: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
+    """Precedence: defaults < config file < explicit command-line flags.
+
+    A file value must have its flag's type: a JSON int passes for a float
+    flag, and a bool for neither.
+    """
+    resolved = {key: default for key, (_, default) in options.items()}
     for key, value in file_cfg.items():
-        if key not in resolved:
+        if key not in options:
             raise ValueError(f"unknown config key {key!r}")
+        kind = options[key][0]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, "
+                             f"got {value!r}")
         resolved[key] = value
     for key in resolved:
         value = getattr(args, key, None)
@@ -91,8 +100,7 @@ def _cmd_preprocess(args) -> int:
     instances = corpus.generate_instances(records)
     corpus.write_instances(args.out, instances)
     _write_manifest(_manifest_path(args.out), "preprocess", {},
-                    {"corpus": args.corpus}, {"instances": args.out},
-                    threads=args.threads)
+                    {"corpus": args.corpus}, {"instances": args.out})
     print(f"wrote {len(instances)} instances from {len(records)} sentences")
     return 0
 
@@ -107,34 +115,35 @@ def _cmd_filter(args) -> int:
     filtering.write_report(args.report, report)
     _write_manifest(_manifest_path(args.out), "filter", asdict(config),
                     {"instances": args.instances},
-                    {"filtered": args.out, "report": args.report},
-                    threads=args.threads)
+                    {"filtered": args.out, "report": args.report})
     print(f"kept {len(report.kept)} of {report.n_input} "
           f"({report.n_removed} removed, {report.n_removed_positive} positive)")
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "variant": "b-lstm",
-    "hidden": None,        # variant default unless set
-    "word_dim": 100,
-    "pos_dim": 10,
-    "radius": 50,
-    "min_count": 1,
-    "keep_prob": None,     # variant default unless set
-    "l2": None,            # variant default unless set
-    "lr": 1e-3,
-    "batch_size": 200,
-    "epochs": 10,
-    "val_fraction": 0.05,
-    "word_vectors": None,
-    "seed": 0,
+# each train option's flag type and default (None: the variant's default,
+# or for word_vectors, no vectors)
+_TRAIN_OPTIONS = {
+    "variant": (str, "b-lstm"),
+    "hidden": (int, None),
+    "word_dim": (int, 100),
+    "pos_dim": (int, 10),
+    "radius": (int, 50),
+    "min_count": (int, 1),
+    "keep_prob": (float, None),
+    "l2": (float, None),
+    "lr": (float, 1e-3),
+    "batch_size": (int, 200),
+    "epochs": (int, 10),
+    "val_fraction": (float, 0.05),
+    "word_vectors": (str, None),
+    "seed": (int, 0),
 }
 
 
 def _cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _resolve(_TRAIN_DEFAULTS, file_cfg, args)
+    cfg = _resolve(_TRAIN_OPTIONS, file_cfg, args)
     seed = int(cfg["seed"])
 
     base = default_config(cfg["variant"])
@@ -180,7 +189,7 @@ def _cmd_train(args) -> int:
          "word_vectors": cfg["word_vectors"]},
         {"instances": args.instances},
         {"checkpoint": args.out_dir, "log": log_path},
-        seed=seed, threads=args.threads,
+        seed=seed,
     )
     best = result.log[result.best_epoch]
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
@@ -223,7 +232,7 @@ def _cmd_predict(args) -> int:
         outputs["attention"] = args.attention
     _write_manifest(_manifest_path(args.out), "predict", {"variant": mcfg.variant},
                     {"checkpoint": args.checkpoint, "instances": args.instances},
-                    outputs, threads=args.threads)
+                    outputs)
     print(f"predicted {len(preds)} instances")
     return 0
 
@@ -257,7 +266,7 @@ def _cmd_evaluate(args) -> int:
     _write_manifest(_manifest_path(args.out), "evaluate", {},
                     {"predictions": args.predictions, "gold": args.gold,
                      "filter_report": args.filter_report},
-                    {"report": args.out}, threads=args.threads)
+                    {"report": args.out})
     print(f"micro P {report.micro_p:.4f} R {report.micro_r:.4f} "
           f"F1 {report.micro_f1:.4f} MAVG {report.mavg:.4f}")
     return 0
@@ -275,7 +284,7 @@ def _cmd_analyze(args) -> int:
         fh.write("\n")
     _write_manifest(_manifest_path(args.out), "analyze", {},
                     {"predictions": args.predictions, "gold": args.gold},
-                    {"stats": args.out}, threads=args.threads)
+                    {"stats": args.out})
     print(f"wrote length statistics for {len(flags)} instances")
     return 0
 
@@ -290,7 +299,7 @@ def _cmd_attention_export(args) -> int:
     _write_manifest(_manifest_path(args.out), "attention-export",
                     {"variant": mcfg.variant},
                     {"checkpoint": args.checkpoint, "instances": args.instances},
-                    {"attention": args.out}, threads=args.threads)
+                    {"attention": args.out})
     print(f"exported attention for {len(instances)} instances")
     return 0
 
@@ -300,8 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ddilstm",
         description="LSTM drug-drug interaction classification pipeline",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (recorded; stages run sequentially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="XML corpus -> instance file")
@@ -322,20 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="JSON file with any of the train keys")
-    p.add_argument("--variant", choices=("b-lstm", "ab-lstm", "joint"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--word-dim", type=int, dest="word_dim")
-    p.add_argument("--pos-dim", type=int, dest="pos_dim")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--min-count", type=int, dest="min_count")
-    p.add_argument("--keep-prob", type=float, dest="keep_prob")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--word-vectors", dest="word_vectors")
-    p.add_argument("--seed", type=int)
+    for key, (kind, _) in _TRAIN_OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind,
+                       choices=VARIANTS if key == "variant" else None)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("predict", help="label an instance file with a checkpoint")

@@ -7,8 +7,8 @@ All three are embedded and concatenated row-wise into the encoder input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,17 +96,9 @@ class PositionVocab:
 
 @dataclass
 class EmbeddingMatrix:
-    """One lookup table: a (vocab size x dim) parameter plus a train flag.
-
-    A frozen matrix still serializes with the model; it just never
-    receives gradients.
-    """
+    """One lookup table: a (vocab size x dim) parameter."""
 
     param: Parameter
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.param.requires_grad = self.trainable
 
     @property
     def dim(self) -> int:
@@ -130,7 +122,6 @@ class InstanceFeatures:
     p1_ids: list[int]
     p2_ids: list[int]
     label: int
-    mask: Optional[list[bool]] = field(default=None)
 
     @property
     def length(self) -> int:
@@ -142,8 +133,6 @@ class InstanceFeatures:
             raise ValueError("instance must have at least one token")
         if len(self.p1_ids) != m or len(self.p2_ids) != m:
             raise ValueError("feature sequences must share one length")
-        if self.mask is not None and len(self.mask) != m:
-            raise ValueError("mask length must match feature length")
 
 
 def featurize(tokens: Sequence[str], drug_a: int, drug_b: int, label: int,
@@ -177,9 +166,9 @@ class Batch:
 
 
 def collate(feats: Sequence[InstanceFeatures]) -> Batch:
-    """Stack unpadded instances column by column, in the order given."""
-    if not feats or any(f.mask is not None for f in feats):
-        raise ValueError("collate needs at least one unpadded instance")
+    """Stack instances column by column, in the order given."""
+    if not feats:
+        raise ValueError("collate needs at least one instance")
     lengths = np.array([f.length for f in feats])
     mask = np.arange(lengths.max())[:, None] < lengths
 
@@ -222,11 +211,10 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     )
 
 
-def embed(f, mw: EmbeddingMatrix, mp1: EmbeddingMatrix,
+def embed(batch: Batch, mw: EmbeddingMatrix, mp1: EmbeddingMatrix,
           mp2: EmbeddingMatrix) -> Tensor:
-    """Per-token concatenation of the three embedding rows: (m, n1+n2+n3)
-    for one InstanceFeatures, (L, B, n1+n2+n3) for a Batch."""
-    w = rows(mw.param, f.word_ids)
-    p1 = rows(mp1.param, f.p1_ids)
-    p2 = rows(mp2.param, f.p2_ids)
+    """Per-token concatenation of the three embedding rows, (L, B, n1+n2+n3)."""
+    w = rows(mw.param, batch.word_ids)
+    p1 = rows(mp1.param, batch.p1_ids)
+    p2 = rows(mp2.param, batch.p2_ids)
     return concat(concat(w, p1), p2)

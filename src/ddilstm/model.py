@@ -3,8 +3,8 @@
 All variants share the same skeleton: embed tokens and distances, encode
 with one or two bidirectional LSTM stacks, pool to a fixed vector h2,
 optionally drop out, squash (h3 = tanh(h2)) and score through a single
-affine layer. The same code scores one instance or a collated time-major
-batch, one tape op per layer; training takes its loss from the scores.
+affine layer. A collated time-major batch is scored in one tape op per
+layer; training takes its loss from the scores.
 
     b-lstm   one stack, max pooling           h2 width 2N
     ab-lstm  one stack, attentive pooling     h2 width 2N
@@ -29,10 +29,11 @@ from .autodiff import (
     concat,
     current_dtype,
     mul,
-    softmax_vec,
+    softmax,
     tanh,
 )
 from .features import (
+    Batch,
     EmbeddingMatrix,
     InstanceFeatures,
     PositionVocab,
@@ -174,19 +175,19 @@ def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
     return ModelParams(word, p1, p2, stacks, attention, out)
 
 
-def scores(params: ModelParams, cfg: ModelConfig, f,
+def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
            training: bool = False,
            dropout_rng: Optional[np.random.Generator] = None,
            ) -> tuple[Tensor, Optional[Tensor]]:
-    """Class scores (and attention weights where the variant has them):
-    (C,) and (m,) for one InstanceFeatures, (B, C) and (L, B) for a Batch.
+    """(B, C) class scores of a batch, and its (L, B) attention weights
+    where the variant has them.
 
     Dropout hits only the pooled feature h2, and only when training with
     keep_prob < 1, drawing one (B, width) block in batch order; inference
     and keep_prob == 1 are bit-identical.
     """
-    mask = f.mask
-    X = embed(f, params.word_emb, params.p1_emb, params.p2_emb)
+    mask = batch.mask
+    X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
 
     alpha = None
     if cfg.variant == "b-lstm":
@@ -211,13 +212,16 @@ def scores(params: ModelParams, cfg: ModelConfig, f,
     return affine(tanh(h2), params.out.W_o, params.out.b_o), alpha
 
 
-def forward(params: ModelParams, cfg: ModelConfig, f: InstanceFeatures,
-            training: bool = False,
-            dropout_rng: Optional[np.random.Generator] = None,
-            ) -> tuple[Tensor, Optional[Tensor]]:
-    """Class probabilities of one instance, and its attention weights."""
-    s, alpha = scores(params, cfg, f, training=training, dropout_rng=dropout_rng)
-    return softmax_vec(s), alpha
+def forward(params: ModelParams, cfg: ModelConfig,
+            f: InstanceFeatures) -> tuple[Tensor, Optional[Tensor]]:
+    """Class probabilities of one instance, and its attention weights.
+
+    The probabilities are a float64 softmax of the scores, taken off the
+    tape: nothing backpropagates through them.
+    """
+    s, alpha = scores(params, cfg, collate([f]))
+    probs = Tensor(softmax(s.data[0]), dtype=np.float64)
+    return probs, None if alpha is None else Tensor(alpha.data[:, 0])
 
 
 def predict(params: ModelParams, cfg: ModelConfig,
@@ -233,11 +237,6 @@ def predict(params: ModelParams, cfg: ModelConfig,
         alphas += [None if alpha is None else alpha.data[:f.length, b].tolist()
                    for b, f in enumerate(chunk)]
     return preds, alphas
-
-
-def predict_class(probs: Tensor) -> int:
-    """Argmax class id; ties go to the lowest id."""
-    return int(np.argmax(probs.data))
 
 
 def _manifest_dict(cfg: ModelConfig, params: ModelParams) -> dict:
@@ -276,32 +275,45 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
         os.replace(tmp, os.path.join(directory, fname))
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose manifest, vocabulary or parameter blob is malformed."""
+
+
 def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                                         PositionVocab]:
-    """Rebuild a model bit-exactly from a checkpoint directory."""
-    with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(os.path.join(directory, VOCAB_FILE), encoding="utf-8") as fh:
-        vocab_blob = json.load(fh)
-    cfg = ModelConfig(**manifest["config"])
-    words = vocab_blob["words"]
-    vocab = Vocabulary(words[2:])  # PAD/UNK are re-reserved by the constructor
-    if vocab.tokens() != words:
-        raise ValueError("vocabulary in checkpoint is not in id order")
-    pv = PositionVocab(vocab_blob["position_radius"])
+    """Rebuild a model bit-exactly from a checkpoint directory.
 
-    params = build_model(cfg, len(vocab), len(pv), seed=0)
-    entries = params.named_parameters()
-    listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-    if [(n, p.data.shape) for n, p in entries] != listed:
-        raise ValueError("manifest parameter list does not match this build")
+    Any malformed manifest, vocabulary or blob raises CheckpointError;
+    a missing or unreadable file raises OSError.
+    """
+    try:
+        with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        with open(os.path.join(directory, VOCAB_FILE), encoding="utf-8") as fh:
+            vocab_blob = json.load(fh)
+        cfg = ModelConfig(**manifest["config"])
+        words = vocab_blob["words"]
+        vocab = Vocabulary(words[2:])  # PAD/UNK are re-reserved by the constructor
+        if vocab.tokens() != words:
+            raise ValueError("vocabulary in checkpoint is not in id order")
+        pv = PositionVocab(vocab_blob["position_radius"])
 
-    raw = np.fromfile(os.path.join(directory, PARAMS_FILE), dtype="<f4")
-    expected = sum(p.data.size for _, p in entries)
-    if raw.size != expected:
-        raise ValueError(
-            f"params.bin holds {raw.size} floats, manifest expects {expected}"
-        )
+        params = build_model(cfg, len(vocab), len(pv), seed=0)
+        entries = params.named_parameters()
+        listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+        if [(n, p.data.shape) for n, p in entries] != listed:
+            raise ValueError("manifest parameter list does not match this build")
+
+        raw = np.fromfile(os.path.join(directory, PARAMS_FILE), dtype="<f4")
+        expected = sum(p.data.size for _, p in entries)
+        if raw.size != expected:
+            raise ValueError(
+                f"params.bin holds {raw.size} floats, manifest expects {expected}"
+            )
+    except KeyError as exc:
+        raise CheckpointError(f"{directory}: checkpoint lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{directory}: malformed checkpoint: {exc}") from exc
     offset = 0
     for _, p in entries:
         n = p.data.size

@@ -7,8 +7,8 @@ One step computes the usual gated update
     c       = c_prev * f + g * i
     h       = tanh(c) * o
 
-The encoder reads a time-major (L, B, d) batch, or one (L, d) sentence,
-whose mask marks each row's first lengths[b] steps as real. Rows are
+The encoder reads a time-major (L, B, d) batch whose mask marks each
+row's first lengths[b] steps as real. Rows are
 sorted longest first, so the rows still inside their sentence at step t
 are a prefix of n_t rows: the active batch shrinks as short rows end and
 padded steps are never computed. The backward direction reverses each
@@ -20,12 +20,11 @@ gradients and ends with one GEMM each for dU, dW and dX.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .autodiff import (
     Parameter,
+    ShapeMismatch,
     Tensor,
     _check_finite,
     _sigmoid,
@@ -129,37 +128,18 @@ def _gate_param_grads(dz, x, h_prev) -> list[np.ndarray]:
     return [part[k] for k in range(4) for part in parts]
 
 
-def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor,
-              c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One gated update of a (d,) input; returns the new (h, c).
-
-    Since h and c feed different consumers, each gets its own record
-    applying its slice of the cell Jacobian; the tape sums the two.
-    """
-    u, w, b = p.stacked()
-    act = u @ x.data + w @ h_prev.data + b
-    c, h = _cell(act, c_prev.data)
-    _check_finite(c, "lstm_step")
-    inputs = (x, h_prev, c_prev, *p.parameters()[:12])
-
-    def grads(dh, dc):
-        dz, dc_prev = _cell_grads(act, c_prev.data, c, dh, dc)
-        return (u.T @ dz, w.T @ dz, dc_prev,
-                *_gate_param_grads(dz[None], x.data[None], h_prev.data[None]))
-
-    return (record_op(Tensor(h), inputs, lambda gh: grads(gh, 0.0)),
-            record_op(Tensor(c), inputs, lambda gc: grads(0.0, gc)))
-
-
 def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
                   reverse: bool = False) -> Tensor:
-    """Run one direction over a time-major (L, B, d) or (L, d) input.
+    """Run one direction over a time-major (L, B, d) input.
 
     Row b is read at positions 0..lengths[b]-1, last to first when
-    `reverse`; the (L, B, N) or (L, N) output holds each position's state
-    and exact zeros at padded positions.
+    `reverse`; the (L, B, N) output holds each position's state and exact
+    zeros at padded positions.
     """
-    x3 = X.data.reshape(X.data.shape[0], -1, X.data.shape[-1])
+    x = X.data
+    if x.ndim != 3 or lengths.shape != x.shape[1:2]:
+        raise ShapeMismatch(f"lstm_sequence needs (L, B, d) input and B lengths, "
+                            f"got {X.shape} and {lengths.shape}")
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     # packed entries, time-major: step t holds the first n_t sorted rows
@@ -169,7 +149,7 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
     steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
 
     u, w, b = p.stacked()
-    x_packed = x3[pos, col]
+    x_packed = x[pos, col]
     act = x_packed @ u.T
     act += b
     cs, h_prev, hs = (np.empty((len(t_idx), w.shape[1]), dtype=act.dtype) for _ in range(3))
@@ -180,11 +160,11 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
         c, h = _cell(act[s], c[:s.stop - s.start])
         cs[s], hs[s] = c, h
     _check_finite(cs, "lstm_sequence")
-    out = np.zeros(x3.shape[:2] + (w.shape[1],), dtype=act.dtype)
+    out = np.zeros(x.shape[:2] + (w.shape[1],), dtype=act.dtype)
     out[pos, col] = hs
 
     def grad_fn(g):
-        dh_out = g.reshape(out.shape)[pos, col]
+        dh_out = g[pos, col]
         dh_next, dc_next = np.zeros((2, len(order), w.shape[1]), dtype=g.dtype)
         for k in reversed(range(len(steps))):
             s, n = steps[k], steps[k].stop - steps[k].start
@@ -194,22 +174,19 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
             dh_next[:n] = act[s] @ w
         dx = None
         if X.requires_grad:
-            dx = np.zeros(x3.shape, dtype=g.dtype)
+            dx = np.zeros(x.shape, dtype=g.dtype)
             dx[pos, col] = act @ u
-        return (None if dx is None else dx.reshape(X.data.shape),
-                *_gate_param_grads(act, x_packed, h_prev),
+        return (dx, *_gate_param_grads(act, x_packed, h_prev),
                 dh_next.sum(axis=0), dc_next.sum(axis=0))
 
-    return record_op(Tensor(out.reshape(X.data.shape[:-1] + out.shape[-1:])),
-                     (X, *p.parameters()), grad_fn)
+    return record_op(Tensor(out), (X, *p.parameters()), grad_fn)
 
 
 def _lengths(shape: tuple, mask) -> np.ndarray:
-    """Per-row token counts of an (L,) or (L, B) prefix mask, flattened."""
-    keep = np.ones(shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    """Per-row token counts of an (L, B) prefix mask."""
+    keep = np.asarray(mask, dtype=bool)
     if keep.shape != shape:
         raise ValueError(f"mask shape {keep.shape} vs {shape} input positions")
-    keep = keep.reshape(shape[0], -1)
     lengths = keep.sum(axis=0)
     if not np.array_equal(keep, np.arange(shape[0])[:, None] < lengths):
         raise ValueError("padding mask must be True tokens then False padding")
@@ -218,16 +195,13 @@ def _lengths(shape: tuple, mask) -> np.ndarray:
     return lengths
 
 
-def bilstm_forward(stack: BiLstmStack, X: Tensor,
-                   mask: Optional[np.ndarray] = None) -> Tensor:
-    """Encode (L, B, d) or (L, d) inputs into (..., 2N) per-token features.
+def bilstm_forward(stack: BiLstmStack, X: Tensor, mask: np.ndarray) -> Tensor:
+    """Encode an (L, B, d) batch into (L, B, 2N) per-token features.
 
     Padded positions (mask False) are never fed through either cell and
     come out as exact zero rows, so a padded instance encodes identically
     to its unpadded self.
     """
-    if X.data.ndim not in (2, 3):
-        raise ValueError(f"expected (L, d) or (L, B, d) input, got shape {X.shape}")
-    lengths = _lengths(X.data.shape[:-1], mask)
+    lengths = _lengths(X.data.shape[:2], mask)
     return concat(lstm_sequence(stack.fwd, X, lengths),
                   lstm_sequence(stack.bwd, X, lengths, reverse=True))

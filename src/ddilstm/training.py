@@ -23,8 +23,6 @@ from .autodiff import Parameter, ShapeMismatch, Tape, Tensor, record_op
 from .features import InstanceFeatures, collate
 from .model import ModelConfig, ModelParams, predict, scores
 
-PROB_FLOOR = 1e-12
-
 
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the epoch/batch where it happened."""
@@ -52,40 +50,16 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
 
 
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """-log p(label), with the probability floored at 1e-12 before the log.
-
-    Its gradient is zero below the floor; training uses the scores instead.
-    """
-    if probs.data.ndim != 1:
-        raise ValueError(f"probs must be a vector, got {probs.shape}")
-    if not 0 <= label < probs.data.shape[0]:
-        raise ValueError(f"label {label} out of range [0, {probs.data.shape[0]})")
-    p = float(probs.data[label])
-    floored = max(p, PROB_FLOOR)
-    out = Tensor(np.asarray(-math.log(floored), dtype=probs.data.dtype))
-    size = probs.data.shape
-
-    def grad_fn(g):
-        d = np.zeros(size, dtype=g.dtype)
-        if p >= PROB_FLOOR:
-            d[label] = -float(g) / p
-        return (d,)
-
-    return record_op(out, (probs,), grad_fn)
-
-
 def softmax_cross_entropy(scores: Tensor, labels) -> Tensor:
-    """Mean of logsumexp(s) - s_y over the rows of (B, C) scores, or of
-    one (C,) score vector and a single label.
+    """Mean of logsumexp(s) - s_y over the rows of (B, C) scores.
 
     Equals -log softmax(s)_y without flooring the probability, and its
     gradient (softmax(s) - onehot(y)) / B is non-zero for every row whose
     label does not hold all the mass. Exponentials are taken in float64.
     """
-    s = scores.data.astype(np.float64).reshape(-1, scores.data.shape[-1])
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape != s.shape[:1]:
+    s = scores.data.astype(np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if s.ndim != 2 or y.shape != s.shape[:1]:
         raise ShapeMismatch(f"{y.size} labels for scores of shape {scores.shape}")
     if y.size and (y.min() < 0 or y.max() >= s.shape[1]):
         raise ValueError(f"label out of range [0, {s.shape[1]})")
@@ -99,7 +73,7 @@ def softmax_cross_entropy(scores: Tensor, labels) -> Tensor:
         d = np.exp(shifted - log_total[:, None])
         d[picked] -= 1.0
         d *= float(g) / y.size
-        return (d.reshape(scores.data.shape).astype(g.dtype),)
+        return (d.astype(g.dtype),)
 
     return record_op(out, (scores,), grad_fn)
 

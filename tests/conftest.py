@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddilstm import autodiff as ad
+from ddilstm.training import softmax_cross_entropy
 
 EPS = 1e-4
 
@@ -61,6 +62,19 @@ def check_grads(build_loss, tensors, tol=1e-3, eps=EPS):
     worst = max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
     assert worst < tol, f"gradient mismatch: max relative error {worst:.3e}"
     return worst
+
+
+def weighted_sum(t, weights):
+    """sum(t * weights) as one tape op: a smooth read-out of every entry."""
+    out = ad.Tensor(np.asarray((t.data * weights).sum()))
+    return ad.record_op(out, (t,), lambda g: (g * weights,))
+
+
+def head(x, labels):
+    """Scalar head for finite-difference checks: softmax cross-entropy of a
+    fixed affine map of the (B, k) rows of x to five classes."""
+    w = ad.Tensor(np.random.default_rng(99).normal(size=(x.data.shape[1], 5)))
+    return softmax_cross_entropy(ad.affine(x, w, ad.Tensor(np.zeros(5))), labels)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_grads, finite_difference, max_rel_error
+from conftest import check_grads, finite_difference, head, max_rel_error, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.cli import main
 from ddilstm.corpus import generate_instances, parse_corpus, write_instances
@@ -23,6 +23,7 @@ from ddilstm.evaluation import evaluate, mcnemar
 from ddilstm.features import (
     PositionVocab,
     build_vocab,
+    collate,
     featurize,
 )
 from ddilstm.filtering import apply_filters
@@ -31,17 +32,17 @@ from ddilstm.model import (
     build_model,
     forward,
     load_checkpoint,
-    predict_class,
+    predict,
     save_checkpoint,
+    scores,
 )
 from ddilstm.pooling import AttentionParams, attentive_pool, max_pool
-from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward, lstm_step
+from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward, lstm_sequence
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    cross_entropy,
     select_epoch,
     softmax_cross_entropy,
     train,
@@ -87,47 +88,38 @@ def test_criterion_01_gradients_vs_finite_differences():
     with ad.use_dtype(np.float64):
         rng = np.random.default_rng(0)
 
-        # every differentiable op, smallest viable graphs
+        # every differentiable op, smallest viable graphs, read out through
+        # softmax_cross_entropy(affine(...)) over five classes
         a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        v = ad.Tensor(rng.normal(size=4), requires_grad=True)
-        check_grads(lambda: ad.pick(ad.softmax_vec(
-            ad.matmul(ad.matmul(a, b), ad.Tensor(np.ones(2)))), 1), [a, b])
-        check_grads(lambda: ad.pick(ad.softmax_vec(ad.matmul(v, b)), 0), [v, b])
-        for mode in ("sigmoid", "tanh"):
-            check_grads(lambda m=mode: ad.pick(ad.pointwise(m, v), 2), [v])
-        w = ad.Tensor(rng.normal(size=4), requires_grad=True)
-        check_grads(lambda: ad.pick(ad.add(v, w), 1), [v, w])
-        check_grads(lambda: ad.pick(ad.mul(v, w), 3), [v, w])
-        check_grads(lambda: ad.pick(ad.softmax_vec(v), 1), [v])
-        check_grads(lambda: ad.pick(
-            ad.softmax_vec(v, mask=[True, False, True, True]), 2), [v])
-        check_grads(lambda: ad.pick(ad.concat(v, w), 6), [v, w])
+        w = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=5), requires_grad=True)
+        labels = [1, 4, 0]
+        check_grads(lambda: softmax_cross_entropy(ad.affine(a, w, bias), labels),
+                    [a, w, bias])
+        c = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        check_grads(lambda: head(ad.tanh(a), labels), [a])
+        check_grads(lambda: head(ad.mul(a, c), labels), [a, c])
         m2 = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        check_grads(lambda: ad.pick(ad.matmul(
-            ad.Tensor(np.ones(3)), ad.concat(a, m2)), 5), [a, m2])
-        check_grads(lambda: ad.pick(ad.matmul(
-            ad.Tensor(np.ones(3)), ad.rows(m2, [0, 0, 2])), 1), [m2])
-        check_grads(lambda: ad.scale(ad.pick(v, 0), 0.3), [v])
-        check_grads(lambda: cross_entropy(ad.softmax_vec(v), 2), [v])
+        check_grads(lambda: head(ad.concat(a, m2), labels), [a, m2])
+        check_grads(lambda: head(ad.rows(m2, [0, 0, 2]), labels), [m2])
 
-        Z = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        mask = [True, True, True, False, False]
-        check_grads(lambda: ad.pick(ad.softmax_vec(max_pool(Z, mask)), 1), [Z])
+        Z = ad.Tensor(rng.normal(size=(5, 2, 4)), requires_grad=True)
+        mask = np.arange(5)[:, None] < np.array([3, 5])
+        check_grads(lambda: head(max_pool(Z, mask), [1, 2]), [Z])
         att = AttentionParams(4, rng)
-        check_grads(lambda: ad.pick(ad.softmax_vec(
-            attentive_pool(Z, att, mask)[0]), 2), [Z, att.w_a])
+        check_grads(lambda: head(attentive_pool(Z, att, mask)[0], [2, 0]),
+                    [Z, att.w_a])
 
         cell = LstmParams(3, 2, rng)
         for p in cell.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-        x_in = ad.Tensor(rng.uniform(-1, 1, 2))
-
-        def step_loss():
-            h, c = lstm_step(cell, x_in, cell.h0, cell.c0)
-            return ad.pick(ad.softmax_vec(ad.concat(h, c)), 0)
-
-        check_grads(step_loss, cell.parameters())
+        x_in = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
+        lengths = np.array([4, 1, 3])
+        weights = rng.normal(size=(4, 3, 3))
+        for reverse in (False, True):
+            check_grads(lambda r=reverse: weighted_sum(
+                lstm_sequence(cell, x_in, lengths, r), weights),
+                [x_in, *cell.parameters()])
 
         # the batched path: mixed lengths with a length-1 row, each op once
         stack = BiLstmStack(3, 2, rng)
@@ -160,16 +152,19 @@ def test_criterion_01_gradients_vs_finite_differences():
                 p.data[...] = mix.uniform(-0.5, 0.5, size=p.data.shape)
             tensors = [p for _, p in named]
             params.zero_grads()
+
+            def variant_loss():
+                s, _ = scores(params, cfg, collate([feats]))
+                return softmax_cross_entropy(s, [feats.label])
+
             with ad.Tape() as tape:
-                probs, _ = forward(params, cfg, feats)
-                loss = cross_entropy(probs, feats.label)
+                loss = variant_loss()
             tape.backward(loss)
             analytic = [np.zeros_like(t.data) if t.grad is None else t.grad
                         for t in tensors]
 
             def loss_value():
-                probs, _ = forward(params, cfg, feats)
-                return cross_entropy(probs, feats.label).item()
+                return variant_loss().item()
 
             numeric = finite_difference(loss_value, tensors)
             worst = max(max_rel_error(g, n)
@@ -184,7 +179,8 @@ def test_criterion_01_gradients_vs_finite_differences():
 def test_criterion_02_straight_line_oracles():
     rng = np.random.default_rng(17)
 
-    # LSTM step against a spelled-out update
+    # LSTM step against a spelled-out update: the L = 1, B = 1 sequence
+    # started from h0 = h_prev and c0 = c_prev
     cell = LstmParams(5, 4, rng)
     for p in cell.parameters():
         p.data[...] = rng.uniform(-0.8, 0.8, size=p.data.shape).astype(np.float32)
@@ -201,21 +197,22 @@ def test_criterion_02_straight_line_oracles():
     g = np.tanh(cell.U_g.data @ x + cell.W_g.data @ h_prev + cell.b_g.data)
     c_ref = c_prev * f + g * i
     h_ref = np.tanh(c_ref) * o
-    h_out, c_out = lstm_step(cell, ad.Tensor(x), ad.Tensor(h_prev),
-                             ad.Tensor(c_prev))
-    np.testing.assert_allclose(h_out.data, h_ref, atol=1e-6)
-    np.testing.assert_allclose(c_out.data, c_ref, atol=1e-6)
+    cell.h0.data[...] = h_prev
+    cell.c0.data[...] = c_prev
+    h_out = lstm_sequence(cell, ad.Tensor(x[None, None]), np.array([1]))
+    np.testing.assert_allclose(h_out.data[0, 0], h_ref, atol=1e-6)
 
     # attentive pooling against the three-line definition
     att = AttentionParams(6, rng)
-    Z = ad.Tensor(rng.uniform(-2, 2, size=(4, 6)).astype(np.float32))
-    scores = np.tanh(Z.data) @ att.w_a.data
-    e = np.exp(scores - scores.max())
+    z_rows = rng.uniform(-2, 2, size=(4, 6)).astype(np.float32)
+    raw_scores = np.tanh(z_rows) @ att.w_a.data
+    e = np.exp(raw_scores - raw_scores.max())
     alpha_ref = e / e.sum()
-    z_ref = alpha_ref @ Z.data
-    z_out, alpha_out = attentive_pool(Z, att)
-    np.testing.assert_allclose(alpha_out.data, alpha_ref, atol=1e-6)
-    np.testing.assert_allclose(z_out.data, z_ref, atol=1e-6)
+    z_ref = alpha_ref @ z_rows
+    z_out, alpha_out = attentive_pool(ad.Tensor(z_rows[:, None]), att,
+                                      np.ones((4, 1), dtype=bool))
+    np.testing.assert_allclose(alpha_out.data[:, 0], alpha_ref, atol=1e-6)
+    np.testing.assert_allclose(z_out.data[0], z_ref, atol=1e-6)
 
     # output layer: squash, affine, normalize
     pooled = rng.uniform(-1.5, 1.5, 10).astype(np.float32)
@@ -225,9 +222,8 @@ def test_criterion_02_straight_line_oracles():
     raw = h3 @ w_o + b_o
     e = np.exp(raw - raw.max())
     probs_ref = e / e.sum()
-    probs = ad.softmax_vec(ad.add(ad.matmul(ad.tanh(ad.Tensor(pooled)),
-                                            ad.Tensor(w_o)), ad.Tensor(b_o)))
-    np.testing.assert_allclose(probs.data, probs_ref, atol=1e-6)
+    out = ad.affine(ad.tanh(ad.Tensor(pooled[None])), ad.Tensor(w_o), ad.Tensor(b_o))
+    np.testing.assert_allclose(ad.softmax(out.data[0]), probs_ref, atol=1e-6)
 
 
 @criterion(3, "normalization invariants")
@@ -238,22 +234,21 @@ def test_criterion_03_softmax_and_attention_sums():
     for trial in range(1000):
         if trial % 2 == 0:
             k = int(rng.integers(1, 40))
-            vec = ad.Tensor(rng.uniform(-30, 30, k).astype(np.float32))
-            probs = ad.softmax_vec(vec)
-            total = float(probs.data.astype(np.float64).sum())
-            assert abs(total - 1.0) <= 1e-7
+            probs = ad.softmax(rng.uniform(-30, 30, k).astype(np.float32))
+            assert abs(float(probs.sum()) - 1.0) <= 1e-7
         else:
             real = int(rng.integers(1, 12))
             pad = int(rng.integers(0, 12))  # heavy padding half the time
-            Z = ad.Tensor(rng.normal(size=(real + pad, att_width))
+            Z = ad.Tensor(rng.normal(size=(real + pad, 1, att_width))
                           .astype(np.float32))
-            mask = [True] * real + [False] * pad
+            mask = np.arange(real + pad)[:, None] < real
             _, alpha = attentive_pool(Z, att, mask)
             total = float(alpha.data.astype(np.float64).sum())
             assert abs(total - 1.0) <= 1e-7
             assert not alpha.data[real:].any()
     with pytest.raises(ValueError):
-        ad.softmax_vec(ad.Tensor([1.0, 2.0]), mask=[False, False])
+        attentive_pool(ad.Tensor(np.ones((2, 1, att_width))), att,
+                       np.zeros((2, 1), dtype=bool))
 
 
 @criterion(4, "Adam first step closed form")
@@ -289,8 +284,8 @@ def test_criterion_05_overfit_synthetic_corpus():
 
     for variant in ("b-lstm", "ab-lstm", "joint"):
         result, mcfg, elapsed = run(variant, 0.0, 60)
-        correct = sum(predict_class(forward(result.params, mcfg, f)[0]) == f.label
-                      for f in feats)
+        preds, _ = predict(result.params, mcfg, feats)
+        correct = sum(p == f.label for p, f in zip(preds, feats))
         assert correct == len(feats), f"{variant}: {correct}/{len(feats)}"
         assert len(result.log) <= 300
         assert elapsed < 60.0, f"{variant} took {elapsed:.1f}s"
@@ -360,7 +355,7 @@ def test_criterion_08_roundtrip_bit_identical(tmp_path):
 
     for before, after in zip(in_memory, reloaded):
         assert before.data.tobytes() == after.data.tobytes()
-        assert predict_class(before) == predict_class(after)
+        assert np.argmax(before.data) == np.argmax(after.data)
 
 
 @criterion(9, "evaluation oracles")
@@ -411,5 +406,8 @@ def test_criterion_11_readme_documents_full_run():
 
 
 def test_probability_floor_keeps_losses_finite():
-    probs = ad.Tensor([1.0, 0.0, 0.0, 0.0, 0.0])
-    assert math.isfinite(cross_entropy(probs, 4).item())
+    # the label's probability underflows to exactly 0; its loss stays finite
+    s = ad.Tensor([[1000.0, 0.0, 0.0, 0.0, 0.0]])
+    assert ad.softmax(s.data[0])[4] == 0.0
+    loss = softmax_cross_entropy(s, [4]).item()
+    assert math.isfinite(loss) and loss == pytest.approx(1000.0)

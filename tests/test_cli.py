@@ -8,6 +8,8 @@ import pytest
 from conftest import corpus_xml
 from ddilstm.cli import main
 from ddilstm.corpus import read_instances, write_instances
+from ddilstm.features import PositionVocab, build_vocab
+from ddilstm.model import ModelConfig, build_model, save_checkpoint
 from ddilstm.synthetic import make_synthetic_instances
 
 THREE_DRUGS = [(
@@ -40,6 +42,11 @@ def run_train(tmp_path, synthetic_file, out="ckpt", variant="ab-lstm",
     ])
     assert code == 0
     return out_dir
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestPreprocess:
@@ -187,3 +194,50 @@ class TestTrainPredictEvaluate:
                      "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
         assert "hidden_units" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"hidden": "8"}, {"epochs": 1.5},
+                                        {"epochs": True}],
+                             ids=["str-for-int", "float-for-int", "bool-for-int"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, synthetic_file,
+                                                 capsys, config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+
+def _drop(blob, key):
+    del blob[key]
+
+
+# each edit leaves the checkpoint's JSON readable but its content malformed
+CHECKPOINT_EDITS = {
+    "unknown-config-key": ("manifest", lambda m: m["config"].update(bogus=1)),
+    "missing-params": ("manifest", lambda m: _drop(m, "params")),
+    "config-as-list": ("manifest", lambda m: m.update(config=list(m["config"]))),
+    "hidden-as-string": ("manifest", lambda m: m["config"].update(hidden="8")),
+    "no-position-radius": ("vocab.json", lambda v: _drop(v, "position_radius")),
+}
+
+
+class TestCheckpointBoundary:
+    @pytest.mark.parametrize("edit", sorted(CHECKPOINT_EDITS))
+    def test_malformed_checkpoint_is_one_error_line(self, tmp_path, synthetic_file,
+                                                    capsys, edit):
+        instances = read_instances(synthetic_file)
+        vocab = build_vocab([i.tokens for i in instances])
+        pv = PositionVocab(8)
+        cfg = ModelConfig(hidden=4, word_dim=6, p1_dim=2, p2_dim=2)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, build_model(cfg, len(vocab), len(pv)), cfg, vocab, pv)
+        fname, change = CHECKPOINT_EDITS[edit]
+        blob = json.loads((ckpt / fname).read_text())
+        change(blob)
+        (ckpt / fname).write_text(json.dumps(blob))
+        code = main(["predict", "--checkpoint", str(ckpt),
+                     "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_grads
+from conftest import check_grads, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PAD_ID,
     UNK_ID,
     EmbeddingMatrix,
+    InstanceFeatures,
     PositionVocab,
     Vocabulary,
     build_vocab,
@@ -124,11 +125,10 @@ class TestCollate:
         assert batch.labels.tolist() == [2, 4]
 
     def test_padded_or_empty_input_rejected(self):
-        vocab = build_vocab([["a", "b"]])
-        f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(3))
-        f.mask = [True, True]
-        with pytest.raises(ValueError):
-            collate([f])
+        # an instance carries no mask: collate is the only place padding arises
+        with pytest.raises(TypeError):
+            InstanceFeatures([2, PAD_ID], [1, PAD_ID], [1, PAD_ID], 4,
+                             mask=[True, False])
         with pytest.raises(ValueError):
             collate([])
 
@@ -171,15 +171,14 @@ class TestFrozenEmbeddings:
     def test_frozen_matrix_gets_no_gradient(self):
         vocab = build_vocab([["a", "b"]])
         rng = np.random.default_rng(0)
-        frozen = EmbeddingMatrix(
-            EmbeddingMatrix.random(len(vocab), 3, rng).param, trainable=False)
-        assert frozen.param.requires_grad is False
+        frozen = EmbeddingMatrix.random(len(vocab), 3, rng)
+        frozen.param.requires_grad = False
         f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(2))
         live1 = EmbeddingMatrix.random(len(PositionVocab(2)), 2, rng)
         live2 = EmbeddingMatrix.random(len(PositionVocab(2)), 2, rng)
         with ad.Tape() as tape:
-            x = embed(f, frozen, live1, live2)
-            loss = ad.pick(ad.matmul(ad.Tensor(np.ones(2)), x), 0)
+            x = embed(collate([f]), frozen, live1, live2)
+            loss = weighted_sum(x, np.ones(x.shape))
         tape.backward(loss)
         assert frozen.param.grad is None
         assert live1.param.grad is not None
@@ -200,8 +199,8 @@ class TestEmbed:
         for m in (mw, mp1, mp2):
             m.param.data[...] = 0.0
         f = featurize(["a", "b"], 0, 1, 4, vocab, pv)
-        out = embed(f, mw, mp1, mp2)
-        assert out.shape == (2, 4)
+        out = embed(collate([f]), mw, mp1, mp2)
+        assert out.shape == (2, 1, 4)
         assert not out.data.any()
 
     def test_rows_concatenate_in_order(self):
@@ -210,17 +209,16 @@ class TestEmbed:
         mw.param.data[f.word_ids[0]] = [1.0, 2.0]
         mp1.param.data[f.p1_ids[0]] = [3.0]
         mp2.param.data[f.p2_ids[0]] = [4.0]
-        out = embed(f, mw, mp1, mp2)
-        np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0, 4.0])
+        out = embed(collate([f]), mw, mp1, mp2)
+        np.testing.assert_array_equal(out.data[0, 0], [1.0, 2.0, 3.0, 4.0])
 
     def test_gradient_hits_only_looked_up_rows(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
         f = featurize(["a", "b", "a"], 0, 1, 4, vocab, pv)
+        weights = np.random.default_rng(1).normal(size=(3, 1, 4))
 
         def loss():
-            x = embed(f, mw, mp1, mp2)
-            pooled = ad.matmul(ad.Tensor(np.ones(3)), x)
-            return ad.pick(ad.softmax_vec(pooled), 0)
+            return weighted_sum(embed(collate([f]), mw, mp1, mp2), weights)
 
         check_grads(loss, [mw.param, mp1.param, mp2.param])
         with ad.Tape() as tape:

@@ -18,7 +18,6 @@ from ddilstm.model import (
     forward,
     load_checkpoint,
     predict,
-    predict_class,
     save_checkpoint,
     scores,
 )
@@ -97,43 +96,46 @@ class TestForward:
         cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=5, p1_dim=2,
                           p2_dim=2, keep_prob=1.0, l2=0.0)
         params = build_model(cfg, len(vocab), len(pv), seed=3)
-        train_probs, _ = forward(params, cfg, f, training=True)
-        infer_probs, _ = forward(params, cfg, f, training=False)
-        np.testing.assert_array_equal(train_probs.data, infer_probs.data)
+        train_scores, _ = scores(params, cfg, collate([f]), training=True)
+        infer_scores, _ = scores(params, cfg, collate([f]), training=False)
+        np.testing.assert_array_equal(train_scores.data, infer_scores.data)
 
     def test_dropout_needs_stream(self):
         _, _, cfg, params, f = tiny_setup()
         with pytest.raises(ValueError):
-            forward(params, cfg, f, training=True)
+            scores(params, cfg, collate([f]), training=True)
 
     def test_dropout_reproducible_from_stream(self):
         _, _, cfg, params, f = tiny_setup()
-        a, _ = forward(params, cfg, f, training=True,
-                       dropout_rng=named_stream(5, "dropout"))
-        b, _ = forward(params, cfg, f, training=True,
-                       dropout_rng=named_stream(5, "dropout"))
+        a, _ = scores(params, cfg, collate([f]), training=True,
+                      dropout_rng=named_stream(5, "dropout"))
+        b, _ = scores(params, cfg, collate([f]), training=True,
+                      dropout_rng=named_stream(5, "dropout"))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_joint_matches_hand_composed_pipeline(self):
         _, _, cfg, params, f = tiny_setup("joint", hidden=3)
-        X = embed(f, params.word_emb, params.p1_emb, params.p2_emb)
-        z_max = max_pool(bilstm_forward(params.stacks[0], X))
-        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X),
-                                  params.attention)
+        batch = collate([f])
+        mask = batch.mask
+        X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
+        z_max = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
+        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, mask),
+                                  params.attention, mask)
         h2 = ad.concat(z_max, z_att)
         h3 = ad.tanh(h2)
-        scores = ad.add(ad.matmul(h3, params.out.W_o), params.out.b_o)
-        expected = ad.softmax_vec(scores)
+        raw = ad.affine(h3, params.out.W_o, params.out.b_o)
+        expected = ad.softmax(raw.data[0])
         probs, _ = forward(params, cfg, f)
-        np.testing.assert_allclose(probs.data, expected.data, atol=1e-5)
+        np.testing.assert_allclose(probs.data, expected, atol=1e-5)
 
     def test_joint_stacks_share_nothing(self):
         _, _, cfg, params, f = tiny_setup("joint")
-        X = embed(f, params.word_emb, params.p1_emb, params.p2_emb)
-        before = bilstm_forward(params.stacks[1], X).data.copy()
+        batch = collate([f])
+        X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
+        before = bilstm_forward(params.stacks[1], X, batch.mask).data.copy()
         for p in params.stacks[0].parameters():
             p.data += 0.37
-        after = bilstm_forward(params.stacks[1], X).data
+        after = bilstm_forward(params.stacks[1], X, batch.mask).data
         np.testing.assert_array_equal(before, after)
 
 
@@ -156,12 +158,12 @@ class TestBatch:
         cfg, params, feats = self._mixed(variant)
         batch_scores, batch_alpha = scores(params, cfg, collate(feats))
         for b, f in enumerate(feats):
-            alone, alpha = scores(params, cfg, f)
-            np.testing.assert_allclose(batch_scores.data[b], alone.data,
+            alone, alpha = scores(params, cfg, collate([f]))
+            np.testing.assert_allclose(batch_scores.data[b], alone.data[0],
                                        rtol=1e-5, atol=1e-6)
             if alpha is not None:
                 np.testing.assert_allclose(batch_alpha.data[:f.length, b],
-                                           alpha.data, rtol=1e-5, atol=1e-7)
+                                           alpha.data[:, 0], rtol=1e-5, atol=1e-7)
                 assert not batch_alpha.data[f.length:, b].any()
 
     def test_batch_dropout_draws_instance_order(self):
@@ -170,15 +172,16 @@ class TestBatch:
                           dropout_rng=named_stream(3, "dropout"))
         stream = named_stream(3, "dropout")
         for b, f in enumerate(feats):
-            alone, _ = scores(params, cfg, f, training=True, dropout_rng=stream)
-            np.testing.assert_allclose(batch.data[b], alone.data,
+            alone, _ = scores(params, cfg, collate([f]), training=True,
+                              dropout_rng=stream)
+            np.testing.assert_allclose(batch.data[b], alone.data[0],
                                        rtol=1e-5, atol=1e-6)
 
     def test_predict_matches_per_instance_argmax(self, monkeypatch):
         import ddilstm.model as model_mod
 
         cfg, params, feats = self._mixed("joint")
-        expected = [predict_class(forward(params, cfg, f)[0]) for f in feats]
+        expected = [int(np.argmax(forward(params, cfg, f)[0].data)) for f in feats]
         preds, alphas = predict(params, cfg, feats)
         assert preds == expected
         assert [len(a) for a in alphas] == [f.length for f in feats]
@@ -210,14 +213,24 @@ class TestParameterCount:
 
 
 class TestPredictClass:
+    """`predict` takes the argmax of the scores; ties go to the lowest id."""
+
+    def _predict_with_scores(self, bias):
+        # all-zero weights: the scores are the output bias
+        _, _, cfg, params, f = tiny_setup()
+        for _, p in params.named_parameters():
+            p.data[...] = 0.0
+        params.out.b_o.data[...] = bias
+        return predict(params, cfg, [f])[0][0]
+
     def test_argmax(self):
-        assert predict_class(ad.Tensor([0.1, 0.6, 0.1, 0.1, 0.1])) == 1
+        assert self._predict_with_scores([0.1, 0.6, 0.1, 0.1, 0.1]) == 1
 
     def test_uniform_tie_breaks_low(self):
-        assert predict_class(ad.Tensor([0.2] * 5)) == 0
+        assert self._predict_with_scores([0.2] * 5) == 0
 
     def test_one_hot_last(self):
-        assert predict_class(ad.Tensor([0.0, 0.0, 0.0, 0.0, 1.0])) == 4
+        assert self._predict_with_scores([0.0, 0.0, 0.0, 0.0, 1.0]) == 4
 
 
 class TestCheckpoint:

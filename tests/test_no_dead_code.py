@@ -1,0 +1,57 @@
+"""Every top-level function and class in the package has a caller.
+
+A definition counts as used when some module of `src/ddilstm` refers to
+it by name, or through an imported module (`corpus.parse_corpus`). Code
+that only tests call is dead, unless it is an outside entry point or
+library API listed below.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ddilstm"
+
+ENTRY_POINTS = {
+    # the package's exports (__init__.py)
+    ("autodiff", "Parameter"), ("autodiff", "Tape"), ("autodiff", "Tensor"),
+    ("labels", "label_id"), ("labels", "label_name"),
+    ("model", "ModelConfig"), ("model", "default_config"), ("model", "forward"),
+    ("training", "TrainConfig"), ("training", "train"),
+    # the `ddilstm` console script (pyproject.toml)
+    ("cli", "main"),
+    # called by perfbench/run.py
+    ("cli", "_featurize_all"), ("corpus", "read_instances"),
+    ("features", "PositionVocab"), ("features", "build_vocab"),
+    ("model", "build_model"), ("model", "save_checkpoint"),
+    ("training", "TrainingDiverged"),
+    # library API that no subcommand runs: the float64 switch of the
+    # gradient checks, the paper's significance test, the reader of
+    # train_log.jsonl and the synthetic corpus the tests train on
+    ("autodiff", "use_dtype"), ("evaluation", "mcnemar"),
+    ("training", "read_log"), ("synthetic", "make_synthetic_instances"),
+}
+
+
+def _definitions_and_references():
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module is None
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_definition_has_a_caller():
+    defined, used = _definitions_and_references()
+    dead = [f"{module}.{name}" for module, name in defined
+            if name not in used and (module, name) not in ENTRY_POINTS]
+    assert not dead, f"defined in src/ddilstm but never referenced there: {dead}"

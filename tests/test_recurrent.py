@@ -1,16 +1,20 @@
-"""LSTM step and bidirectional encoder against straight-line oracles."""
+"""LSTM step and bidirectional encoder against straight-line oracles.
+
+A single step is the L = 1, B = 1 case of `lstm_sequence`, started from
+h0 = h_prev and c0 = c_prev; the cell state is observable only through
+the steps that follow.
+"""
 
 import numpy as np
 import pytest
 
-from conftest import check_grads
+from conftest import check_grads, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.recurrent import (
     BiLstmStack,
     LstmParams,
     bilstm_forward,
     lstm_sequence,
-    lstm_step,
 )
 
 
@@ -29,15 +33,23 @@ def reference_step(p, x, h_prev, c_prev):
     return h, c
 
 
-def weighted_sum(t, weights):
-    """sum(t * weights) as one tape op: a smooth read-out of every entry."""
-    out = ad.Tensor(np.asarray((t.data * weights).sum()))
-    return ad.record_op(out, (t,), lambda g: (g * weights,))
-
-
 def _randomized(params, rng, scale=0.5):
     for p in params.parameters():
         p.data[...] = rng.uniform(-scale, scale, size=p.data.shape).astype(p.data.dtype)
+
+
+def run_steps(p, xs, h_prev, c_prev):
+    """h after each of the inputs xs (one row each), read by lstm_sequence
+    as one sentence started from h_prev and c_prev."""
+    p.h0.data[...] = h_prev
+    p.c0.data[...] = c_prev
+    X = ad.Tensor(np.asarray(xs, dtype=p.h0.data.dtype)[:, None, :])
+    return lstm_sequence(p, X, np.array([len(xs)])).data[:, 0]
+
+
+def column(x):
+    """One (L, d) sentence as an (L, 1, d) batch, and its all-real mask."""
+    return ad.Tensor(np.asarray(x)[:, None, :]), np.ones((len(x), 1), dtype=bool)
 
 
 class TestLstmStep:
@@ -45,53 +57,50 @@ class TestLstmStep:
         p = LstmParams(3, 2, np.random.default_rng(0))
         for t in p.parameters():
             t.data[...] = 0.0
-        h, c = lstm_step(p, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(3)),
-                         ad.Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(c.data, np.zeros(3))
-        np.testing.assert_array_equal(h.data, np.zeros(3))
+        h = run_steps(p, [np.ones(2)], np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(h, np.zeros((1, 3)))
 
     def test_unit_cell_state_halves(self):
         p = LstmParams(3, 2, np.random.default_rng(0))
         for t in p.parameters():
             t.data[...] = 0.0
-        h, c = lstm_step(p, ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(3)),
-                         ad.Tensor(np.ones(3)))
-        np.testing.assert_allclose(c.data, 0.5, atol=1e-7)
-        np.testing.assert_allclose(h.data, np.tanh(0.5) * 0.5, atol=1e-6)
+        h = run_steps(p, [np.zeros(2)], np.zeros(3), np.ones(3))[0]
+        np.testing.assert_allclose(h, np.tanh(0.5) * 0.5, atol=1e-6)
+        # every gate is 1/2, so h = tanh(c) / 2 gives back c = 1/2
+        np.testing.assert_allclose(np.arctanh(2.0 * h), 0.5, atol=1e-6)
 
     def test_matches_reference_step(self):
         rng = np.random.default_rng(42)
         p = LstmParams(2, 2, rng)
         _randomized(p, rng)
-        x = rng.uniform(-1, 1, 2).astype(np.float32)
+        x, x_next = rng.uniform(-1, 1, (2, 2)).astype(np.float32)
         h_prev = rng.uniform(-1, 1, 2).astype(np.float32)
         c_prev = rng.uniform(-1, 1, 2).astype(np.float32)
-        h, c = lstm_step(p, ad.Tensor(x), ad.Tensor(h_prev), ad.Tensor(c_prev))
+        h, h_next = run_steps(p, [x, x_next], h_prev, c_prev)
         h_ref, c_ref = reference_step(p, x, h_prev, c_prev)
-        np.testing.assert_allclose(h.data, h_ref, atol=1e-6)
-        np.testing.assert_allclose(c.data, c_ref, atol=1e-6)
+        np.testing.assert_allclose(h, h_ref, atol=1e-6)
+        # the cell state shows through the step that reads it
+        np.testing.assert_allclose(h_next, reference_step(p, x_next, h_ref, c_ref)[0],
+                                   atol=1e-6)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(3)
         p = LstmParams(4, 3, rng)
         _randomized(p, rng, scale=2.0)
-        h = ad.Tensor(rng.uniform(-1, 1, 4))
-        c = ad.Tensor(rng.uniform(-3, 3, 4))
-        h_new, c_new = lstm_step(p, ad.Tensor(rng.uniform(-1, 1, 3)), h, c)
-        assert np.all(np.abs(h_new.data) < 1.0)
-        assert np.all(np.isfinite(c_new.data))
+        h = run_steps(p, [rng.uniform(-1, 1, 3)], rng.uniform(-1, 1, 4),
+                      rng.uniform(-3, 3, 4))
+        assert np.all(np.abs(h) < 1.0)
 
     def test_gradients_through_unrolled_sequence(self, float64_mode):
         rng = np.random.default_rng(7)
         p = LstmParams(3, 2, rng)
         _randomized(p, rng)
-        xs = [ad.Tensor(rng.uniform(-1, 1, 2)) for _ in range(4)]
+        X = ad.Tensor(rng.uniform(-1, 1, (4, 1, 2)))
+        weights = np.zeros((4, 1, 3))
+        weights[-1] = rng.normal(size=(1, 3))  # read the final state only
 
         def loss():
-            h, c = p.h0, p.c0
-            for x in xs:
-                h, c = lstm_step(p, x, h, c)
-            return ad.pick(ad.softmax_vec(h), 0)
+            return weighted_sum(lstm_sequence(p, X, np.array([4])), weights)
 
         check_grads(loss, p.parameters())
 
@@ -106,14 +115,14 @@ class TestBilstm:
 
     def test_single_token_shape(self):
         stack = self._stack()
-        Z = bilstm_forward(stack, ad.Tensor(np.ones((1, 2))))
-        assert Z.shape == (1, 6)
+        Z = bilstm_forward(stack, *column(np.ones((1, 2))))
+        assert Z.shape == (1, 1, 6)
 
     def test_zero_params_zero_output(self):
         stack = self._stack()
         for p in stack.parameters():
             p.data[...] = 0.0
-        Z = bilstm_forward(stack, ad.Tensor(np.ones((4, 2))))
+        Z = bilstm_forward(stack, *column(np.ones((4, 2))))
         assert not Z.data.any()
 
     def test_palindrome_symmetry(self):
@@ -125,47 +134,47 @@ class TestBilstm:
             p_b.data[...] = p_f.data
         x = rng.uniform(-1, 1, 2).astype(np.float32)
         # palindrome: row t equals row m-1-t
-        X = ad.Tensor(np.stack([x, x * 0.5, x * 0.5, x]))
-        Z = bilstm_forward(stack, X)
+        Z = bilstm_forward(stack, *column(np.stack([x, x * 0.5, x * 0.5, x])))
         n = stack.hidden
-        fwd_states = Z.data[:, :n]
-        bwd_states = Z.data[:, n:]
+        fwd_states = Z.data[:, 0, :n]
+        bwd_states = Z.data[:, 0, n:]
         np.testing.assert_allclose(fwd_states, bwd_states[::-1], atol=1e-6)
 
     def test_determinism(self):
         stack = self._stack(seed=5)
-        X = ad.Tensor(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
-        a = bilstm_forward(stack, X).data
-        b = bilstm_forward(stack, X).data
+        X, mask = column(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
+        a = bilstm_forward(stack, X, mask).data
+        b = bilstm_forward(stack, X, mask).data
         np.testing.assert_array_equal(a, b)
 
     def test_empty_sequence_rejected(self):
         stack = self._stack()
+        X, _ = column(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            bilstm_forward(stack, ad.Tensor(np.ones((2, 2))), mask=[False, False])
+            bilstm_forward(stack, X, mask=[[False], [False]])
 
     def test_padding_rows_are_zero_and_ignored(self):
         stack = self._stack(seed=9)
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (3, 2)).astype(np.float32)
-        plain = bilstm_forward(stack, ad.Tensor(x))
+        plain = bilstm_forward(stack, *column(x))
         padded_input = np.vstack([x, rng.uniform(-1, 1, (2, 2)).astype(np.float32)])
-        padded = bilstm_forward(stack, ad.Tensor(padded_input),
-                                mask=[True, True, True, False, False])
+        padded = bilstm_forward(stack, column(padded_input)[0],
+                                mask=[[True], [True], [True], [False], [False]])
         np.testing.assert_array_equal(padded.data[:3], plain.data)
         assert not padded.data[3:].any()
 
     def test_non_suffix_padding_rejected(self):
         stack = self._stack()
+        X, _ = column(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            bilstm_forward(stack, ad.Tensor(np.ones((3, 2))),
-                           mask=[True, False, True])
+            bilstm_forward(stack, X, mask=[[True], [False], [True]])
 
     def test_output_width_always_2n(self):
         for hidden in (1, 4):
             stack = self._stack(hidden=hidden)
-            Z = bilstm_forward(stack, ad.Tensor(np.ones((3, 2))))
-            assert Z.shape == (3, 2 * hidden)
+            Z = bilstm_forward(stack, *column(np.ones((3, 2))))
+            assert Z.shape == (3, 1, 2 * hidden)
 
 
 class TestLstmSequence:
@@ -214,3 +223,8 @@ class TestLstmSequence:
             return weighted_sum(bilstm_forward(stack, X, mask), weights)
 
         check_grads(loss, [X, *stack.parameters()])
+
+    def test_rank_two_sentence_rejected(self):
+        _, p, _ = self._setup(24)
+        with pytest.raises(ad.ShapeMismatch):
+            lstm_sequence(p, ad.Tensor(np.ones((3, 2))), np.array([3]))

@@ -8,13 +8,12 @@ import pytest
 from ddilstm import autodiff as ad
 from ddilstm import training as tr
 from ddilstm.features import (
-    PAD_ID,
-    InstanceFeatures,
     PositionVocab,
     build_vocab,
+    collate,
     featurize,
 )
-from ddilstm.model import ModelConfig, build_model, forward
+from ddilstm.model import ModelConfig, build_model, scores
 from ddilstm.rng import named_stream
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
@@ -23,7 +22,6 @@ from ddilstm.training import (
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    cross_entropy,
     select_epoch,
     softmax_cross_entropy,
     train,
@@ -46,62 +44,55 @@ def small_model(vocab, pv, variant="b-lstm", keep_prob=1.0, l2=0.0, seed=0):
 
 
 class TestCrossEntropy:
+    """The loss of one (1, C) row of scores."""
+
     def test_one_hot_true_label_is_zero(self):
-        probs = ad.Tensor([0.0, 1.0, 0.0, 0.0, 0.0])
-        assert cross_entropy(probs, 1).item() == 0.0
+        s = ad.Tensor([[0.0, 100.0, 0.0, 0.0, 0.0]])
+        assert softmax_cross_entropy(s, [1]).item() == 0.0
 
     def test_uniform_is_log5(self):
-        probs = ad.Tensor([0.2] * 5)
-        assert cross_entropy(probs, 3).item() == pytest.approx(math.log(5), abs=1e-6)
-
-    def test_zero_probability_floored(self):
-        probs = ad.Tensor([0.0, 1.0, 0.0, 0.0, 0.0])
-        loss = cross_entropy(probs, 0)
-        assert math.isfinite(loss.item())
-        assert loss.item() == pytest.approx(-math.log(1e-12), rel=1e-6)
+        s = ad.Tensor(np.zeros((1, 5)))
+        assert softmax_cross_entropy(s, [3]).item() == pytest.approx(math.log(5),
+                                                                     abs=1e-6)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy(ad.Tensor([1.0, 0.0]), 2)
+            softmax_cross_entropy(ad.Tensor([[1.0, 0.0]]), [2])
 
     def test_gradient_matches_finite_differences(self, float64_mode):
         from conftest import check_grads
 
         rng = np.random.default_rng(0)
-        scores = ad.Tensor(rng.normal(size=5), requires_grad=True)
-
-        def loss():
-            return cross_entropy(ad.softmax_vec(scores), 2)
-
-        check_grads(loss, [scores])
+        s = ad.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+        check_grads(lambda: softmax_cross_entropy(s, [2]), [s])
 
 
 class TestSoftmaxCrossEntropy:
     def test_equals_floored_probability_loss(self):
         rng = np.random.default_rng(1)
-        s = ad.Tensor(rng.normal(scale=3.0, size=5))
+        s = ad.Tensor(rng.normal(scale=3.0, size=(1, 5)))
         for label in range(5):
-            expected = cross_entropy(ad.softmax_vec(s), label).item()
-            assert softmax_cross_entropy(s, label).item() == pytest.approx(
+            expected = -math.log(ad.softmax(s.data[0])[label])
+            assert softmax_cross_entropy(s, [label]).item() == pytest.approx(
                 expected, rel=1e-6)
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(2)
         s = rng.normal(size=(3, 5)).astype(np.float32)
         labels = [4, 0, 2]
-        rows = [softmax_cross_entropy(ad.Tensor(s[i]), y).item()
+        rows = [softmax_cross_entropy(ad.Tensor(s[i:i + 1]), [y]).item()
                 for i, y in enumerate(labels)]
         assert softmax_cross_entropy(ad.Tensor(s), labels).item() == pytest.approx(
             np.mean(rows), rel=1e-6)
 
     def test_confidently_wrong_example_keeps_its_gradient(self):
-        # p(label) is about e^-40 < 1e-12: the floored loss goes flat here
-        s = ad.Tensor([40.0, 0.0, 0.0, 0.0, 0.0], requires_grad=True)
+        # p(label) is about e^-40 < 1e-12: a loss floored there goes flat
+        s = ad.Tensor([[40.0, 0.0, 0.0, 0.0, 0.0]], requires_grad=True)
         with ad.Tape() as tape:
-            loss = softmax_cross_entropy(s, 1)
+            loss = softmax_cross_entropy(s, [1])
         tape.backward(loss)
         assert loss.item() == pytest.approx(40.0, rel=1e-6)
-        np.testing.assert_allclose(s.grad, [1.0, -1.0, 0.0, 0.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(s.grad, [[1.0, -1.0, 0.0, 0.0, 0.0]], atol=1e-6)
 
     def test_gradient_matches_finite_differences(self, float64_mode):
         from conftest import check_grads
@@ -115,6 +106,8 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(ad.Tensor(np.zeros((2, 5))), [0, 5])
         with pytest.raises(ad.ShapeMismatch):
             softmax_cross_entropy(ad.Tensor(np.zeros((2, 5))), [0])
+        with pytest.raises(ad.ShapeMismatch):  # one (C,) vector is not a batch
+            softmax_cross_entropy(ad.Tensor(np.zeros(5)), [0])
 
 
 class TestAdam:
@@ -176,8 +169,7 @@ class TestAdam:
         named = params.named_parameters()
         params.zero_grads()
         with ad.Tape() as tape:
-            probs, _ = forward(params, mcfg, feats[0], training=True)
-            loss = cross_entropy(probs, feats[0].label)
+            loss = tr._batch_loss(params, mcfg, feats[:1], None)
         tape.backward(loss)
         before = {n: p.data.copy() for n, p in named}
         nonzero = {n for n, p in named
@@ -209,14 +201,12 @@ class TestPadding:
     def test_padded_loss_equals_unpadded(self):
         _, vocab, pv, feats = featurized_synthetic(4)
         mcfg, params = small_model(vocab, pv, variant="joint")
-        f = feats[0]
-        pad = [PAD_ID] * 7
-        plain, _ = forward(params, mcfg, f)
-        padded, _ = forward(params, mcfg, InstanceFeatures(
-            f.word_ids + pad, f.p1_ids + pad, f.p2_ids + pad, f.label,
-            mask=[True] * f.length + [False] * 7))
-        a = cross_entropy(plain, f.label).item()
-        b = cross_entropy(padded, f.label).item()
+        f, longer = sorted(feats, key=lambda g: g.length)[::len(feats) - 1]
+        assert longer.length > f.length  # f's column of the batch is padded
+        plain, _ = scores(params, mcfg, collate([f]))
+        padded, _ = scores(params, mcfg, collate([f, longer]))
+        a = softmax_cross_entropy(plain, [f.label]).item()
+        b = softmax_cross_entropy(ad.Tensor(padded.data[:1]), [f.label]).item()
         assert abs(a - b) < 1e-6
 
 
