@@ -24,11 +24,6 @@ import numpy as np
 _DTYPE = np.float32
 
 
-def current_dtype():
-    """Dtype used for newly created tensors and parameters."""
-    return _DTYPE
-
-
 @contextlib.contextmanager
 def use_dtype(dtype):
     """Temporarily switch the default storage dtype (e.g. to float64)."""

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
 from .autodiff import NonFiniteError
@@ -121,45 +121,39 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-# each train option's flag type and default (None: the variant's default,
-# or for word_vectors, no vectors)
+# each train option's flag type and default; None leaves the field to
+# default_config(variant) or TrainConfig, or for word_vectors, no vectors
 _TRAIN_OPTIONS = {
     "variant": (str, "b-lstm"),
     "hidden": (int, None),
-    "word_dim": (int, 100),
-    "pos_dim": (int, 10),
+    "word_dim": (int, None),
+    "pos_dim": (int, None),
     "radius": (int, 50),
     "min_count": (int, 1),
     "keep_prob": (float, None),
     "l2": (float, None),
-    "lr": (float, 1e-3),
-    "batch_size": (int, 200),
-    "epochs": (int, 10),
-    "val_fraction": (float, 0.05),
+    "lr": (float, None),
+    "batch_size": (int, None),
+    "epochs": (int, None),
+    "val_fraction": (float, None),
     "word_vectors": (str, None),
-    "seed": (int, 0),
+    "seed": (int, None),
 }
+
+
+def _given_fields(cls, options: dict) -> dict:
+    """The options that were set and name a field of dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in options.items() if k in names and v is not None}
 
 
 def _cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _resolve(_TRAIN_OPTIONS, file_cfg, args)
-    seed = int(cfg["seed"])
-
-    base = default_config(cfg["variant"])
-    mcfg = ModelConfig(
-        variant=cfg["variant"],
-        hidden=cfg["hidden"] if cfg["hidden"] is not None else base.hidden,
-        word_dim=cfg["word_dim"],
-        p1_dim=cfg["pos_dim"],
-        p2_dim=cfg["pos_dim"],
-        keep_prob=cfg["keep_prob"] if cfg["keep_prob"] is not None else base.keep_prob,
-        l2=cfg["l2"] if cfg["l2"] is not None else base.l2,
-    )
-    tcfg = TrainConfig(
-        lr=cfg["lr"], batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
-        seed=seed, val_fraction=cfg["val_fraction"],
-    )
+    cfg["max_epochs"] = cfg.pop("epochs")
+    mcfg = replace(default_config(cfg["variant"]), **_given_fields(ModelConfig, cfg))
+    tcfg = TrainConfig(**_given_fields(TrainConfig, cfg))
+    seed = tcfg.seed
 
     instances = corpus.read_instances(args.instances)
     if not instances:
@@ -169,7 +163,7 @@ def _cmd_train(args) -> int:
     word_matrix = None
     if cfg["word_vectors"]:
         word_matrix = load_word_vectors(
-            cfg["word_vectors"], vocab, cfg["word_dim"],
+            cfg["word_vectors"], vocab, mcfg.word_dim,
             rng_mod.named_stream(seed, "word-vectors"),
         )
     params = build_model(mcfg, len(vocab), len(pv), seed=seed,
@@ -209,13 +203,22 @@ def _write_predictions(path, instances, preds) -> None:
             }) + "\n")
 
 
-def _read_predictions(path) -> list[dict]:
-    out = []
+def _read_predictions(path) -> tuple[list, list[int]]:
+    """The pair ids and the label ids of a predictions file, in order."""
+    pair_ids, labels = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict) or type(rec.get("label")) is not str:
+                    raise ValueError("needs a JSON object with a string label")
+                labels.append(label_id(rec["label"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad prediction ({exc})") from None
+            pair_ids.append(rec.get("pair_id"))
+    return pair_ids, labels
 
 
 def _cmd_predict(args) -> int:
@@ -237,15 +240,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _aligned_gold(gold_instances, preds) -> list[int]:
-    if len(gold_instances) != len(preds):
+def _aligned_gold(gold_instances, pair_ids) -> list[int]:
+    if len(gold_instances) != len(pair_ids):
         raise ValueError(
-            f"{len(preds)} predictions for {len(gold_instances)} gold instances"
+            f"{len(pair_ids)} predictions for {len(gold_instances)} gold instances"
         )
-    for inst, rec in zip(gold_instances, preds):
-        if rec.get("pair_id") != inst.pair_id:
+    for inst, pair_id in zip(gold_instances, pair_ids):
+        if pair_id != inst.pair_id:
             raise ValueError(
-                f"prediction for pair {rec.get('pair_id')!r} does not match "
+                f"prediction for pair {pair_id!r} does not match "
                 f"gold pair {inst.pair_id!r}"
             )
     return [inst.label for inst in gold_instances]
@@ -253,9 +256,8 @@ def _aligned_gold(gold_instances, preds) -> list[int]:
 
 def _cmd_evaluate(args) -> int:
     gold_instances = corpus.read_instances(args.gold)
-    preds = _read_predictions(args.predictions)
-    gold = _aligned_gold(gold_instances, preds)
-    pred_ids = [label_id(rec["label"]) for rec in preds]
+    pair_ids, pred_ids = _read_predictions(args.predictions)
+    gold = _aligned_gold(gold_instances, pair_ids)
     filtered = []
     if args.filter_report:
         filtered = [label_id(name)
@@ -274,9 +276,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     gold_instances = corpus.read_instances(args.gold)
-    preds = _read_predictions(args.predictions)
-    gold = _aligned_gold(gold_instances, preds)
-    pred_ids = [label_id(rec["label"]) for rec in preds]
+    pair_ids, pred_ids = _read_predictions(args.predictions)
+    gold = _aligned_gold(gold_instances, pair_ids)
     flags = evaluation.correctness(gold, pred_ids)
     stats = evaluation.length_stats(gold_instances, flags)
     with open(args.out, "w", encoding="utf-8") as fh:

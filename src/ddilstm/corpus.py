@@ -301,6 +301,29 @@ def write_instances(path, instances: Sequence[RawInstance]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+# the JSON type of each RawInstance field as write_instances stores it
+_RECORD_TYPES = {
+    "tokens": list, "drug_a": int, "drug_b": int, "label": str, "doc_id": str,
+    "sent_id": str, "pair_id": str, "e1": str, "e2": str, "a_text": str,
+    "b_text": str, "swapped": bool,
+}
+
+
+def _check_record(rec) -> None:
+    """Raise KeyError, TypeError or ValueError unless `rec` is a record
+    that write_instances could have written."""
+    if not isinstance(rec, dict):
+        raise TypeError("not a JSON object")
+    for key, kind in _RECORD_TYPES.items():
+        # exact types: a JSON bool is no int, and 2.0 is no index
+        if type(rec[key]) is not kind:
+            raise TypeError(f"{key} must be {kind.__name__}, got {rec[key]!r}")
+    if not set(map(type, rec["tokens"])) <= {str}:
+        raise TypeError("tokens must be strings")
+    if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
+        raise ValueError("drug indices out of order or outside the sentence")
+
+
 def read_instances(path) -> list[RawInstance]:
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -309,8 +332,9 @@ def read_instances(path) -> list[RawInstance]:
                 continue
             try:
                 rec = json.loads(line)
+                _check_record(rec)
                 rec["label"] = label_id(rec["label"])
                 out.append(RawInstance(**rec))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad instance record ({exc})")
     return out

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, current_dtype, rows
+from .autodiff import Parameter, Tensor, concat, rows
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -43,9 +43,6 @@ class Vocabulary:
 
     def lookup(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
-
-    def token(self, i: int) -> str:
-        return self._id_to_token[i]
 
     def tokens(self) -> list[str]:
         """All tokens in id order (PAD and UNK first)."""
@@ -89,29 +86,12 @@ class PositionVocab:
         d = max(-self.radius, min(self.radius, distance))
         return 1 + d + self.radius
 
-    @property
-    def zero_id(self) -> int:
-        return 1 + self.radius
 
-
-@dataclass
-class EmbeddingMatrix:
-    """One lookup table: a (vocab size x dim) parameter."""
-
-    param: Parameter
-
-    @property
-    def dim(self) -> int:
-        return self.param.data.shape[1]
-
-    @classmethod
-    def random(cls, size: int, dim: int, rng: np.random.Generator,
-               name: str = "embedding") -> "EmbeddingMatrix":
-        if dim <= 0:
-            raise ValueError("embedding dim must be positive")
-        data = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(size, dim))
-        return cls(Parameter(data.astype(current_dtype()), name=name,
-                             weight_decay=False))
+def random_table(size: int, dim: int, rng: np.random.Generator,
+                 name: str) -> Parameter:
+    """A (size x dim) lookup table drawn uniform(-INIT_RANGE, INIT_RANGE)."""
+    return Parameter(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(size, dim)),
+                     name=name, weight_decay=False)
 
 
 @dataclass
@@ -182,14 +162,14 @@ def collate(feats: Sequence[InstanceFeatures]) -> Batch:
 
 
 def load_word_vectors(path, vocab: Vocabulary, dim: int,
-                      rng: np.random.Generator) -> EmbeddingMatrix:
-    """Read whitespace-separated text vectors into an embedding matrix.
+                      rng: np.random.Generator) -> Parameter:
+    """Read whitespace-separated text vectors into the `embed.word` table.
 
     In-vocabulary rows are copied from the file; everything else
-    (including PAD/UNK) falls back to small uniform noise. The matrix is
-    trainable either way.
+    (including PAD/UNK) keeps the small uniform noise of `random_table`.
+    The table is trainable either way.
     """
-    matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(vocab), dim))
+    table = random_table(len(vocab), dim, rng, "embed.word")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -202,19 +182,13 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                 )
             if token in vocab:
                 try:
-                    matrix[vocab.lookup(token)] = [float(v) for v in values]
+                    table.data[vocab.lookup(token)] = [float(v) for v in values]
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed float") from None
-    return EmbeddingMatrix(
-        Parameter(matrix.astype(current_dtype()), name="embed.word",
-                  weight_decay=False)
-    )
+    return table
 
 
-def embed(batch: Batch, mw: EmbeddingMatrix, mp1: EmbeddingMatrix,
-          mp2: EmbeddingMatrix) -> Tensor:
+def embed(batch: Batch, word: Parameter, p1: Parameter, p2: Parameter) -> Tensor:
     """Per-token concatenation of the three embedding rows, (L, B, n1+n2+n3)."""
-    w = rows(mw.param, batch.word_ids)
-    p1 = rows(mp1.param, batch.p1_ids)
-    p2 = rows(mp2.param, batch.p2_ids)
-    return concat(concat(w, p1), p2)
+    return concat(concat(rows(word, batch.word_ids), rows(p1, batch.p1_ids)),
+                  rows(p2, batch.p2_ids))

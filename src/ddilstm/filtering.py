@@ -201,4 +201,10 @@ def read_removed_labels(path) -> list[str]:
     """Gold labels of the filtered-out instances, for evaluation reinsertion."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return [r["label"] for r in data.get("removed", [])]
+    removed = data.get("removed", []) if isinstance(data, dict) else None
+    if not isinstance(removed, list):
+        raise ValueError(f"{path}: filter report needs a 'removed' list")
+    for k, r in enumerate(removed):
+        if not isinstance(r, dict) or type(r.get("label")) is not str:
+            raise ValueError(f"{path}: removed[{k}] needs a string label")
+    return [r["label"] for r in removed]

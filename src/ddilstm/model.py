@@ -13,6 +13,7 @@ layer; training takes its loss from the scores.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -22,27 +23,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .autodiff import (
-    Parameter,
-    Tensor,
-    affine,
-    concat,
-    current_dtype,
-    mul,
-    softmax,
-    tanh,
-)
+from .autodiff import Parameter, Tensor, affine, concat, mul, softmax, tanh
 from .features import (
     Batch,
-    EmbeddingMatrix,
     InstanceFeatures,
     PositionVocab,
     Vocabulary,
     collate,
     embed,
+    random_table,
 )
 from .labels import NUM_CLASSES
-from .pooling import AttentionParams, attentive_pool, max_pool
+from .pooling import attentive_pool, max_pool
 from .recurrent import BiLstmStack, bilstm_forward
 
 VARIANTS = ("b-lstm", "ab-lstm", "joint")
@@ -57,12 +49,13 @@ PREDICT_CHUNK = 200
 
 @dataclass
 class ModelConfig:
+    """Hyperparameters of one variant; the two position embeddings share
+    `pos_dim`."""
+
     variant: str = "b-lstm"
     hidden: int = 200
     word_dim: int = 100
-    p1_dim: int = 10
-    p2_dim: int = 10
-    n_classes: int = NUM_CLASSES
+    pos_dim: int = 10
     keep_prob: float = 0.7
     l2: float = 0.001
 
@@ -71,14 +64,12 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
-        if self.n_classes != NUM_CLASSES:
-            raise ValueError(f"this task has {NUM_CLASSES} classes")
-        if min(self.hidden, self.word_dim, self.p1_dim, self.p2_dim) < 1:
+        if min(self.hidden, self.word_dim, self.pos_dim) < 1:
             raise ValueError("dims must be positive")
 
     @property
     def input_dim(self) -> int:
-        return self.word_dim + self.p1_dim + self.p2_dim
+        return self.word_dim + 2 * self.pos_dim
 
     @property
     def pooled_width(self) -> int:
@@ -96,46 +87,36 @@ def default_config(variant: str) -> ModelConfig:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-class OutputParams:
-    """Final affine map from the pooled feature to class scores."""
-
-    def __init__(self, width: int, n_classes: int, rng: np.random.Generator,
-                 name: str = "output"):
-        bound = 1.0 / np.sqrt(width)
-        dt = current_dtype()
-        self.W_o = Parameter(
-            rng.uniform(-bound, bound, size=(width, n_classes)).astype(dt),
-            name=f"{name}.W_o",
-        )
-        self.b_o = Parameter(np.zeros(n_classes, dtype=dt), name=f"{name}.b_o",
-                             weight_decay=False)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.W_o, self.b_o]
+def _uniform(rng: np.random.Generator, shape, name: str) -> Parameter:
+    """Weights drawn uniform(-1/sqrt(fan), 1/sqrt(fan)), fan = shape[0]."""
+    bound = 1.0 / np.sqrt(shape[0])
+    return Parameter(rng.uniform(-bound, bound, size=shape), name=name)
 
 
+@dataclass(eq=False)
 class ModelParams:
-    """Every learnable tensor of one model instance, in a fixed order."""
+    """Every learnable tensor of one model instance.
 
-    def __init__(self, word_emb: EmbeddingMatrix, p1_emb: EmbeddingMatrix,
-                 p2_emb: EmbeddingMatrix, stacks: list[BiLstmStack],
-                 attention: Optional[AttentionParams], out: OutputParams):
-        self.word_emb = word_emb
-        self.p1_emb = p1_emb
-        self.p2_emb = p2_emb
-        self.stacks = stacks
-        self.attention = attention
-        self.out = out
+    `w_a` is the attention scoring vector (None for b-lstm); W_o and b_o
+    map the pooled feature to class scores.
+    """
+
+    word_emb: Parameter
+    p1_emb: Parameter
+    p2_emb: Parameter
+    stacks: list[BiLstmStack]
+    w_a: Optional[Parameter]
+    W_o: Parameter
+    b_o: Parameter
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
-        params: list[Parameter] = []
-        for m in (self.word_emb, self.p1_emb, self.p2_emb):
-            params.append(m.param)
+        """(name, parameter) pairs in a fixed order, the checkpoint's."""
+        params = [self.word_emb, self.p1_emb, self.p2_emb]
         for stack in self.stacks:
-            params.extend(stack.parameters())
-        if self.attention is not None:
-            params.extend(self.attention.parameters())
-        params.extend(self.out.parameters())
+            params += stack.parameters()
+        if self.w_a is not None:
+            params.append(self.w_a)
+        params += [self.W_o, self.b_o]
         return [(p.name, p) for p in params]
 
     def zero_grads(self) -> None:
@@ -151,28 +132,28 @@ class ModelParams:
 
 
 def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
-                seed: int = 0, word_matrix: Optional[EmbeddingMatrix] = None,
+                seed: int = 0, word_matrix: Optional[Parameter] = None,
                 ) -> ModelParams:
     """Fresh parameters for one variant; all randomness from the seed."""
     stream = rng_mod.named_stream(seed, "init")
-    word = word_matrix if word_matrix is not None else EmbeddingMatrix.random(
-        vocab_size, cfg.word_dim, stream, name="embed.word")
-    if word.param.data.shape != (vocab_size, cfg.word_dim):
+    word = word_matrix if word_matrix is not None else random_table(
+        vocab_size, cfg.word_dim, stream, "embed.word")
+    if word.data.shape != (vocab_size, cfg.word_dim):
         raise ValueError(
-            f"word matrix shape {word.param.data.shape} vs "
-            f"({vocab_size}, {cfg.word_dim})"
+            f"word matrix shape {word.data.shape} vs ({vocab_size}, {cfg.word_dim})"
         )
-    p1 = EmbeddingMatrix.random(position_size, cfg.p1_dim, stream, name="embed.p1")
-    p2 = EmbeddingMatrix.random(position_size, cfg.p2_dim, stream, name="embed.p2")
+    p1 = random_table(position_size, cfg.pos_dim, stream, "embed.p1")
+    p2 = random_table(position_size, cfg.pos_dim, stream, "embed.p2")
 
     n_stacks = 2 if cfg.variant == "joint" else 1
     stacks = [BiLstmStack(cfg.hidden, cfg.input_dim, stream, name=f"stack{i}")
               for i in range(n_stacks)]
-    attention = None
+    w_a = None
     if cfg.variant in ("ab-lstm", "joint"):
-        attention = AttentionParams(2 * cfg.hidden, stream)
-    out = OutputParams(cfg.pooled_width, cfg.n_classes, stream)
-    return ModelParams(word, p1, p2, stacks, attention, out)
+        w_a = _uniform(stream, (2 * cfg.hidden,), "attention.w_a")
+    W_o = _uniform(stream, (cfg.pooled_width, NUM_CLASSES), "output.W_o")
+    b_o = Parameter(np.zeros(NUM_CLASSES), name="output.b_o", weight_decay=False)
+    return ModelParams(word, p1, p2, stacks, w_a, W_o, b_o)
 
 
 def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
@@ -194,11 +175,11 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
         h2 = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
     elif cfg.variant == "ab-lstm":
         h2, alpha = attentive_pool(bilstm_forward(params.stacks[0], X, mask),
-                                   params.attention, mask)
+                                   params.w_a, mask)
     else:
         z_max = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
         z_att, alpha = attentive_pool(bilstm_forward(params.stacks[1], X, mask),
-                                      params.attention, mask)
+                                      params.w_a, mask)
         h2 = concat(z_max, z_att)
 
     if training and cfg.keep_prob < 1.0:
@@ -209,7 +190,7 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
         drop = Tensor((keep / cfg.keep_prob).astype(h2.data.dtype))
         h2 = mul(h2, drop)
 
-    return affine(tanh(h2), params.out.W_o, params.out.b_o), alpha
+    return affine(tanh(h2), params.W_o, params.b_o), alpha
 
 
 def forward(params: ModelParams, cfg: ModelConfig,
@@ -239,30 +220,30 @@ def predict(params: ModelParams, cfg: ModelConfig,
     return preds, alphas
 
 
-def _manifest_dict(cfg: ModelConfig, params: ModelParams) -> dict:
-    return {
+def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
+                    vocab: Vocabulary, pv: PositionVocab) -> None:
+    """Write manifest + flat little-endian float32 parameter blob.
+
+    The manifest lists each parameter's name and shape in blob order and
+    holds the blob's sha256.
+
+    The write is staged through temp files and renamed so a crash never
+    leaves a half-written checkpoint behind.
+    """
+    os.makedirs(directory, exist_ok=True)
+    blob = b"".join(
+        np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        for _, p in params.named_parameters()
+    )
+    manifest = {
         "variant": cfg.variant,
         "config": asdict(cfg),
         "params": [
             {"name": name, "shape": list(p.data.shape)}
             for name, p in params.named_parameters()
         ],
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
-
-
-def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
-                    vocab: Vocabulary, pv: PositionVocab) -> None:
-    """Write manifest + flat little-endian float32 parameter blob.
-
-    The write is staged through temp files and renamed so a crash never
-    leaves a half-written checkpoint behind.
-    """
-    os.makedirs(directory, exist_ok=True)
-    manifest = _manifest_dict(cfg, params)
-    blob = b"".join(
-        np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        for _, p in params.named_parameters()
-    )
     vocab_blob = {"words": vocab.tokens(), "position_radius": pv.radius}
     for fname, payload in (
         (MANIFEST_FILE, json.dumps(manifest, indent=1).encode("utf-8")),
@@ -283,8 +264,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                                         PositionVocab]:
     """Rebuild a model bit-exactly from a checkpoint directory.
 
-    Any malformed manifest, vocabulary or blob raises CheckpointError;
-    a missing or unreadable file raises OSError.
+    Any malformed manifest, vocabulary or blob raises CheckpointError, as
+    does a blob whose sha256 is not the manifest's or a checkpoint of an
+    older layout; a missing or unreadable file raises OSError.
     """
     try:
         with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as fh:
@@ -304,7 +286,11 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
         if [(n, p.data.shape) for n, p in entries] != listed:
             raise ValueError("manifest parameter list does not match this build")
 
-        raw = np.fromfile(os.path.join(directory, PARAMS_FILE), dtype="<f4")
+        with open(os.path.join(directory, PARAMS_FILE), "rb") as fh:
+            blob = fh.read()
+        if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
+            raise ValueError("params.bin does not match the manifest's sha256")
+        raw = np.frombuffer(blob, dtype="<f4")
         expected = sum(p.data.size for _, p in entries)
         if raw.size != expected:
             raise ValueError(

@@ -11,19 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, current_dtype, record_op, softmax
-
-
-class AttentionParams:
-    """The scoring vector; its length equals the encoder output width."""
-
-    def __init__(self, width: int, rng: np.random.Generator, name: str = "attention"):
-        bound = 1.0 / np.sqrt(width)
-        data = rng.uniform(-bound, bound, size=width).astype(current_dtype())
-        self.w_a = Parameter(data, name=f"{name}.w_a")
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_a]
+from .autodiff import Tensor, record_op, softmax
 
 
 def _resolve_mask(Z: Tensor, mask) -> np.ndarray:
@@ -59,7 +47,7 @@ def max_pool(Z: Tensor, mask) -> Tensor:
     return record_op(out, (Z,), grad_fn)
 
 
-def attentive_pool(Z: Tensor, p: AttentionParams, mask) -> tuple[Tensor, Tensor]:
+def attentive_pool(Z: Tensor, w_a: Tensor, mask) -> tuple[Tensor, Tensor]:
     """Softmax-weighted sum over axis 0; returns (pooled, weights).
 
     Scores are w_a . tanh(Z_t); an (L, B, k) batch pools to (B, k) with
@@ -70,10 +58,10 @@ def attentive_pool(Z: Tensor, p: AttentionParams, mask) -> tuple[Tensor, Tensor]
     """
     keep = _resolve_mask(Z, mask)
     squashed = np.tanh(Z.data)
-    alpha64 = softmax(np.where(keep, squashed @ p.w_a.data, -np.inf), axis=0)
+    alpha64 = softmax(np.where(keep, squashed @ w_a.data, -np.inf), axis=0)
     alpha = alpha64.astype(Z.data.dtype)
     pooled = Tensor(np.einsum("tb,tbk->bk", alpha, Z.data))
-    z_data, w_data = Z.data, p.w_a.data
+    z_data, w_data = Z.data, w_a.data
 
     def grad_fn(g):
         d_alpha = np.einsum("tbk,bk->tb", z_data, g).astype(np.float64)
@@ -82,4 +70,4 @@ def attentive_pool(Z: Tensor, p: AttentionParams, mask) -> tuple[Tensor, Tensor]
         dz = alpha[..., None] * g + d_squashed * w_data
         return dz, np.tensordot(d_scores, squashed, axes=d_scores.ndim)
 
-    return record_op(pooled, (Z, p.w_a), grad_fn), Tensor(alpha)
+    return record_op(pooled, (Z, w_a), grad_fn), Tensor(alpha)

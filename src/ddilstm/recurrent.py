@@ -29,7 +29,6 @@ from .autodiff import (
     _check_finite,
     _sigmoid,
     concat,
-    current_dtype,
     record_op,
 )
 
@@ -37,48 +36,30 @@ from .autodiff import (
 class LstmParams:
     """All weights of one directional cell, hidden size N over inputs of d.
 
-    Input maps U_* are (N, d), recurrent maps W_* are (N, N), biases and
-    the trainable initial states h0/c0 are length-N vectors. Matrices are
-    drawn uniform(-1/sqrt(N), 1/sqrt(N)); vectors start at zero.
+    The gates i, f, o, g are stacked as row blocks, in that order: the
+    input map U is (4N, d), the recurrent map W is (4N, N) and the bias b
+    has length 4N; the trainable initial states h0/c0 have length N.
+    Each gate's U and W blocks are drawn in turn, uniform(-1/sqrt(N),
+    1/sqrt(N)); vectors start at zero.
     """
-
-    GATES = ("i", "f", "o", "g")
 
     def __init__(self, hidden: int, input_dim: int, rng: np.random.Generator,
                  name: str = "lstm"):
-        self.hidden = hidden
-        self.input_dim = input_dim
         bound = 1.0 / np.sqrt(hidden)
-        dt = current_dtype()
+        blocks = [rng.uniform(-bound, bound, size=(hidden, cols))
+                  for _ in range(4) for cols in (input_dim, hidden)]
 
-        def mat(shape, label):
-            data = rng.uniform(-bound, bound, size=shape).astype(dt)
-            return Parameter(data, name=f"{name}.{label}")
+        def vec(label, size):
+            return Parameter(np.zeros(size), name=f"{name}.{label}", weight_decay=False)
 
-        def vec(label):
-            return Parameter(np.zeros(hidden, dtype=dt), name=f"{name}.{label}",
-                             weight_decay=False)
-
-        for gate in self.GATES:
-            setattr(self, f"U_{gate}", mat((hidden, input_dim), f"U_{gate}"))
-            setattr(self, f"W_{gate}", mat((hidden, hidden), f"W_{gate}"))
-            setattr(self, f"b_{gate}", vec(f"b_{gate}"))
-        self.h0 = vec("h0")
-        self.c0 = vec("c0")
+        self.U = Parameter(np.concatenate(blocks[0::2]), name=f"{name}.U")
+        self.W = Parameter(np.concatenate(blocks[1::2]), name=f"{name}.W")
+        self.b = vec("b", 4 * hidden)
+        self.h0 = vec("h0", hidden)
+        self.c0 = vec("c0", hidden)
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for gate in self.GATES:
-            out += [getattr(self, f"U_{gate}"), getattr(self, f"W_{gate}"),
-                    getattr(self, f"b_{gate}")]
-        out += [self.h0, self.c0]
-        return out
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(4N, d) input map, (4N, N) recurrent map and 4N bias, gates i, f, o, g."""
-        return tuple(
-            np.concatenate([getattr(self, f"{kind}_{gate}").data for gate in self.GATES])
-            for kind in ("U", "W", "b"))
+        return [self.U, self.W, self.b, self.h0, self.c0]
 
 
 class BiLstmStack:
@@ -86,8 +67,6 @@ class BiLstmStack:
 
     def __init__(self, hidden: int, input_dim: int, rng: np.random.Generator,
                  name: str = "bilstm"):
-        self.hidden = hidden
-        self.input_dim = input_dim
         self.fwd = LstmParams(hidden, input_dim, rng, name=f"{name}.fwd")
         self.bwd = LstmParams(hidden, input_dim, rng, name=f"{name}.bwd")
 
@@ -122,12 +101,6 @@ def _cell_grads(act, c_prev, c, dh, dc) -> tuple[np.ndarray, np.ndarray]:
     return dz, dc * f
 
 
-def _gate_param_grads(dz, x, h_prev) -> list[np.ndarray]:
-    """Per-gate (dU, dW, db) from (n, 4N) pre-activation gradients."""
-    parts = [np.split(a, 4) for a in (dz.T @ x, dz.T @ h_prev, dz.sum(axis=0))]
-    return [part[k] for k in range(4) for part in parts]
-
-
 def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
                   reverse: bool = False) -> Tensor:
     """Run one direction over a time-major (L, B, d) input.
@@ -148,10 +121,10 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
     bounds = np.concatenate([[0], np.cumsum(np.bincount(t_idx))])
     steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
 
-    u, w, b = p.stacked()
+    u, w = p.U.data, p.W.data
     x_packed = x[pos, col]
     act = x_packed @ u.T
-    act += b
+    act += p.b.data
     cs, h_prev, hs = (np.empty((len(t_idx), w.shape[1]), dtype=act.dtype) for _ in range(3))
     h, c = (np.broadcast_to(v.data, (len(order), w.shape[1])) for v in (p.h0, p.c0))
     for s in steps:
@@ -176,7 +149,7 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
         if X.requires_grad:
             dx = np.zeros(x.shape, dtype=g.dtype)
             dx[pos, col] = act @ u
-        return (dx, *_gate_param_grads(act, x_packed, h_prev),
+        return (dx, act.T @ x_packed, act.T @ h_prev, act.sum(axis=0),
                 dh_next.sum(axis=0), dc_next.sum(axis=0))
 
     return record_op(Tensor(out), (X, *p.parameters()), grad_fn)

@@ -77,6 +77,12 @@ def head(x, labels):
     return softmax_cross_entropy(ad.affine(x, w, ad.Tensor(np.zeros(5))), labels)
 
 
+def attention_vector(width, rng):
+    """A scoring vector for attentive pooling, drawn as build_model draws it."""
+    bound = 1.0 / np.sqrt(width)
+    return ad.Parameter(rng.uniform(-bound, bound, size=width), name="attention.w_a")
+
+
 @pytest.fixture
 def float64_mode():
     with ad.use_dtype(np.float64):

@@ -15,7 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_grads, finite_difference, head, max_rel_error, weighted_sum
+from conftest import (
+    attention_vector,
+    check_grads,
+    finite_difference,
+    head,
+    max_rel_error,
+    weighted_sum,
+)
 from ddilstm import autodiff as ad
 from ddilstm.cli import main
 from ddilstm.corpus import generate_instances, parse_corpus, write_instances
@@ -36,7 +43,7 @@ from ddilstm.model import (
     save_checkpoint,
     scores,
 )
-from ddilstm.pooling import AttentionParams, attentive_pool, max_pool
+from ddilstm.pooling import attentive_pool, max_pool
 from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward, lstm_sequence
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
@@ -106,9 +113,9 @@ def test_criterion_01_gradients_vs_finite_differences():
         Z = ad.Tensor(rng.normal(size=(5, 2, 4)), requires_grad=True)
         mask = np.arange(5)[:, None] < np.array([3, 5])
         check_grads(lambda: head(max_pool(Z, mask), [1, 2]), [Z])
-        att = AttentionParams(4, rng)
+        att = attention_vector(4, rng)
         check_grads(lambda: head(attentive_pool(Z, att, mask)[0], [2, 0]),
-                    [Z, att.w_a])
+                    [Z, att])
 
         cell = LstmParams(3, 2, rng)
         for p in cell.parameters():
@@ -127,7 +134,7 @@ def test_criterion_01_gradients_vs_finite_differences():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
         xb = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
         bmask = np.arange(4)[:, None] < np.array([4, 1, 3])
-        att6 = AttentionParams(6, rng)
+        att6 = attention_vector(6, rng)
         w_o = ad.Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         b_o = ad.Tensor(rng.normal(size=5), requires_grad=True)
 
@@ -137,14 +144,14 @@ def test_criterion_01_gradients_vs_finite_differences():
             return softmax_cross_entropy(ad.affine(ad.tanh(pooled), w_o, b_o),
                                          [0, 3, 4])
 
-        check_grads(batch_loss, [xb, *stack.parameters(), att6.w_a, w_o, b_o])
+        check_grads(batch_loss, [xb, *stack.parameters(), att6, w_o, b_o])
 
         # full variants on a random 6-token instance, N=8, d=12
         vocab, pv = tiny_vocab()
         feats = fixed_instance(vocab, pv)
         for variant in ("b-lstm", "ab-lstm", "joint"):
             cfg = ModelConfig(variant=variant, hidden=8, word_dim=8,
-                              p1_dim=2, p2_dim=2, keep_prob=1.0, l2=0.0)
+                              pos_dim=2, keep_prob=1.0, l2=0.0)
             params = build_model(cfg, len(vocab), len(pv), seed=3)
             named = params.named_parameters()
             mix = np.random.default_rng(9)
@@ -191,10 +198,12 @@ def test_criterion_02_straight_line_oracles():
     def sig(t):
         return 1.0 / (1.0 + np.exp(-t))
 
-    i = sig(cell.U_i.data @ x + cell.W_i.data @ h_prev + cell.b_i.data)
-    f = sig(cell.U_f.data @ x + cell.W_f.data @ h_prev + cell.b_f.data)
-    o = sig(cell.U_o.data @ x + cell.W_o.data @ h_prev + cell.b_o.data)
-    g = np.tanh(cell.U_g.data @ x + cell.W_g.data @ h_prev + cell.b_g.data)
+    # the gates' row blocks of the stacked U, W and b, in order i, f, o, g
+    bi, bf, bo, bg = (slice(k * 5, (k + 1) * 5) for k in range(4))
+    i = sig(cell.U.data[bi] @ x + cell.W.data[bi] @ h_prev + cell.b.data[bi])
+    f = sig(cell.U.data[bf] @ x + cell.W.data[bf] @ h_prev + cell.b.data[bf])
+    o = sig(cell.U.data[bo] @ x + cell.W.data[bo] @ h_prev + cell.b.data[bo])
+    g = np.tanh(cell.U.data[bg] @ x + cell.W.data[bg] @ h_prev + cell.b.data[bg])
     c_ref = c_prev * f + g * i
     h_ref = np.tanh(c_ref) * o
     cell.h0.data[...] = h_prev
@@ -203,9 +212,9 @@ def test_criterion_02_straight_line_oracles():
     np.testing.assert_allclose(h_out.data[0, 0], h_ref, atol=1e-6)
 
     # attentive pooling against the three-line definition
-    att = AttentionParams(6, rng)
+    att = attention_vector(6, rng)
     z_rows = rng.uniform(-2, 2, size=(4, 6)).astype(np.float32)
-    raw_scores = np.tanh(z_rows) @ att.w_a.data
+    raw_scores = np.tanh(z_rows) @ att.data
     e = np.exp(raw_scores - raw_scores.max())
     alpha_ref = e / e.sum()
     z_ref = alpha_ref @ z_rows
@@ -230,7 +239,7 @@ def test_criterion_02_straight_line_oracles():
 def test_criterion_03_softmax_and_attention_sums():
     rng = np.random.default_rng(23)
     att_width = 6
-    att = AttentionParams(att_width, np.random.default_rng(5))
+    att = attention_vector(att_width, np.random.default_rng(5))
     for trial in range(1000):
         if trial % 2 == 0:
             k = int(rng.integers(1, 40))
@@ -272,8 +281,8 @@ def test_criterion_05_overfit_synthetic_corpus():
     feats = featurize_corpus(instances, vocab, pv)
 
     def run(variant, val_fraction, epochs):
-        mcfg = ModelConfig(variant=variant, hidden=8, word_dim=8, p1_dim=2,
-                           p2_dim=2, keep_prob=1.0, l2=0.0)
+        mcfg = ModelConfig(variant=variant, hidden=8, word_dim=8, pos_dim=2,
+                           keep_prob=1.0, l2=0.0)
         params = build_model(mcfg, len(vocab), len(pv), seed=11)
         cfg = TrainConfig(lr=0.015, batch_size=8, max_epochs=epochs, seed=11,
                           val_fraction=val_fraction)
@@ -342,8 +351,8 @@ def test_criterion_08_roundtrip_bit_identical(tmp_path):
     instances = make_synthetic_instances(100, seed=3)
     vocab = build_vocab([i.tokens for i in instances])
     pv = PositionVocab(10)
-    cfg = ModelConfig(variant="joint", hidden=6, word_dim=8, p1_dim=2,
-                      p2_dim=2, keep_prob=1.0, l2=0.0)
+    cfg = ModelConfig(variant="joint", hidden=6, word_dim=8, pos_dim=2,
+                      keep_prob=1.0, l2=0.0)
     params = build_model(cfg, len(vocab), len(pv), seed=5)
     feats = featurize_corpus(instances, vocab, pv)
 

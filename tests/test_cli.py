@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -9,7 +10,8 @@ from conftest import corpus_xml
 from ddilstm.cli import main
 from ddilstm.corpus import read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
-from ddilstm.model import ModelConfig, build_model, save_checkpoint
+from ddilstm.model import ModelConfig, build_model, default_config, save_checkpoint
+from ddilstm.training import TrainConfig
 from ddilstm.synthetic import make_synthetic_instances
 
 THREE_DRUGS = [(
@@ -181,6 +183,27 @@ class TestTrainPredictEvaluate:
         assert manifest["config"]["model"]["variant"] == "b-lstm"
         assert manifest["config"]["model"]["hidden"] == 4
 
+    @pytest.mark.parametrize("variant", ["b-lstm", "joint"])
+    def test_unset_options_record_the_config_defaults(self, tmp_path,
+                                                      synthetic_file, variant):
+        out_dir = tmp_path / "ckpt"
+        flags = [] if variant == "b-lstm" else ["--variant", variant]
+        assert main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(out_dir), *flags]) == 0
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["config"]["model"] == asdict(default_config(variant))
+        assert manifest["config"]["train"] == asdict(TrainConfig())
+        assert manifest["seed"] == TrainConfig().seed
+
+    def test_word_vectors_take_the_default_word_dim(self, tmp_path,
+                                                    synthetic_file):
+        vectors = tmp_path / "vectors.txt"
+        width = default_config("b-lstm").word_dim
+        vectors.write_text("the " + " ".join(["0.5"] * width) + "\n")
+        assert main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "ckpt"), "--hidden", "4",
+                     "--epochs", "1", "--word-vectors", str(vectors)]) == 0
+
     def test_no_heldout_split_is_named(self, tmp_path, synthetic_file, capsys):
         run_train(tmp_path, synthetic_file, extra=("--val-fraction", "0"))
         out = capsys.readouterr().out
@@ -212,13 +235,53 @@ def _drop(blob, key):
     del blob[key]
 
 
-# each edit leaves the checkpoint's JSON readable but its content malformed
+def _edit_json(fname, change):
+    def edit(ckpt):
+        blob = json.loads((ckpt / fname).read_text())
+        change(blob)
+        (ckpt / fname).write_text(json.dumps(blob))
+    return edit
+
+
+def _flip_one_bit(ckpt):
+    blob = bytearray((ckpt / "params.bin").read_bytes())
+    blob[len(blob) // 2] ^= 1
+    (ckpt / "params.bin").write_bytes(bytes(blob))
+
+
+def _per_gate_layout(manifest):
+    """The manifest as the older per-gate layout wrote it: U_*, W_* and b_*
+    for each gate, p1_dim/p2_dim and n_classes, and no digest."""
+    pos_dim = manifest["config"].pop("pos_dim")
+    manifest["config"].update(p1_dim=pos_dim, p2_dim=pos_dim, n_classes=5)
+    del manifest["params_sha256"]
+    params = []
+    for entry in manifest["params"]:
+        prefix, _, leaf = entry["name"].rpartition(".")
+        if leaf == "U":
+            n, d = entry["shape"][0] // 4, entry["shape"][1]
+            for g in "ifog":
+                params += [{"name": f"{prefix}.U_{g}", "shape": [n, d]},
+                           {"name": f"{prefix}.W_{g}", "shape": [n, n]},
+                           {"name": f"{prefix}.b_{g}", "shape": [n]}]
+        elif leaf not in ("W", "b"):
+            params.append(entry)
+    manifest["params"] = params
+
+
+# each edit leaves the checkpoint readable but its content malformed
 CHECKPOINT_EDITS = {
-    "unknown-config-key": ("manifest", lambda m: m["config"].update(bogus=1)),
-    "missing-params": ("manifest", lambda m: _drop(m, "params")),
-    "config-as-list": ("manifest", lambda m: m.update(config=list(m["config"]))),
-    "hidden-as-string": ("manifest", lambda m: m["config"].update(hidden="8")),
-    "no-position-radius": ("vocab.json", lambda v: _drop(v, "position_radius")),
+    "unknown-config-key": _edit_json("manifest",
+                                     lambda m: m["config"].update(bogus=1)),
+    "missing-params": _edit_json("manifest", lambda m: _drop(m, "params")),
+    "config-as-list": _edit_json("manifest",
+                                 lambda m: m.update(config=list(m["config"]))),
+    "hidden-as-string": _edit_json("manifest",
+                                   lambda m: m["config"].update(hidden="8")),
+    "no-position-radius": _edit_json("vocab.json",
+                                     lambda v: _drop(v, "position_radius")),
+    "flipped-blob-bit": _flip_one_bit,
+    "per-gate-layout": _edit_json("manifest", _per_gate_layout),
 }
 
 
@@ -229,15 +292,75 @@ class TestCheckpointBoundary:
         instances = read_instances(synthetic_file)
         vocab = build_vocab([i.tokens for i in instances])
         pv = PositionVocab(8)
-        cfg = ModelConfig(hidden=4, word_dim=6, p1_dim=2, p2_dim=2)
+        cfg = ModelConfig(hidden=4, word_dim=6, pos_dim=2)
         ckpt = tmp_path / "ckpt"
         save_checkpoint(ckpt, build_model(cfg, len(vocab), len(pv)), cfg, vocab, pv)
-        fname, change = CHECKPOINT_EDITS[edit]
-        blob = json.loads((ckpt / fname).read_text())
-        change(blob)
-        (ckpt / fname).write_text(json.dumps(blob))
+        CHECKPOINT_EDITS[edit](ckpt)
         code = main(["predict", "--checkpoint", str(ckpt),
                      "--instances", str(synthetic_file),
                      "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+
+def _rewrite_first_line(path, change):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    lines[0] = json.dumps(change(record))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_predictions(path, gold_path):
+    path.write_text("".join(
+        json.dumps({"pair_id": i.pair_id, "label": "negative"}) + "\n"
+        for i in read_instances(gold_path)))
+
+
+class TestRecordBoundary:
+    """A malformed record in any input file is one `error:` line."""
+
+    # the indices of "tokens-as-string" and "index-as-float" stay valid
+    # for the sentence, so only a type check can refuse them
+    @pytest.mark.parametrize("change", [
+        {"label": 3}, {"drug_a": "0"},
+        {"tokens": "abcdef", "drug_a": 0, "drug_b": 2},
+        {"drug_a": 0, "drug_b": 2.0}, {"drug_b": 99},
+        {"tokens": ["DRUG-A", 7, "DRUG-B"], "drug_a": 0, "drug_b": 2}],
+        ids=["label-as-int", "index-as-string", "tokens-as-string",
+             "index-as-float", "index-past-sentence", "token-as-int"])
+    def test_bad_instance_field(self, tmp_path, synthetic_file, capsys, change):
+        _rewrite_first_line(synthetic_file, lambda rec: {**rec, **change})
+        code = main(["filter", "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "kept.jsonl"),
+                     "--report", str(tmp_path / "report.json")])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    @pytest.mark.parametrize("change", [
+        lambda rec: {"pair_id": rec["pair_id"]}, lambda rec: list(rec),
+        lambda rec: {**rec, "label": 3}],
+        ids=["no-label", "list", "label-as-int"])
+    def test_bad_prediction(self, tmp_path, synthetic_file, capsys, command,
+                            change):
+        preds = tmp_path / "preds.jsonl"
+        _write_predictions(preds, synthetic_file)
+        _rewrite_first_line(preds, change)
+        code = main([command, "--predictions", str(preds), "--gold",
+                     str(synthetic_file), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("report", [
+        [], {"removed": [{"pair_id": "x"}]}, {"removed": 5}],
+        ids=["list", "entry-without-label", "removed-as-int"])
+    def test_bad_filter_report(self, tmp_path, synthetic_file, capsys, report):
+        preds = tmp_path / "preds.jsonl"
+        _write_predictions(preds, synthetic_file)
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(synthetic_file), "--filter-report", str(report_path),
+                     "--out", str(tmp_path / "out.json")])
         assert code == 1
         assert_one_error_line(capsys)

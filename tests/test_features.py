@@ -10,7 +10,6 @@ from ddilstm import autodiff as ad
 from ddilstm.features import (
     PAD_ID,
     UNK_ID,
-    EmbeddingMatrix,
     InstanceFeatures,
     PositionVocab,
     Vocabulary,
@@ -19,6 +18,7 @@ from ddilstm.features import (
     embed,
     featurize,
     load_word_vectors,
+    random_table,
 )
 
 
@@ -41,7 +41,7 @@ class TestVocabulary:
     def test_ids_dense_and_reversible(self):
         vocab = build_vocab([["c", "b", "a", "b"]])
         for i in range(len(vocab)):
-            assert vocab.lookup(vocab.token(i)) == i
+            assert vocab.lookup(vocab.tokens()[i]) == i
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -51,7 +51,7 @@ class TestVocabulary:
 class TestPositionVocab:
     def test_zero_distance_fixed_id(self):
         pv = PositionVocab(5)
-        assert pv.id_for(0) == pv.zero_id
+        assert pv.id_for(0) == 1 + pv.radius
 
     def test_clamping(self):
         pv = PositionVocab(50)
@@ -94,8 +94,8 @@ class TestFeaturize:
         pv = PositionVocab(8)
         f = featurize(["w", "DRUG-A", "w", "DRUG-B", "w"], 1, 3, 0,
                       self._vocab(), pv)
-        assert f.p1_ids.count(pv.zero_id) == 1
-        assert f.p2_ids.count(pv.zero_id) == 1
+        assert f.p1_ids.count(pv.id_for(0)) == 1
+        assert f.p2_ids.count(pv.id_for(0)) == 1
 
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=40, deadline=None)
@@ -139,7 +139,7 @@ class TestWordVectors:
         path.write_text("drug 0.1 0.2\nother 0.9 0.9\n")
         vocab = build_vocab([["drug"]])
         emb = load_word_vectors(path, vocab, 2, np.random.default_rng(0))
-        np.testing.assert_allclose(emb.param.data[vocab.lookup("drug")],
+        np.testing.assert_allclose(emb.data[vocab.lookup("drug")],
                                    [0.1, 0.2], atol=1e-7)
 
     def test_missing_token_rows_seeded(self, tmp_path):
@@ -148,8 +148,8 @@ class TestWordVectors:
         vocab = build_vocab([["drug", "novel"]])
         a = load_word_vectors(path, vocab, 2, np.random.default_rng(5))
         b = load_word_vectors(path, vocab, 2, np.random.default_rng(5))
-        row = a.param.data[vocab.lookup("novel")]
-        np.testing.assert_array_equal(row, b.param.data[vocab.lookup("novel")])
+        row = a.data[vocab.lookup("novel")]
+        np.testing.assert_array_equal(row, b.data[vocab.lookup("novel")])
         assert np.all(np.abs(row) <= 0.05)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -171,17 +171,17 @@ class TestFrozenEmbeddings:
     def test_frozen_matrix_gets_no_gradient(self):
         vocab = build_vocab([["a", "b"]])
         rng = np.random.default_rng(0)
-        frozen = EmbeddingMatrix.random(len(vocab), 3, rng)
-        frozen.param.requires_grad = False
+        frozen = random_table(len(vocab), 3, rng, "embed.word")
+        frozen.requires_grad = False
         f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(2))
-        live1 = EmbeddingMatrix.random(len(PositionVocab(2)), 2, rng)
-        live2 = EmbeddingMatrix.random(len(PositionVocab(2)), 2, rng)
+        live1 = random_table(len(PositionVocab(2)), 2, rng, "embed.p1")
+        live2 = random_table(len(PositionVocab(2)), 2, rng, "embed.p2")
         with ad.Tape() as tape:
             x = embed(collate([f]), frozen, live1, live2)
             loss = weighted_sum(x, np.ones(x.shape))
         tape.backward(loss)
-        assert frozen.param.grad is None
-        assert live1.param.grad is not None
+        assert frozen.grad is None
+        assert live1.grad is not None
 
 
 class TestEmbed:
@@ -189,15 +189,15 @@ class TestEmbed:
         vocab = build_vocab([["a", "b"]])
         pv = PositionVocab(2)
         rng = np.random.default_rng(0)
-        mw = EmbeddingMatrix.random(len(vocab), n1, rng)
-        mp1 = EmbeddingMatrix.random(len(pv), n2, rng)
-        mp2 = EmbeddingMatrix.random(len(pv), n3, rng)
+        mw = random_table(len(vocab), n1, rng, "embed.word")
+        mp1 = random_table(len(pv), n2, rng, "embed.p1")
+        mp2 = random_table(len(pv), n3, rng, "embed.p2")
         return vocab, pv, mw, mp1, mp2
 
     def test_zero_rows_give_zero_vector(self):
         vocab, pv, mw, mp1, mp2 = self._setup()
         for m in (mw, mp1, mp2):
-            m.param.data[...] = 0.0
+            m.data[...] = 0.0
         f = featurize(["a", "b"], 0, 1, 4, vocab, pv)
         out = embed(collate([f]), mw, mp1, mp2)
         assert out.shape == (2, 1, 4)
@@ -206,9 +206,9 @@ class TestEmbed:
     def test_rows_concatenate_in_order(self):
         vocab, pv, mw, mp1, mp2 = self._setup()
         f = featurize(["a", "b"], 0, 1, 4, vocab, pv)
-        mw.param.data[f.word_ids[0]] = [1.0, 2.0]
-        mp1.param.data[f.p1_ids[0]] = [3.0]
-        mp2.param.data[f.p2_ids[0]] = [4.0]
+        mw.data[f.word_ids[0]] = [1.0, 2.0]
+        mp1.data[f.p1_ids[0]] = [3.0]
+        mp2.data[f.p2_ids[0]] = [4.0]
         out = embed(collate([f]), mw, mp1, mp2)
         np.testing.assert_array_equal(out.data[0, 0], [1.0, 2.0, 3.0, 4.0])
 
@@ -220,11 +220,11 @@ class TestEmbed:
         def loss():
             return weighted_sum(embed(collate([f]), mw, mp1, mp2), weights)
 
-        check_grads(loss, [mw.param, mp1.param, mp2.param])
+        check_grads(loss, [mw, mp1, mp2])
         with ad.Tape() as tape:
             value = loss()
         tape.backward(value)
         used = set(f.word_ids)
         for i in range(len(vocab)):
-            touched = bool(np.any(mw.param.grad[i]))
+            touched = bool(np.any(mw.grad[i]))
             assert touched == (i in used)

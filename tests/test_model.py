@@ -24,6 +24,7 @@ from ddilstm.model import (
 from ddilstm.pooling import attentive_pool, max_pool
 from ddilstm.recurrent import bilstm_forward
 from ddilstm.features import embed
+from ddilstm.labels import NUM_CLASSES
 from ddilstm.rng import named_stream
 from ddilstm.synthetic import make_synthetic_instances
 
@@ -31,8 +32,8 @@ from ddilstm.synthetic import make_synthetic_instances
 def tiny_setup(variant="b-lstm", hidden=4, seed=0):
     vocab = build_vocab([["DRUG-A", "boosts", "DRUG-B", "levels", "slowly"]])
     pv = PositionVocab(6)
-    cfg = ModelConfig(variant=variant, hidden=hidden, word_dim=5, p1_dim=2,
-                      p2_dim=2, keep_prob=0.7, l2=0.0)
+    cfg = ModelConfig(variant=variant, hidden=hidden, word_dim=5, pos_dim=2,
+                      keep_prob=0.7, l2=0.0)
     params = build_model(cfg, len(vocab), len(pv), seed=seed)
     f = featurize(["DRUG-A", "boosts", "DRUG-B", "levels"], 0, 2, 1, vocab, pv)
     return vocab, pv, cfg, params, f
@@ -93,8 +94,8 @@ class TestForward:
     def test_keep_prob_one_training_equals_inference(self):
         _, pv, _, _, f = tiny_setup()
         vocab = build_vocab([["DRUG-A", "boosts", "DRUG-B", "levels", "slowly"]])
-        cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=5, p1_dim=2,
-                          p2_dim=2, keep_prob=1.0, l2=0.0)
+        cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=5, pos_dim=2,
+                          keep_prob=1.0, l2=0.0)
         params = build_model(cfg, len(vocab), len(pv), seed=3)
         train_scores, _ = scores(params, cfg, collate([f]), training=True)
         infer_scores, _ = scores(params, cfg, collate([f]), training=False)
@@ -120,10 +121,10 @@ class TestForward:
         X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
         z_max = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
         z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, mask),
-                                  params.attention, mask)
+                                  params.w_a, mask)
         h2 = ad.concat(z_max, z_att)
         h3 = ad.tanh(h2)
-        raw = ad.affine(h3, params.out.W_o, params.out.b_o)
+        raw = ad.affine(h3, params.W_o, params.b_o)
         expected = ad.softmax(raw.data[0])
         probs, _ = forward(params, cfg, f)
         np.testing.assert_allclose(probs.data, expected, atol=1e-5)
@@ -144,8 +145,8 @@ class TestBatch:
         insts = make_synthetic_instances(7, seed=4)
         vocab = build_vocab([i.tokens for i in insts])
         pv = PositionVocab(10)
-        cfg = ModelConfig(variant=variant, hidden=8, word_dim=6, p1_dim=2,
-                          p2_dim=2, keep_prob=0.7, l2=0.0)
+        cfg = ModelConfig(variant=variant, hidden=8, word_dim=6, pos_dim=2,
+                          keep_prob=0.7, l2=0.0)
         params = build_model(cfg, len(vocab), len(pv), seed=5)
         feats = [featurize(i.tokens, i.drug_a, i.drug_b, i.label, vocab, pv)
                  for i in insts]
@@ -193,11 +194,10 @@ class TestParameterCount:
     @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm", "joint"])
     def test_closed_form(self, variant):
         vocab_size, pos_size = 9, 14
-        cfg = ModelConfig(variant=variant, hidden=5, word_dim=6, p1_dim=2,
-                          p2_dim=3)
+        cfg = ModelConfig(variant=variant, hidden=5, word_dim=6, pos_dim=3)
         params = build_model(cfg, vocab_size, pos_size, seed=0)
-        n, d, c = cfg.hidden, cfg.input_dim, cfg.n_classes
-        expected = vocab_size * 6 + pos_size * 2 + pos_size * 3
+        n, d, c = cfg.hidden, cfg.input_dim, NUM_CLASSES
+        expected = vocab_size * 6 + 2 * pos_size * 3
         stacks = 2 if variant == "joint" else 1
         expected += stacks * 2 * lstm_count(n, d)
         if variant != "b-lstm":
@@ -220,7 +220,7 @@ class TestPredictClass:
         _, _, cfg, params, f = tiny_setup()
         for _, p in params.named_parameters():
             p.data[...] = 0.0
-        params.out.b_o.data[...] = bias
+        params.b_o.data[...] = bias
         return predict(params, cfg, [f])[0][0]
 
     def test_argmax(self):

@@ -1,9 +1,11 @@
-"""Every top-level function and class in the package has a caller.
+"""Every top-level function and class in the package has a caller, and
+so does every method and property.
 
 A definition counts as used when some module of `src/ddilstm` refers to
-it by name, or through an imported module (`corpus.parse_corpus`). Code
-that only tests call is dead, unless it is an outside entry point or
-library API listed below.
+it by name, or through an imported module (`corpus.parse_corpus`); a
+method or property, when some module there reads an attribute of its
+name (`vocab.tokens()`). Code that only tests call is dead, unless it is
+an outside entry point or library API listed below.
 """
 
 import ast
@@ -32,26 +34,45 @@ ENTRY_POINTS = {
 }
 
 
+# methods and properties that no module calls: the verdict of `mcnemar`
+METHOD_API = {("evaluation", "McNemarResult", "significant")}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions_and_references():
-    defined, used = [], set()
+    defined, methods, used, attributes = [], [], set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.stem, node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        methods += [(path.stem, node.name, item.name) for node in tree.body
+                    if isinstance(node, ast.ClassDef) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name)]
         modules = {alias.asname or alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module is None
                    for alias in node.names}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                used.add(node.attr)
-    return defined, used
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    used.add(node.attr)
+    return defined, methods, used, attributes
 
 
 def test_every_definition_has_a_caller():
-    defined, used = _definitions_and_references()
+    defined, _, used, _ = _definitions_and_references()
     dead = [f"{module}.{name}" for module, name in defined
             if name not in used and (module, name) not in ENTRY_POINTS]
     assert not dead, f"defined in src/ddilstm but never referenced there: {dead}"
+
+
+def test_every_method_and_property_has_a_caller():
+    _, methods, _, attributes = _definitions_and_references()
+    dead = [f"{module}.{cls}.{name}" for module, cls, name in methods
+            if name not in attributes and (module, cls, name) not in METHOD_API]
+    assert not dead, f"methods in src/ddilstm that nothing there calls: {dead}"

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_grads, head, weighted_sum
+from conftest import attention_vector, check_grads, head, weighted_sum
 from ddilstm import autodiff as ad
-from ddilstm.pooling import AttentionParams, attentive_pool, max_pool
+from ddilstm.pooling import attentive_pool, max_pool
 
 
 def column(rows, mask=None, requires_grad=False):
     """One (m, k) sentence as an (m, 1, k) batch, and its (m, 1) mask
     (all real unless given)."""
-    rows = np.asarray(rows, dtype=ad.current_dtype())
+    rows = np.asarray(rows)
     keep = np.ones(len(rows), dtype=bool) if mask is None else np.asarray(mask)
     return ad.Tensor(rows[:, None, :], requires_grad=requires_grad), keep[:, None]
 
@@ -70,7 +70,7 @@ class TestMaxPool:
 
 class TestAttentivePool:
     def _params(self, width, seed=0):
-        return AttentionParams(width, np.random.default_rng(seed))
+        return attention_vector(width, np.random.default_rng(seed))
 
     def test_singleton_weight_is_one(self):
         Z, keep = column([[1.0, -2.0]])
@@ -80,7 +80,7 @@ class TestAttentivePool:
 
     def test_zero_scorer_uniform_weights(self):
         p = self._params(3)
-        p.w_a.data[...] = 0.0
+        p.data[...] = 0.0
         Z, keep = column(np.arange(12.0).reshape(4, 3))
         _, alpha = attentive_pool(Z, p, keep)
         np.testing.assert_allclose(alpha.data[:, 0], [0.25] * 4, atol=1e-7)
@@ -92,7 +92,7 @@ class TestAttentivePool:
         Z, keep = column(rows)
         z, alpha = attentive_pool(Z, p, keep)
         z_ref, alpha_ref = reference_attentive(rows.astype(np.float64),
-                                               p.w_a.data.astype(np.float64))
+                                               p.data.astype(np.float64))
         np.testing.assert_allclose(z.data[0], z_ref, atol=1e-6)
         np.testing.assert_allclose(alpha.data[:, 0], alpha_ref, atol=1e-6)
 
@@ -120,7 +120,7 @@ class TestAttentivePool:
             mask = rng.random(m) < 0.7
             if not mask.any():
                 mask[0] = True
-            p = AttentionParams(4, rng)
+            p = attention_vector(4, rng)
             Z, keep = column(rows, mask)
             z, _ = attentive_pool(Z, p, keep)
             kept = rows[mask]
@@ -131,8 +131,8 @@ class TestAttentivePool:
         rng = np.random.default_rng(4)
         Z, keep = column(rng.normal(size=(5, 3)), [True, True, True, False, False],
                          requires_grad=True)
-        p = AttentionParams(3, rng)
-        check_grads(lambda: head(attentive_pool(Z, p, keep)[0], [2]), [Z, p.w_a])
+        p = attention_vector(3, rng)
+        check_grads(lambda: head(attentive_pool(Z, p, keep)[0], [2]), [Z, p])
 
 
 class TestBatchedPooling:
@@ -145,7 +145,7 @@ class TestBatchedPooling:
     def test_each_column_pools_like_its_own_sentence(self):
         rng = np.random.default_rng(6)
         Z, mask = self._batch(rng)
-        p = AttentionParams(2, rng)
+        p = attention_vector(2, rng)
         z_max = max_pool(Z, mask)
         z_att, alpha = attentive_pool(Z, p, mask)
         for b, m in enumerate(self.LENGTHS):
@@ -160,18 +160,18 @@ class TestBatchedPooling:
     def test_gradients(self, float64_mode):
         rng = np.random.default_rng(7)
         Z, mask = self._batch(rng)
-        p = AttentionParams(2, rng)
+        p = attention_vector(2, rng)
 
         def loss():
             pooled = ad.concat(max_pool(Z, mask), attentive_pool(Z, p, mask)[0])
             return head(pooled, [1, 0, 4])
 
-        check_grads(loss, [Z, p.w_a])
+        check_grads(loss, [Z, p])
 
     def test_rank_two_sentence_rejected(self):
         rows = ad.Tensor(np.ones((3, 2)))
         with pytest.raises(ValueError):
             max_pool(rows, np.ones(3, dtype=bool))
         with pytest.raises(ValueError):
-            attentive_pool(rows, AttentionParams(2, np.random.default_rng(0)),
+            attentive_pool(rows, attention_vector(2, np.random.default_rng(0)),
                            np.ones(3, dtype=bool))

@@ -24,10 +24,13 @@ def reference_step(p, x, h_prev, c_prev):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    i = sig(p.U_i.data @ x + p.W_i.data @ h_prev + p.b_i.data)
-    f = sig(p.U_f.data @ x + p.W_f.data @ h_prev + p.b_f.data)
-    o = sig(p.U_o.data @ x + p.W_o.data @ h_prev + p.b_o.data)
-    g = np.tanh(p.U_g.data @ x + p.W_g.data @ h_prev + p.b_g.data)
+    def gate(k):
+        # row block k of the stacked maps; blocks are in order i, f, o, g
+        rows = slice(k * len(h_prev), (k + 1) * len(h_prev))
+        return p.U.data[rows] @ x + p.W.data[rows] @ h_prev + p.b.data[rows]
+
+    i, f, o = sig(gate(0)), sig(gate(1)), sig(gate(2))
+    g = np.tanh(gate(3))
     c = c_prev * f + g * i
     h = np.tanh(c) * o
     return h, c
@@ -91,6 +94,22 @@ class TestLstmStep:
                       rng.uniform(-3, 3, 4))
         assert np.all(np.abs(h) < 1.0)
 
+    def test_gate_blocks_drawn_in_gate_order(self):
+        # U_i, W_i, U_f, W_f, U_o, W_o, U_g, W_g: the stream order of the
+        # per-gate layout, so a seed keeps giving the same weights
+        n, d = 3, 2
+        p = LstmParams(n, d, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for k in range(4):
+            rows = slice(k * n, (k + 1) * n)
+            for stacked, cols in ((p.U, d), (p.W, n)):
+                block = rng.uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (n, cols))
+                np.testing.assert_array_equal(stacked.data[rows],
+                                              block.astype(np.float32))
+        assert not (p.b.data.any() or p.h0.data.any() or p.c0.data.any())
+        assert [t.name for t in p.parameters()] == [
+            "lstm.U", "lstm.W", "lstm.b", "lstm.h0", "lstm.c0"]
+
     def test_gradients_through_unrolled_sequence(self, float64_mode):
         rng = np.random.default_rng(7)
         p = LstmParams(3, 2, rng)
@@ -135,7 +154,7 @@ class TestBilstm:
         x = rng.uniform(-1, 1, 2).astype(np.float32)
         # palindrome: row t equals row m-1-t
         Z = bilstm_forward(stack, *column(np.stack([x, x * 0.5, x * 0.5, x])))
-        n = stack.hidden
+        n = 3
         fwd_states = Z.data[:, 0, :n]
         bwd_states = Z.data[:, 0, n:]
         np.testing.assert_allclose(fwd_states, bwd_states[::-1], atol=1e-6)

@@ -38,8 +38,8 @@ def featurized_synthetic(n=20, seed=3):
 
 
 def small_model(vocab, pv, variant="b-lstm", keep_prob=1.0, l2=0.0, seed=0):
-    cfg = ModelConfig(variant=variant, hidden=4, word_dim=6, p1_dim=2,
-                      p2_dim=2, keep_prob=keep_prob, l2=l2)
+    cfg = ModelConfig(variant=variant, hidden=4, word_dim=6, pos_dim=2,
+                      keep_prob=keep_prob, l2=l2)
     return cfg, build_model(cfg, len(vocab), len(pv), seed=seed)
 
 
