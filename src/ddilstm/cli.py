@@ -260,8 +260,7 @@ def _cmd_evaluate(args) -> int:
     gold = _aligned_gold(gold_instances, pair_ids)
     filtered = []
     if args.filter_report:
-        filtered = [label_id(name)
-                    for name in filtering.read_removed_labels(args.filter_report)]
+        filtered = filtering.read_removed_labels(args.filter_report)
     report = evaluation.evaluate(gold, pred_ids, filtered)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")

@@ -14,7 +14,7 @@ import json
 import os
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .labels import NEGATIVE_ID, label_id, label_name
@@ -210,23 +210,24 @@ def _normalize_word(word: str) -> str:
     return re.sub(r"[0-9]+", "DG", word.lower())
 
 
-def tokenize_normalize(text: str) -> list[str]:
+def tokenize_normalize(text: str, memo: Optional[dict] = None) -> list[str]:
     """Lowercase, split punctuation, collapse digit runs to DG.
 
     Blinding placeholders survive verbatim as single tokens, and the
     function is a fixed point on its own output (already-normalized words
     such as "DG" or "pgfDGalpha" pass through untouched).
+
+    `memo` maps each text part between placeholders to its tokens; the
+    blindings of one sentence share it. The result is always a new list.
     """
+    memo = {} if memo is None else memo
     tokens: list[str] = []
     for part in _PLACEHOLDER_SPLIT.split(text):
-        if _PLACEHOLDER_SPLIT.fullmatch(part):
-            tokens.append(part)
-            continue
-        for chunk in _CHUNKS.findall(part):
-            if chunk[0].isalnum():
-                tokens.append(_normalize_word(chunk))
-            else:
-                tokens.append(chunk)
+        if part not in memo:
+            memo[part] = [part] if _PLACEHOLDER_SPLIT.fullmatch(part) else [
+                _normalize_word(word) if word[0].isalnum() else word
+                for word in _CHUNKS.findall(part)]
+        tokens.extend(memo[part])
     return tokens
 
 
@@ -261,24 +262,22 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
     """One instance per annotated pair, blinded and tokenized."""
     out = []
     for s in records:
+        memo: dict[str, list[str]] = {}
         for pair in s.pairs:
-            blinded = blind_entities(s, pair)
-            tokens = tokenize_normalize(blinded)
+            tokens = tokenize_normalize(blind_entities(s, pair), memo)
             if tokens.count(DRUG_A) != 1 or tokens.count(DRUG_B) != 1:
                 raise CorpusError(
                     f"pair {pair.id}: target placeholders not locatable "
                     f"after tokenization"
                 )
-            a_idx = tokens.index(DRUG_A)
-            b_idx = tokens.index(DRUG_B)
             first, second = s.entity(pair.e1), s.entity(pair.e2)
             swapped = second.start < first.start
             if swapped:
                 first, second = second, first
             out.append(RawInstance(
                 tokens=tokens,
-                drug_a=a_idx,
-                drug_b=b_idx,
+                drug_a=tokens.index(DRUG_A),
+                drug_b=tokens.index(DRUG_B),
                 label=_pair_label(pair),
                 doc_id=s.doc_id,
                 sent_id=s.id,
@@ -296,7 +295,8 @@ def write_instances(path, instances: Sequence[RawInstance]) -> None:
     """One JSON record per line; the `label` field is stored by name."""
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
-            rec = asdict(inst)
+            # a copy keeps the caller's label; asdict would copy each token
+            rec = dict(vars(inst))
             rec["label"] = label_name(inst.label)
             fh.write(json.dumps(rec) + "\n")
 

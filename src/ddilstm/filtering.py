@@ -16,11 +16,11 @@ in use is always auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
-from .labels import NEGATIVE_ID, label_name
+from .labels import NEGATIVE_ID, label_id, label_name
 
 
 @dataclass
@@ -136,7 +136,7 @@ class FilterReport:
             "n_removed_positive": self.n_removed_positive,
             "by_rule": self.by_rule,
             "by_label": self.by_label,
-            "removed": [asdict(r) for r in self.removed],
+            "removed": [dict(vars(r)) for r in self.removed],
         }
 
 
@@ -197,14 +197,19 @@ def write_report(path, report: FilterReport) -> None:
         fh.write("\n")
 
 
-def read_removed_labels(path) -> list[str]:
-    """Gold labels of the filtered-out instances, for evaluation reinsertion."""
+def read_removed_labels(path) -> list[int]:
+    """Label ids of the filtered-out instances, for evaluation reinsertion."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     removed = data.get("removed", []) if isinstance(data, dict) else None
     if not isinstance(removed, list):
         raise ValueError(f"{path}: filter report needs a 'removed' list")
+    ids = []
     for k, r in enumerate(removed):
         if not isinstance(r, dict) or type(r.get("label")) is not str:
             raise ValueError(f"{path}: removed[{k}] needs a string label")
-    return [r["label"] for r in removed]
+        try:
+            ids.append(label_id(r["label"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: removed[{k}]: {exc}") from None
+    return ids

@@ -49,6 +49,7 @@ def run_train(tmp_path, synthetic_file, out="ckpt", variant="ab-lstm",
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestPreprocess:
@@ -352,8 +353,9 @@ class TestRecordBoundary:
         assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("report", [
-        [], {"removed": [{"pair_id": "x"}]}, {"removed": 5}],
-        ids=["list", "entry-without-label", "removed-as-int"])
+        [], {"removed": [{"pair_id": "x"}]}, {"removed": 5},
+        {"removed": [{"label": "negative"}, {"label": "bogus"}]}],
+        ids=["list", "entry-without-label", "removed-as-int", "unknown-label"])
     def test_bad_filter_report(self, tmp_path, synthetic_file, capsys, report):
         preds = tmp_path / "preds.jsonl"
         _write_predictions(preds, synthetic_file)
@@ -363,4 +365,4 @@ class TestRecordBoundary:
                      str(synthetic_file), "--filter-report", str(report_path),
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
-        assert_one_error_line(capsys)
+        assert str(report_path) in assert_one_error_line(capsys)

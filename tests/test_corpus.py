@@ -1,5 +1,10 @@
 """XML parsing, entity blinding, tokenization, instance generation."""
 
+import copy
+import os
+import tempfile
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import corpus_xml
 from ddilstm.corpus import (
     CorpusError,
+    RawInstance,
     blind_entities,
     generate_instances,
     parse_corpus,
@@ -15,6 +21,9 @@ from ddilstm.corpus import (
     write_instances,
 )
 from ddilstm.labels import label_id, label_name
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                       "filter_fixture.xml")
 
 
 def write_xml(tmp_path, doc_id, sentences, name="corpus.xml"):
@@ -197,6 +206,13 @@ class TestTokenizer:
     def test_hyphen_splits(self):
         assert tokenize_normalize("non-steroidal") == ["non", "-", "steroidal"]
 
+    def test_shared_memo_returns_new_lists(self):
+        memo = {}
+        for _ in range(3):
+            tokens = tokenize_normalize("Take 20 mg", memo)
+            assert tokens == ["take", "DG", "mg"]
+            tokens.append("x")
+
     @given(st.text(min_size=0, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_idempotent_on_own_output(self, text):
@@ -273,8 +289,147 @@ class TestInstances:
         write_instances(path, instances)
         assert read_instances(path) == instances
 
+    def test_record_bytes(self, tmp_path):
+        inst = RawInstance(
+            tokens=["DRUG-A", "blocks", "DRUG-B", "."], drug_a=0, drug_b=2,
+            label=label_id("advise"), doc_id="d1", sent_id="d1.s0",
+            pair_id="d1.s0.p0", e1="d1.s0.e1", e2="d1.s0.e0",
+            a_text="Aspirin", b_text="\u03b2-carotene", swapped=True)
+        path = tmp_path / "one.jsonl"
+        write_instances(path, [inst])
+        assert path.read_bytes() == (
+            b'{"tokens": ["DRUG-A", "blocks", "DRUG-B", "."], "drug_a": 0, '
+            b'"drug_b": 2, "label": "advice", "doc_id": "d1", '
+            b'"sent_id": "d1.s0", "pair_id": "d1.s0.p0", "e1": "d1.s0.e1", '
+            b'"e2": "d1.s0.e0", "a_text": "Aspirin", '
+            b'"b_text": "\\u03b2-carotene", "swapped": true}\n')
+
     def test_bad_instance_file(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"tokens": ["x"]}\n')
         with pytest.raises(CorpusError, match="broken.jsonl:1"):
             read_instances(path)
+
+
+# plain words with repeats, digit runs and punctuation; drug names with
+# digits, hyphens and two words
+WORDS = ["the", "The", "of", "dose", "Dose", "mg", "20", "2.5", "1990s", "(",
+         ")", ",", ";", "%", "-", "and", "or", "such", "as", "pgf2alpha",
+         "levels."]
+DRUGS = ["aspirin", "Warfarin", "5-FU", "IL-2", "vitamin K", "human insulin"]
+LABEL_TYPES = [None, "advise", "effect", "mechanism", "int"]
+
+
+@st.composite
+def ddi_sentence(draw, sid):
+    """(sid, text, entities, pairs) with at least two pairable mentions.
+
+    An entity is (eid, spans, surface). Pairs join only the pairable
+    mentions; the others overlap one of them: the last word of a
+    two-word name, or "vitamin A" inside the discontinuous mention
+    "vitamin ... D" of "vitamin A and D".
+    """
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(st.just("word"), st.sampled_from(WORDS)),
+        st.tuples(st.just("drug"), st.sampled_from(DRUGS), st.booleans()),
+        st.tuples(st.just("discontinuous"))), min_size=2, max_size=12))
+    pieces += [("drug", draw(st.sampled_from(DRUGS)), False)] * 2
+    pieces = draw(st.permutations(pieces))
+    text, targets, others = "", [], []
+    for piece in pieces:
+        start = len(text)
+        if piece[0] == "word":
+            text += piece[1]
+        elif piece[0] == "drug":
+            text += piece[1]
+            targets.append(([(start, len(text) - 1)], piece[1]))
+            if piece[2] and " " in piece[1]:
+                others.append(([(text.rindex(" ") + 1, len(text) - 1)],
+                               piece[1].split()[-1]))
+        else:
+            text += "vitamin A and D"
+            targets.append(([(start, start + 6), (len(text) - 1,) * 2],
+                            "vitamin D"))
+            others.append(([(start, start + 8)], "vitamin A"))
+        text += " "
+    entities = [(f"{sid}.e{k}", spans, surface)
+                for k, (spans, surface) in enumerate(targets + others)]
+    pairs = []
+    for i in range(len(targets)):
+        for j in range(i + 1, len(targets)):
+            ids = (entities[i][0], entities[j][0])
+            # a pair listed both ways blinds the sentence twice alike
+            for e1, e2 in draw(st.sampled_from(
+                    [[ids], [ids[::-1]], [ids, ids[::-1]]])):
+                ddi = draw(st.booleans())
+                ptype = draw(st.sampled_from(LABEL_TYPES)) if ddi else None
+                pairs.append((f"{sid}.p{len(pairs)}", e1, e2, ddi, ptype))
+    return sid, text.rstrip(), entities, pairs
+
+
+@st.composite
+def ddi_documents(draw):
+    return [(f"d{d}", [draw(ddi_sentence(f"d{d}.s{k}"))
+                       for k in range(draw(st.integers(1, 3)))])
+            for d in range(draw(st.integers(1, 2)))]
+
+
+def parse_documents(documents, directory):
+    """Write `documents` as one DDI XML file and parse it back."""
+    root = ET.Element("corpus")
+    for doc_id, sentences in documents:
+        doc = ET.SubElement(root, "document", id=doc_id)
+        for sid, text, entities, pairs in sentences:
+            sent = ET.SubElement(doc, "sentence", id=sid, text=text)
+            for eid, spans, surface in entities:
+                offsets = ";".join(f"{start}-{end}" for start, end in spans)
+                ET.SubElement(sent, "entity", id=eid, charOffset=offsets,
+                              type="drug", text=surface)
+            for pid, e1, e2, ddi, ptype in pairs:
+                attrs = {"type": ptype} if ptype else {}
+                ET.SubElement(sent, "pair", id=pid, e1=e1, e2=e2,
+                              ddi=str(ddi).lower(), **attrs)
+    path = os.path.join(directory, "corpus.xml")
+    ET.ElementTree(root).write(path, encoding="utf-8")
+    return parse_corpus(path)
+
+
+def assert_tokens_as_if_cold(records):
+    """Each instance holds its own list of the tokens that a fresh
+    tokenization of its blinded sentence gives."""
+    instances = generate_instances(records)
+    pairs = [(s, pair) for s in records for pair in s.pairs]
+    assert len(instances) == len(pairs)
+    for inst, (s, pair) in zip(instances, pairs):
+        assert inst.tokens == tokenize_normalize(blind_entities(s, pair))
+    before = [list(inst.tokens) for inst in instances]
+    for inst in instances:
+        inst.tokens.append("<probe>")
+    assert [inst.tokens for inst in instances] == \
+        [tokens + ["<probe>"] for tokens in before]
+
+
+class TestGeneratedDocuments:
+    def test_fixture_tokens_as_if_cold(self):
+        assert_tokens_as_if_cold(parse_corpus(FIXTURE))
+
+    @given(ddi_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_tokens_as_if_cold(self, documents):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_tokens_as_if_cold(parse_documents(documents, tmp))
+
+    @given(ddi_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_xml_to_jsonl_roundtrip(self, documents):
+        with tempfile.TemporaryDirectory() as tmp:
+            instances = generate_instances(parse_documents(documents, tmp))
+            assert len(instances) == sum(len(pairs) for _, sentences in documents
+                                         for *_, pairs in sentences)
+            written = copy.deepcopy(instances)
+            jsonl = os.path.join(tmp, "instances.jsonl")
+            write_instances(jsonl, instances)
+            # the writer leaves its input as it was: labels stay ints
+            assert instances == written
+            assert all(type(inst.label) is int for inst in instances)
+            assert read_instances(jsonl) == instances

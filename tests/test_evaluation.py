@@ -13,7 +13,7 @@ from ddilstm.evaluation import (
     mcnemar,
     write_attention_records,
 )
-from ddilstm.labels import LABELS, NEGATIVE_ID, label_id
+from ddilstm.labels import LABELS, label_id
 
 A, E, M, I, NEG = (label_id(x) for x in LABELS)
 

@@ -12,7 +12,6 @@ from ddilstm.features import (
     UNK_ID,
     InstanceFeatures,
     PositionVocab,
-    Vocabulary,
     build_vocab,
     collate,
     embed,

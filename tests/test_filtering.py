@@ -152,4 +152,4 @@ class TestApplyFilters:
         write_report(path, report)
         labels = read_removed_labels(path)
         assert len(labels) == report.n_removed
-        assert all(name == "negative" for name in labels)
+        assert labels == [label_id(r.label) for r in report.removed]

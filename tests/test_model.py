@@ -6,7 +6,6 @@ import pytest
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PositionVocab,
-    Vocabulary,
     build_vocab,
     collate,
     featurize,

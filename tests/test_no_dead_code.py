@@ -5,13 +5,15 @@ A definition counts as used when some module of `src/ddilstm` refers to
 it by name, or through an imported module (`corpus.parse_corpus`); a
 method or property, when some module there reads an attribute of its
 name (`vocab.tokens()`). Code that only tests call is dead, unless it is
-an outside entry point or library API listed below.
+an outside entry point or library API listed below. No module of the
+package or of the tests imports a name it never uses.
 """
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ddilstm"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ddilstm"
 
 ENTRY_POINTS = {
     # the package's exports (__init__.py)
@@ -76,3 +78,26 @@ def test_every_method_and_property_has_a_caller():
     dead = [f"{module}.{cls}.{name}" for module, cls, name in methods
             if name not in attributes and (module, cls, name) not in METHOD_API]
     assert not dead, f"methods in src/ddilstm that nothing there calls: {dead}"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # __init__.py imports the names it exports
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    unused = {f"{path.parent.name}/{path.name}": names
+              for path in paths + sorted(TESTS.glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert not unused, f"imported but never used: {unused}"
