@@ -1,10 +1,11 @@
 """Batch command-line driver for the whole pipeline.
 
 Subcommands mirror the pipeline stages: preprocess (XML to instances),
-filter, train, predict, evaluate, analyze, attention-export. Every run
-writes a manifest next to its outputs recording the resolved
-configuration, seed and paths; identical inputs and seed reproduce every
-output byte for byte (timestamps live only in the manifest).
+filter, train, predict (optionally with attention weights), evaluate,
+analyze. Every run writes a manifest next to its outputs recording the
+resolved configuration, seed and paths; identical inputs and seed
+reproduce every output byte for byte (timestamps live only in the
+manifest).
 """
 
 from __future__ import annotations
@@ -89,10 +90,8 @@ def _resolve(options: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def _featurize_all(instances, vocab, pv):
-    return [
-        featurize(inst.tokens, inst.drug_a, inst.drug_b, inst.label, vocab, pv)
-        for inst in instances
-    ]
+    """The setup stage of perfbench/run.py calls featurize by this name."""
+    return featurize(instances, vocab, pv)
 
 
 def _cmd_preprocess(args) -> int:
@@ -168,7 +167,7 @@ def _cmd_train(args) -> int:
         )
     params = build_model(mcfg, len(vocab), len(pv), seed=seed,
                          word_matrix=word_matrix)
-    feats = _featurize_all(instances, vocab, pv)
+    feats = featurize(instances, vocab, pv)
 
     result = training.train(params, feats, tcfg, mcfg)
 
@@ -226,7 +225,7 @@ def _cmd_predict(args) -> int:
     if args.attention is not None and mcfg.variant == "b-lstm":
         raise ValueError("variant 'b-lstm' has no attention weights")
     instances = corpus.read_instances(args.instances)
-    preds, alphas = predict(params, mcfg, _featurize_all(instances, vocab, pv))
+    preds, alphas = predict(params, mcfg, featurize(instances, vocab, pv))
     _write_predictions(args.out, instances, preds)
     outputs = {"predictions": args.out}
     if args.attention is not None:
@@ -289,21 +288,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_attention_export(args) -> int:
-    params, mcfg, vocab, pv = load_checkpoint(args.checkpoint)
-    if mcfg.variant == "b-lstm":
-        raise ValueError("checkpoint variant 'b-lstm' has no attention weights")
-    instances = corpus.read_instances(args.instances)
-    _, alphas = predict(params, mcfg, _featurize_all(instances, vocab, pv))
-    evaluation.write_attention_records(args.out, list(zip(instances, alphas)))
-    _write_manifest(_manifest_path(args.out), "attention-export",
-                    {"variant": mcfg.variant},
-                    {"checkpoint": args.checkpoint, "instances": args.instances},
-                    {"attention": args.out})
-    print(f"exported attention for {len(instances)} instances")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddilstm",
@@ -353,12 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("attention-export", help="attention weights per instance")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--instances", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_attention_export)
 
     return parser
 

@@ -2,12 +2,16 @@
 
 Each instance is described per token by three discrete features: the
 word itself and its signed distances to the two target drug mentions.
-All three are embedded and concatenated row-wise into the encoder input.
+`featurize` encodes a whole instance file as three flat id arrays (one
+dict pass for the words, one clip for both distances) and gives each
+instance views of its slice. `collate` stacks instances into time-major
+batches; `embed` concatenates each token's three embedding rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +47,11 @@ class Vocabulary:
 
     def lookup(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
+
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """`lookup` of every token, in one pass, as an int32 array."""
+        return np.fromiter(map(self._token_to_id.get, tokens, repeat(UNK_ID)),
+                           np.int32)
 
     def tokens(self) -> list[str]:
         """All tokens in id order (PAD and UNK first)."""
@@ -82,9 +91,9 @@ class PositionVocab:
     def __len__(self) -> int:
         return 2 * self.radius + 2
 
-    def id_for(self, distance: int) -> int:
-        d = max(-self.radius, min(self.radius, distance))
-        return 1 + d + self.radius
+    def id_for(self, distance):
+        """The id of one distance, or elementwise of an int array of them."""
+        return 1 + self.radius + np.clip(distance, -self.radius, self.radius)
 
 
 def random_table(size: int, dim: int, rng: np.random.Generator,
@@ -96,11 +105,15 @@ def random_table(size: int, dim: int, rng: np.random.Generator,
 
 @dataclass
 class InstanceFeatures:
-    """Id sequences for one (sentence, drug pair) instance."""
+    """Id sequences for one (sentence, drug pair) instance.
 
-    word_ids: list[int]
-    p1_ids: list[int]
-    p2_ids: list[int]
+    `featurize` fills the three with equal-length int32 views of its flat
+    arrays; `collate` also takes plain lists.
+    """
+
+    word_ids: Sequence[int]
+    p1_ids: Sequence[int]
+    p2_ids: Sequence[int]
     label: int
 
     @property
@@ -115,22 +128,36 @@ class InstanceFeatures:
             raise ValueError("feature sequences must share one length")
 
 
-def featurize(tokens: Sequence[str], drug_a: int, drug_b: int, label: int,
-              vocab: Vocabulary, pv: PositionVocab) -> InstanceFeatures:
-    """Encode tokens and the two signed-distance channels.
+def featurize(instances: Sequence, vocab: Vocabulary,
+              pv: PositionVocab) -> list[InstanceFeatures]:
+    """Encode the tokens and the two signed-distance channels of every
+    instance (a `corpus.RawInstance`, or anything with its `tokens`,
+    `drug_a`, `drug_b`, `label` and `pair_id`), in order.
 
     Distances use the convention (i - drug index): negative before the
     drug, zero at it, positive after, clamped at the vocabulary radius.
     """
-    m = len(tokens)
-    if not (0 <= drug_a < drug_b < m):
+    columns = np.array([(len(i.tokens), i.drug_a, i.drug_b) for i in instances],
+                       dtype=np.int64).reshape(-1, 3).T
+    lengths, drugs = columns[0], columns[1:]
+    bad = np.flatnonzero((drugs[0] < 0) | (drugs[0] >= drugs[1])
+                         | (drugs[1] >= lengths))
+    if bad.size:
+        inst = instances[bad[0]]
         raise ValueError(
-            f"drug indices ({drug_a}, {drug_b}) invalid for length {m}"
+            f"instance {inst.pair_id}: drug indices ({inst.drug_a}, "
+            f"{inst.drug_b}) invalid for length {len(inst.tokens)}"
         )
-    word_ids = [vocab.lookup(t) for t in tokens]
-    p1_ids = [pv.id_for(i - drug_a) for i in range(m)]
-    p2_ids = [pv.id_for(i - drug_b) for i in range(m)]
-    return InstanceFeatures(word_ids, p1_ids, p2_ids, label)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    word_ids = vocab.ids(chain.from_iterable(i.tokens for i in instances))
+    # each token's flat index minus the flat index of each of its drugs;
+    # int32 and in place keep the transient arrays small
+    dist = np.repeat((offsets[:-1] + drugs).astype(np.int32), lengths, axis=1)
+    np.subtract(np.arange(offsets[-1], dtype=np.int32), dist, out=dist)
+    p1_ids, p2_ids = pv.id_for(dist)
+    bounds = offsets.tolist()
+    return [InstanceFeatures(word_ids[s:e], p1_ids[s:e], p2_ids[s:e], inst.label)
+            for inst, s, e in zip(instances, bounds, bounds[1:])]
 
 
 @dataclass

@@ -217,12 +217,3 @@ def write_log(path, log: Sequence[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in log:
             fh.write(json.dumps(asdict(rec)) + "\n")
-
-
-def read_log(path) -> list[EpochRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(EpochRecord(**json.loads(line)))
-    return out

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ddilstm import autodiff as ad
+from ddilstm.corpus import RawInstance
+from ddilstm.features import featurize
 from ddilstm.training import softmax_cross_entropy
 
 EPS = 1e-4
@@ -81,6 +83,20 @@ def attention_vector(width, rng):
     """A scoring vector for attentive pooling, drawn as build_model draws it."""
     bound = 1.0 / np.sqrt(width)
     return ad.Parameter(rng.uniform(-bound, bound, size=width), name="attention.w_a")
+
+
+def raw_instance(tokens, drug_a, drug_b, label=0, pair_id="t.s0.p0"):
+    """An instance of `tokens` with placeholder document and entity ids."""
+    return RawInstance(tokens=list(tokens), drug_a=drug_a, drug_b=drug_b,
+                       label=label, doc_id="t", sent_id="t.s0", pair_id=pair_id,
+                       e1="t.s0.e0", e2="t.s0.e1", a_text="a", b_text="b",
+                       swapped=False)
+
+
+def featurize_one(tokens, drug_a, drug_b, label, vocab, pv):
+    """The features of one instance of `tokens`."""
+    [f] = featurize([raw_instance(tokens, drug_a, drug_b, label)], vocab, pv)
+    return f
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     attention_vector,
     check_grads,
+    featurize_one,
     finite_difference,
     head,
     max_rel_error,
@@ -76,17 +77,12 @@ def criterion(number, name):
 
 def fixed_instance(vocab, pv):
     tokens = ["w1", "DRUG-A", "w3", "w4", "DRUG-B", "w5"]
-    return featurize(tokens, 1, 4, 2, vocab, pv)
+    return featurize_one(tokens, 1, 4, 2, vocab, pv)
 
 
 def tiny_vocab():
     words = [f"w{i}" for i in range(10)] + ["DRUG-A", "DRUG-B"]
     return build_vocab([words]), PositionVocab(5)
-
-
-def featurize_corpus(instances, vocab, pv):
-    return [featurize(i.tokens, i.drug_a, i.drug_b, i.label, vocab, pv)
-            for i in instances]
 
 
 @criterion(1, "gradient correctness")
@@ -278,7 +274,7 @@ def test_criterion_05_overfit_synthetic_corpus():
     assert len({i.label for i in instances}) == 5
     vocab = build_vocab([i.tokens for i in instances])
     pv = PositionVocab(10)
-    feats = featurize_corpus(instances, vocab, pv)
+    feats = featurize(instances, vocab, pv)
 
     def run(variant, val_fraction, epochs):
         mcfg = ModelConfig(variant=variant, hidden=8, word_dim=8, pos_dim=2,
@@ -354,12 +350,12 @@ def test_criterion_08_roundtrip_bit_identical(tmp_path):
     cfg = ModelConfig(variant="joint", hidden=6, word_dim=8, pos_dim=2,
                       keep_prob=1.0, l2=0.0)
     params = build_model(cfg, len(vocab), len(pv), seed=5)
-    feats = featurize_corpus(instances, vocab, pv)
+    feats = featurize(instances, vocab, pv)
 
     in_memory = [forward(params, cfg, f)[0] for f in feats]
     save_checkpoint(tmp_path, params, cfg, vocab, pv)
     loaded, cfg2, vocab2, pv2 = load_checkpoint(tmp_path)
-    feats2 = featurize_corpus(instances, vocab2, pv2)
+    feats2 = featurize(instances, vocab2, pv2)
     reloaded = [forward(loaded, cfg2, f)[0] for f in feats2]
 
     for before, after in zip(in_memory, reloaded):

@@ -148,11 +148,23 @@ class TestTrainPredictEvaluate:
                                                     synthetic_file, capsys):
         ckpt = run_train(tmp_path, synthetic_file, out="ckpt-b",
                          variant="b-lstm")
-        code = main(["attention-export", "--checkpoint", str(ckpt),
+        code = main(["predict", "--checkpoint", str(ckpt),
                      "--instances", str(synthetic_file),
-                     "--out", str(tmp_path / "att.jsonl")])
+                     "--out", str(tmp_path / "preds.jsonl"),
+                     "--attention", str(tmp_path / "att.jsonl")])
         assert code == 1
         assert "attention" in capsys.readouterr().err
+        assert not (tmp_path / "att.jsonl").exists()
+
+    def test_predict_on_empty_instance_file(self, tmp_path, synthetic_file):
+        ckpt = run_train(tmp_path, synthetic_file)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        preds, att = tmp_path / "preds.jsonl", tmp_path / "att.jsonl"
+        assert main(["predict", "--checkpoint", str(ckpt),
+                     "--instances", str(empty), "--out", str(preds),
+                     "--attention", str(att)]) == 0
+        assert preds.read_bytes() == b"" and att.read_bytes() == b""
 
     def test_evaluate_alignment_diagnostic(self, tmp_path, synthetic_file,
                                            capsys):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_grads, weighted_sum
+from conftest import check_grads, featurize_one, raw_instance, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PAD_ID,
@@ -71,30 +71,30 @@ class TestFeaturize:
 
     def test_distances_around_both_drugs(self):
         pv = PositionVocab(50)
-        f = featurize(["DRUG-A", "and", "DRUG-B"], 0, 2, 4, self._vocab(), pv)
-        assert f.p1_ids == [pv.id_for(0), pv.id_for(1), pv.id_for(2)]
-        assert f.p2_ids == [pv.id_for(-2), pv.id_for(-1), pv.id_for(0)]
+        f = featurize_one(["DRUG-A", "and", "DRUG-B"], 0, 2, 4, self._vocab(), pv)
+        assert f.p1_ids.tolist() == [pv.id_for(0), pv.id_for(1), pv.id_for(2)]
+        assert f.p2_ids.tolist() == [pv.id_for(-2), pv.id_for(-1), pv.id_for(0)]
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
-            featurize(["DRUG-A", "x"], 0, 0, 4, self._vocab(), PositionVocab(5))
+            featurize_one(["DRUG-A", "x"], 0, 0, 4, self._vocab(), PositionVocab(5))
 
     def test_index_order_enforced(self):
         with pytest.raises(ValueError):
-            featurize(["a", "b", "c"], 2, 1, 4, self._vocab(), PositionVocab(5))
+            featurize_one(["a", "b", "c"], 2, 1, 4, self._vocab(), PositionVocab(5))
 
     def test_clamped_distance(self):
         pv = PositionVocab(50)
         tokens = ["DRUG-A"] + ["w"] * 99 + ["DRUG-B"]
-        f = featurize(tokens, 0, 100, 4, self._vocab(), pv)
+        f = featurize_one(tokens, 0, 100, 4, self._vocab(), pv)
         assert f.p1_ids[-1] == pv.id_for(50)
 
     def test_exactly_one_zero_per_channel(self):
         pv = PositionVocab(8)
-        f = featurize(["w", "DRUG-A", "w", "DRUG-B", "w"], 1, 3, 0,
-                      self._vocab(), pv)
-        assert f.p1_ids.count(pv.id_for(0)) == 1
-        assert f.p2_ids.count(pv.id_for(0)) == 1
+        f = featurize_one(["w", "DRUG-A", "w", "DRUG-B", "w"], 1, 3, 0,
+                          self._vocab(), pv)
+        assert f.p1_ids.tolist().count(pv.id_for(0)) == 1
+        assert f.p2_ids.tolist().count(pv.id_for(0)) == 1
 
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=40, deadline=None)
@@ -104,24 +104,96 @@ class TestFeaturize:
         b = data.draw(st.integers(a + 1, m - 1))
         vocab = self._vocab()
         pv = PositionVocab(4)
-        base = featurize(["w"] * m, a, b, 4, vocab, pv)
-        moved = featurize(["w"] * (m + shift), a + shift, b + shift, 4, vocab, pv)
-        assert moved.p1_ids[shift:] == base.p1_ids
-        assert moved.p2_ids[shift:] == base.p2_ids
+        base = featurize_one(["w"] * m, a, b, 4, vocab, pv)
+        moved = featurize_one(["w"] * (m + shift), a + shift, b + shift, 4, vocab, pv)
+        assert moved.p1_ids[shift:].tolist() == base.p1_ids.tolist()
+        assert moved.p2_ids[shift:].tolist() == base.p2_ids.tolist()
+
+
+# twelve word types; each file's vocabulary knows only some of them
+WORDS = [f"w{i}" for i in range(12)]
+
+
+@st.composite
+def instance_files(draw):
+    """1-8 instances of 2-150 tokens, drugs anywhere in order."""
+    out = []
+    for k in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(2, 150))
+        a = draw(st.integers(0, m - 2))
+        b = draw(st.integers(a + 1, m - 1))
+        tokens = draw(st.lists(st.sampled_from(WORDS), min_size=m, max_size=m))
+        out.append(raw_instance(tokens, a, b, label=k % 5, pair_id=f"t.s{k}.p0"))
+    return out
+
+
+def reference_ids(inst, vocab, pv):
+    """Per-token word and distance ids of one instance."""
+    return ([vocab.lookup(t) for t in inst.tokens],
+            [pv.id_for(i - inst.drug_a) for i in range(len(inst.tokens))],
+            [pv.id_for(i - inst.drug_b) for i in range(len(inst.tokens))])
+
+
+class TestFeaturizeFile:
+    @given(instance_files(), st.sets(st.sampled_from(WORDS)), st.integers(1, 60))
+    @example([raw_instance(["w0"] * 150, 0, 149), raw_instance(["w11", "w1"], 0, 1)],
+             {"w0"}, 1)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_per_token_reference(self, instances, known, radius):
+        vocab = build_vocab([sorted(known)])
+        pv = PositionVocab(radius)
+        feats = featurize(instances, vocab, pv)
+        assert len(feats) == len(instances)
+        for inst, f in zip(instances, feats):
+            # each instance gets exactly its own slice of the flat arrays
+            assert f.length == len(inst.tokens)
+            words, p1, p2 = reference_ids(inst, vocab, pv)
+            assert f.word_ids.tolist() == words
+            assert f.p1_ids.tolist() == p1
+            assert f.p2_ids.tolist() == p2
+            assert f.label == inst.label
+
+    def test_empty_file(self):
+        assert featurize([], build_vocab([["a"]]), PositionVocab(3)) == []
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (3, 1), (-1, 2), (0, 4)])
+    def test_bad_drug_indices_name_the_instance(self, a, b):
+        vocab = build_vocab([["w"]])
+        instances = [raw_instance(["w"] * 4, 0, 3, pair_id=f"t.s{k}.p0")
+                     for k in range(5)]
+        instances[3] = raw_instance(["w"] * 4, a, b, pair_id="t.s3.p0")
+        with pytest.raises(ValueError, match=rf"t\.s3\.p0: drug indices "
+                                             rf"\({a}, {b}\) invalid for length 4"):
+            featurize(instances, vocab, PositionVocab(3))
 
 
 class TestCollate:
     def test_time_major_columns_in_order(self):
         vocab = build_vocab([["a", "b", "c"]])
         pv = PositionVocab(3)
-        short = featurize(["a", "b"], 0, 1, 2, vocab, pv)
-        long = featurize(["c", "a", "b"], 0, 2, 4, vocab, pv)
+        short = featurize_one(["a", "b"], 0, 1, 2, vocab, pv)
+        long = featurize_one(["c", "a", "b"], 0, 2, 4, vocab, pv)
         batch = collate([short, long])
         assert batch.word_ids.shape == (3, 2)
-        assert batch.word_ids[:, 0].tolist() == short.word_ids + [PAD_ID]
-        assert batch.p2_ids[:, 1].tolist() == long.p2_ids
+        assert batch.word_ids[:, 0].tolist() == short.word_ids.tolist() + [PAD_ID]
+        assert batch.p2_ids[:, 1].tolist() == long.p2_ids.tolist()
         assert batch.mask.T.tolist() == [[True, True, False], [True, True, True]]
         assert batch.labels.tolist() == [2, 4]
+
+    def test_array_backed_equals_list_backed(self):
+        vocab = build_vocab([["a", "b", "c"]])
+        feats = featurize([raw_instance(["a", "b"], 0, 1, 2),
+                           raw_instance(["c", "x", "a", "b"], 1, 3, 4)],
+                          vocab, PositionVocab(2))
+        listed = [InstanceFeatures(f.word_ids.tolist(), f.p1_ids.tolist(),
+                                   f.p2_ids.tolist(), f.label) for f in feats]
+        from_arrays, from_lists = collate(feats), collate(listed)
+        for name in ("word_ids", "p1_ids", "p2_ids"):
+            got = getattr(from_arrays, name)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, getattr(from_lists, name))
+        np.testing.assert_array_equal(from_arrays.mask, from_lists.mask)
+        np.testing.assert_array_equal(from_arrays.labels, from_lists.labels)
 
     def test_padded_or_empty_input_rejected(self):
         # an instance carries no mask: collate is the only place padding arises
@@ -172,7 +244,7 @@ class TestFrozenEmbeddings:
         rng = np.random.default_rng(0)
         frozen = random_table(len(vocab), 3, rng, "embed.word")
         frozen.requires_grad = False
-        f = featurize(["a", "b"], 0, 1, 4, vocab, PositionVocab(2))
+        f = featurize_one(["a", "b"], 0, 1, 4, vocab, PositionVocab(2))
         live1 = random_table(len(PositionVocab(2)), 2, rng, "embed.p1")
         live2 = random_table(len(PositionVocab(2)), 2, rng, "embed.p2")
         with ad.Tape() as tape:
@@ -197,14 +269,14 @@ class TestEmbed:
         vocab, pv, mw, mp1, mp2 = self._setup()
         for m in (mw, mp1, mp2):
             m.data[...] = 0.0
-        f = featurize(["a", "b"], 0, 1, 4, vocab, pv)
+        f = featurize_one(["a", "b"], 0, 1, 4, vocab, pv)
         out = embed(collate([f]), mw, mp1, mp2)
         assert out.shape == (2, 1, 4)
         assert not out.data.any()
 
     def test_rows_concatenate_in_order(self):
         vocab, pv, mw, mp1, mp2 = self._setup()
-        f = featurize(["a", "b"], 0, 1, 4, vocab, pv)
+        f = featurize_one(["a", "b"], 0, 1, 4, vocab, pv)
         mw.data[f.word_ids[0]] = [1.0, 2.0]
         mp1.data[f.p1_ids[0]] = [3.0]
         mp2.data[f.p2_ids[0]] = [4.0]
@@ -213,7 +285,7 @@ class TestEmbed:
 
     def test_gradient_hits_only_looked_up_rows(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
-        f = featurize(["a", "b", "a"], 0, 1, 4, vocab, pv)
+        f = featurize_one(["a", "b", "a"], 0, 1, 4, vocab, pv)
         weights = np.random.default_rng(1).normal(size=(3, 1, 4))
 
         def loss():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import featurize_one
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PositionVocab,
@@ -34,7 +35,7 @@ def tiny_setup(variant="b-lstm", hidden=4, seed=0):
     cfg = ModelConfig(variant=variant, hidden=hidden, word_dim=5, pos_dim=2,
                       keep_prob=0.7, l2=0.0)
     params = build_model(cfg, len(vocab), len(pv), seed=seed)
-    f = featurize(["DRUG-A", "boosts", "DRUG-B", "levels"], 0, 2, 1, vocab, pv)
+    f = featurize_one(["DRUG-A", "boosts", "DRUG-B", "levels"], 0, 2, 1, vocab, pv)
     return vocab, pv, cfg, params, f
 
 
@@ -147,8 +148,7 @@ class TestBatch:
         cfg = ModelConfig(variant=variant, hidden=8, word_dim=6, pos_dim=2,
                           keep_prob=0.7, l2=0.0)
         params = build_model(cfg, len(vocab), len(pv), seed=5)
-        feats = [featurize(i.tokens, i.drug_a, i.drug_b, i.label, vocab, pv)
-                 for i in insts]
+        feats = featurize(insts, vocab, pv)
         assert len({f.length for f in feats}) > 1
         return cfg, params, feats
 

@@ -29,10 +29,10 @@ ENTRY_POINTS = {
     ("model", "build_model"), ("model", "save_checkpoint"),
     ("training", "TrainingDiverged"),
     # library API that no subcommand runs: the float64 switch of the
-    # gradient checks, the paper's significance test, the reader of
-    # train_log.jsonl and the synthetic corpus the tests train on
+    # gradient checks, the paper's significance test and the synthetic
+    # corpus the tests train on
     ("autodiff", "use_dtype"), ("evaluation", "mcnemar"),
-    ("training", "read_log"), ("synthetic", "make_synthetic_instances"),
+    ("synthetic", "make_synthetic_instances"),
 }
 
 

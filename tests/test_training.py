@@ -1,10 +1,12 @@
 """Loss, optimizer, and the training protocol."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import raw_instance
 from ddilstm import autodiff as ad
 from ddilstm import training as tr
 from ddilstm.features import (
@@ -32,9 +34,7 @@ def featurized_synthetic(n=20, seed=3):
     insts = make_synthetic_instances(n, seed=seed)
     vocab = build_vocab([i.tokens for i in insts])
     pv = PositionVocab(10)
-    feats = [featurize(i.tokens, i.drug_a, i.drug_b, i.label, vocab, pv)
-             for i in insts]
-    return insts, vocab, pv, feats
+    return insts, vocab, pv, featurize(insts, vocab, pv)
 
 
 def small_model(vocab, pv, variant="b-lstm", keep_prob=1.0, l2=0.0, seed=0):
@@ -219,8 +219,8 @@ class TestTapeSize:
         for batch_size in (2, 8):
             for length in (3, 9):
                 tokens = ["DRUG-A"] + ["w"] * (length - 2) + ["DRUG-B"]
-                batch = [featurize(tokens, 0, length - 1, i % 5, vocab, pv)
-                         for i in range(batch_size)]
+                batch = featurize([raw_instance(tokens, 0, length - 1, i % 5)
+                                   for i in range(batch_size)], vocab, pv)
                 with ad.Tape() as tape:
                     tr._batch_loss(params, mcfg, batch, named_stream(0, "dropout"))
                 sizes.add(len(tape))
@@ -294,4 +294,5 @@ class TestTrain:
                EpochRecord(1, 0.75, 0.6, 0.5, 0.545)]
         path = tmp_path / "log.jsonl"
         tr.write_log(path, log)
-        assert tr.read_log(path) == log
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [EpochRecord(**json.loads(line)) for line in lines] == log
