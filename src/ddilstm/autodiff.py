@@ -175,6 +175,24 @@ class Tape:
                 tensor.accumulate(grad)
 
 
+def segment_starts(lengths, packed: np.ndarray) -> np.ndarray:
+    """Start rows of the sentences of a packed (T, k) array, one sentence's
+    rows after another's. `lengths` must be 1-D integers >= 1 that sum to
+    T: `np.add.reduceat` would give an empty sentence its neighbour's row.
+    """
+    if packed.ndim != 2:
+        raise ShapeMismatch(f"expected a packed (T, k) array, got {packed.shape}")
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or not lengths.size or lengths.dtype.kind not in "iu":
+        raise ValueError(f"lengths must be a non-empty 1-D integer array, "
+                         f"got {lengths.dtype} of shape {lengths.shape}")
+    if lengths.min() < 1:
+        raise ValueError("empty sequence: every length must be >= 1")
+    if lengths.sum() != len(packed):
+        raise ValueError(f"lengths sum to {lengths.sum()}, input has {len(packed)} rows")
+    return np.cumsum(lengths) - lengths
+
+
 def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -> Tensor:
     """Attach `out` to the active tape when any input needs gradients.
 

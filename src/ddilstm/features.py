@@ -4,8 +4,8 @@ Each instance is described per token by three discrete features: the
 word itself and its signed distances to the two target drug mentions.
 `featurize` encodes a whole instance file as three flat id arrays (one
 dict pass for the words, one clip for both distances) and gives each
-instance views of its slice. `collate` stacks instances into time-major
-batches; `embed` concatenates each token's three embedding rows.
+instance views of its slice. `collate` packs instances end to end, with
+no padding; `embed` concatenates each token's three embedding rows.
 """
 
 from __future__ import annotations
@@ -162,29 +162,26 @@ def featurize(instances: Sequence, vocab: Vocabulary,
 
 @dataclass
 class Batch:
-    """Several instances as time-major (L, B) id arrays, right-padded with
-    PAD_ID to the longest, with the (L, B) token mask and the B labels."""
+    """Instances packed end to end: flat (T,) id arrays, one instance's
+    tokens after another's, T the sum of the B `lengths`; the B labels."""
 
     word_ids: np.ndarray
     p1_ids: np.ndarray
     p2_ids: np.ndarray
-    mask: np.ndarray
+    lengths: np.ndarray
     labels: np.ndarray
 
 
 def collate(feats: Sequence[InstanceFeatures]) -> Batch:
-    """Stack instances column by column, in the order given."""
+    """Concatenate the instances' ids, in the order given."""
     if not feats:
         raise ValueError("collate needs at least one instance")
-    lengths = np.array([f.length for f in feats])
-    mask = np.arange(lengths.max())[:, None] < lengths
 
     def ids(attr):
-        out = np.full(mask.shape, PAD_ID, dtype=np.int64)
-        out.T[mask.T] = np.concatenate([getattr(f, attr) for f in feats])
-        return out
+        return np.concatenate([getattr(f, attr) for f in feats], dtype=np.int64)
 
-    return Batch(ids("word_ids"), ids("p1_ids"), ids("p2_ids"), mask,
+    return Batch(ids("word_ids"), ids("p1_ids"), ids("p2_ids"),
+                 np.array([f.length for f in feats]),
                  np.array([f.label for f in feats]))
 
 
@@ -216,6 +213,6 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
 
 
 def embed(batch: Batch, word: Parameter, p1: Parameter, p2: Parameter) -> Tensor:
-    """Per-token concatenation of the three embedding rows, (L, B, n1+n2+n3)."""
+    """Per-token concatenation of the three embedding rows, (T, n1+n2+n3)."""
     return concat(concat(rows(word, batch.word_ids), rows(p1, batch.p1_ids)),
                   rows(p2, batch.p2_ids))

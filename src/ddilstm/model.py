@@ -3,8 +3,8 @@
 All variants share the same skeleton: embed tokens and distances, encode
 with one or two bidirectional LSTM stacks, pool to a fixed vector h2,
 optionally drop out, squash (h3 = tanh(h2)) and score through a single
-affine layer. A collated time-major batch is scored in one tape op per
-layer; training takes its loss from the scores.
+affine layer. A collated, padding-free batch is scored in one tape op
+per layer; training takes its loss from the scores.
 
     b-lstm   one stack, max pooling           h2 width 2N
     ab-lstm  one stack, attentive pooling     h2 width 2N
@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,7 +136,12 @@ def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
                 seed: int = 0, word_matrix: Optional[Parameter] = None,
                 ) -> ModelParams:
     """Fresh parameters for one variant; all randomness from the seed."""
-    stream = rng_mod.named_stream(seed, "init")
+    return _assemble(cfg, vocab_size, position_size,
+                     rng_mod.named_stream(seed, "init"), word_matrix)
+
+
+def _assemble(cfg, vocab_size, position_size, stream, word_matrix=None) -> ModelParams:
+    """Every parameter, drawn from `stream` in checkpoint order."""
     word = word_matrix if word_matrix is not None else random_table(
         vocab_size, cfg.word_dim, stream, "embed.word")
     if word.data.shape != (vocab_size, cfg.word_dim):
@@ -160,26 +166,26 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
            training: bool = False,
            dropout_rng: Optional[np.random.Generator] = None,
            ) -> tuple[Tensor, Optional[Tensor]]:
-    """(B, C) class scores of a batch, and its (L, B) attention weights
-    where the variant has them.
+    """(B, C) class scores of a batch, and its flat (T,) attention weights,
+    each instance's over its own tokens, where the variant has them.
 
     Dropout hits only the pooled feature h2, and only when training with
     keep_prob < 1, drawing one (B, width) block in batch order; inference
     and keep_prob == 1 are bit-identical.
     """
-    mask = batch.mask
+    lengths = batch.lengths
     X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
 
     alpha = None
     if cfg.variant == "b-lstm":
-        h2 = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
+        h2 = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
     elif cfg.variant == "ab-lstm":
-        h2, alpha = attentive_pool(bilstm_forward(params.stacks[0], X, mask),
-                                   params.w_a, mask)
+        h2, alpha = attentive_pool(bilstm_forward(params.stacks[0], X, lengths),
+                                   params.w_a, lengths)
     else:
-        z_max = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
-        z_att, alpha = attentive_pool(bilstm_forward(params.stacks[1], X, mask),
-                                      params.w_a, mask)
+        z_max = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
+        z_att, alpha = attentive_pool(bilstm_forward(params.stacks[1], X, lengths),
+                                      params.w_a, lengths)
         h2 = concat(z_max, z_att)
 
     if training and cfg.keep_prob < 1.0:
@@ -201,8 +207,7 @@ def forward(params: ModelParams, cfg: ModelConfig,
     tape: nothing backpropagates through them.
     """
     s, alpha = scores(params, cfg, collate([f]))
-    probs = Tensor(softmax(s.data[0]), dtype=np.float64)
-    return probs, None if alpha is None else Tensor(alpha.data[:, 0])
+    return Tensor(softmax(s.data[0]), dtype=np.float64), alpha
 
 
 def predict(params: ModelParams, cfg: ModelConfig,
@@ -212,11 +217,11 @@ def predict(params: ModelParams, cfg: ModelConfig,
     tokens (None without attention), PREDICT_CHUNK instances at a time."""
     preds, alphas = [], []
     for start in range(0, len(feats), PREDICT_CHUNK):
-        chunk = feats[start:start + PREDICT_CHUNK]
-        s, alpha = scores(params, cfg, collate(chunk))
+        batch = collate(feats[start:start + PREDICT_CHUNK])
+        s, alpha = scores(params, cfg, batch)
         preds += np.argmax(s.data, axis=1).tolist()
-        alphas += [None if alpha is None else alpha.data[:f.length, b].tolist()
-                   for b, f in enumerate(chunk)]
+        alphas += ([None] * len(s.data) if alpha is None else [
+            a.tolist() for a in np.split(alpha.data, np.cumsum(batch.lengths)[:-1])])
     return preds, alphas
 
 
@@ -280,7 +285,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
             raise ValueError("vocabulary in checkpoint is not in id order")
         pv = PositionVocab(vocab_blob["position_radius"])
 
-        params = build_model(cfg, len(vocab), len(pv), seed=0)
+        # the blob overwrites every parameter, so nothing is drawn
+        no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))
+        params = _assemble(cfg, len(vocab), len(pv), no_draws)
         entries = params.named_parameters()
         listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
         if [(n, p.data.shape) for n, p in entries] != listed:
@@ -300,9 +307,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
         raise CheckpointError(f"{directory}: checkpoint lacks key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: malformed checkpoint: {exc}") from exc
-    offset = 0
-    for _, p in entries:
-        n = p.data.size
-        p.data[...] = raw[offset:offset + n].reshape(p.data.shape).astype(p.data.dtype)
-        offset += n
+    ends = np.cumsum([p.data.size for _, p in entries])[:-1]
+    for (_, p), values in zip(entries, np.split(raw, ends)):
+        p.data[...] = values.reshape(p.data.shape)
     return params, cfg, vocab, pv

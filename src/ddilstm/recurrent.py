@@ -7,15 +7,14 @@ One step computes the usual gated update
     c       = c_prev * f + g * i
     h       = tanh(c) * o
 
-The encoder reads a time-major (L, B, d) batch whose mask marks each
-row's first lengths[b] steps as real. Rows are
-sorted longest first, so the rows still inside their sentence at step t
-are a prefix of n_t rows: the active batch shrinks as short rows end and
-padded steps are never computed. The backward direction reverses each
-row within its own length. X U^T for every step is one GEMM before the
-time loop, which keeps only the (n_t, N) x (N, 4N) recurrent product; the
-hand-derived BPTT sweep reuses the activation buffer for the gate
-gradients and ends with one GEMM each for dU, dW and dX.
+The encoder reads a packed (T, d) batch, one sentence's tokens after
+another's. Sentences step longest first, so the n_t still running at
+step t are a prefix: the active batch shrinks as short ones end. One
+flat index gathers each step's tokens and scatters the states back; the
+backward direction reads each sentence last to first. X U^T is one GEMM
+before the time loop, which keeps only the (n_t, N) x (N, 4N) recurrent
+product; the hand-derived BPTT sweep reuses the activation buffer for
+the gate gradients and ends with one GEMM each for dU, dW and dX.
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ import numpy as np
 
 from .autodiff import (
     Parameter,
-    ShapeMismatch,
     Tensor,
     _check_finite,
     _sigmoid,
     concat,
     record_op,
+    segment_starts,
 )
 
 
@@ -101,31 +100,30 @@ def _cell_grads(act, c_prev, c, dh, dc) -> tuple[np.ndarray, np.ndarray]:
     return dz, dc * f
 
 
-def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
+def lstm_sequence(p: LstmParams, X: Tensor, lengths,
                   reverse: bool = False) -> Tensor:
-    """Run one direction over a time-major (L, B, d) input.
+    """Run one direction over a packed (T, d) input.
 
-    Row b is read at positions 0..lengths[b]-1, last to first when
-    `reverse`; the (L, B, N) output holds each position's state and exact
-    zeros at padded positions.
+    Sentence b is the lengths[b] rows after the sentences before it, read
+    first to last, or last to first when `reverse`; the (T, N) output
+    holds each token's state.
     """
     x = X.data
-    if x.ndim != 3 or lengths.shape != x.shape[1:2]:
-        raise ShapeMismatch(f"lstm_sequence needs (L, B, d) input and B lengths, "
-                            f"got {X.shape} and {lengths.shape}")
+    starts = segment_starts(lengths, x)
+    lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
-    # packed entries, time-major: step t holds the first n_t sorted rows
+    # step-major: step t holds token t of each of the first n_t sorted sentences
     t_idx, r_idx = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len)
-    pos, col = (sorted_len[r_idx] - 1 - t_idx if reverse else t_idx), order[r_idx]
+    flat = starts[order][r_idx] + (sorted_len[r_idx] - 1 - t_idx if reverse else t_idx)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(t_idx))])
     steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
 
     u, w = p.U.data, p.W.data
-    x_packed = x[pos, col]
+    x_packed = x[flat]
     act = x_packed @ u.T
     act += p.b.data
-    cs, h_prev, hs = (np.empty((len(t_idx), w.shape[1]), dtype=act.dtype) for _ in range(3))
+    cs, h_prev, hs = (np.empty((len(flat), w.shape[1]), dtype=act.dtype) for _ in range(3))
     h, c = (np.broadcast_to(v.data, (len(order), w.shape[1])) for v in (p.h0, p.c0))
     for s in steps:
         h_prev[s] = h[:s.stop - s.start]
@@ -133,11 +131,11 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
         c, h = _cell(act[s], c[:s.stop - s.start])
         cs[s], hs[s] = c, h
     _check_finite(cs, "lstm_sequence")
-    out = np.zeros(x.shape[:2] + (w.shape[1],), dtype=act.dtype)
-    out[pos, col] = hs
+    out = np.empty_like(hs)
+    out[flat] = hs
 
     def grad_fn(g):
-        dh_out = g[pos, col]
+        dh_out = g[flat]
         dh_next, dc_next = np.zeros((2, len(order), w.shape[1]), dtype=g.dtype)
         for k in reversed(range(len(steps))):
             s, n = steps[k], steps[k].stop - steps[k].start
@@ -147,34 +145,20 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths: np.ndarray,
             dh_next[:n] = act[s] @ w
         dx = None
         if X.requires_grad:
-            dx = np.zeros(x.shape, dtype=g.dtype)
-            dx[pos, col] = act @ u
+            dx = np.empty(x.shape, dtype=g.dtype)
+            dx[flat] = act @ u
         return (dx, act.T @ x_packed, act.T @ h_prev, act.sum(axis=0),
                 dh_next.sum(axis=0), dc_next.sum(axis=0))
 
     return record_op(Tensor(out), (X, *p.parameters()), grad_fn)
 
 
-def _lengths(shape: tuple, mask) -> np.ndarray:
-    """Per-row token counts of an (L, B) prefix mask."""
-    keep = np.asarray(mask, dtype=bool)
-    if keep.shape != shape:
-        raise ValueError(f"mask shape {keep.shape} vs {shape} input positions")
-    lengths = keep.sum(axis=0)
-    if not np.array_equal(keep, np.arange(shape[0])[:, None] < lengths):
-        raise ValueError("padding mask must be True tokens then False padding")
-    if not lengths.all():
-        raise ValueError("empty sequence: nothing to encode")
-    return lengths
+def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
+    """Encode a packed (T, d) batch of sentences with the given lengths
+    into (T, 2N) per-token features.
 
-
-def bilstm_forward(stack: BiLstmStack, X: Tensor, mask: np.ndarray) -> Tensor:
-    """Encode an (L, B, d) batch into (L, B, 2N) per-token features.
-
-    Padded positions (mask False) are never fed through either cell and
-    come out as exact zero rows, so a padded instance encodes identically
-    to its unpadded self.
+    Each cell reads only its own sentence's rows, so an instance encodes
+    identically whatever it is packed beside.
     """
-    lengths = _lengths(X.data.shape[:2], mask)
     return concat(lstm_sequence(stack.fwd, X, lengths),
                   lstm_sequence(stack.bwd, X, lengths, reverse=True))

@@ -1,8 +1,8 @@
 """Cross-entropy training with Adam, minibatches and epoch selection.
 
 Each epoch shuffles under a named stream and collates every batch into
-time-major (L, B) arrays padded to its longest sentence. The model scores
-the whole batch in one forward pass; the loss is taken from the (B, C)
+flat arrays that pack its sentences end to end, without padding. The
+model scores the whole batch in one forward pass; the loss is taken from the (B, C)
 scores by one fused softmax-cross-entropy op, averaged over the batch,
 and one Adam step follows (L2 enters as a gradient term on weight
 matrices only). A small held-out slice is scored after every epoch and

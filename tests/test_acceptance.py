@@ -106,37 +106,37 @@ def test_criterion_01_gradients_vs_finite_differences():
         check_grads(lambda: head(ad.concat(a, m2), labels), [a, m2])
         check_grads(lambda: head(ad.rows(m2, [0, 0, 2]), labels), [m2])
 
-        Z = ad.Tensor(rng.normal(size=(5, 2, 4)), requires_grad=True)
-        mask = np.arange(5)[:, None] < np.array([3, 5])
-        check_grads(lambda: head(max_pool(Z, mask), [1, 2]), [Z])
+        # packed batches: each sentence's rows follow the previous sentence's
+        Z = ad.Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        z_lengths = np.array([3, 5, 1])
+        check_grads(lambda: head(max_pool(Z, z_lengths), [1, 2, 3]), [Z])
         att = attention_vector(4, rng)
-        check_grads(lambda: head(attentive_pool(Z, att, mask)[0], [2, 0]),
+        check_grads(lambda: head(attentive_pool(Z, att, z_lengths)[0], [2, 0, 4]),
                     [Z, att])
 
         cell = LstmParams(3, 2, rng)
         for p in cell.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-        x_in = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
+        x_in = ad.Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True)
         lengths = np.array([4, 1, 3])
-        weights = rng.normal(size=(4, 3, 3))
+        weights = rng.normal(size=(8, 3))
         for reverse in (False, True):
             check_grads(lambda r=reverse: weighted_sum(
                 lstm_sequence(cell, x_in, lengths, r), weights),
                 [x_in, *cell.parameters()])
 
-        # the batched path: mixed lengths with a length-1 row, each op once
+        # the batched path: mixed lengths with a length-1 sentence, each op once
         stack = BiLstmStack(3, 2, rng)
         for p in stack.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-        xb = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
-        bmask = np.arange(4)[:, None] < np.array([4, 1, 3])
+        xb = ad.Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True)
         att6 = attention_vector(6, rng)
         w_o = ad.Tensor(rng.normal(size=(12, 5)), requires_grad=True)
         b_o = ad.Tensor(rng.normal(size=5), requires_grad=True)
 
         def batch_loss():
-            H = bilstm_forward(stack, xb, bmask)
-            pooled = ad.concat(max_pool(H, bmask), attentive_pool(H, att6, bmask)[0])
+            H = bilstm_forward(stack, xb, lengths)
+            pooled = ad.concat(max_pool(H, lengths), attentive_pool(H, att6, lengths)[0])
             return softmax_cross_entropy(ad.affine(ad.tanh(pooled), w_o, b_o),
                                          [0, 3, 4])
 
@@ -204,8 +204,8 @@ def test_criterion_02_straight_line_oracles():
     h_ref = np.tanh(c_ref) * o
     cell.h0.data[...] = h_prev
     cell.c0.data[...] = c_prev
-    h_out = lstm_sequence(cell, ad.Tensor(x[None, None]), np.array([1]))
-    np.testing.assert_allclose(h_out.data[0, 0], h_ref, atol=1e-6)
+    h_out = lstm_sequence(cell, ad.Tensor(x[None]), np.array([1]))
+    np.testing.assert_allclose(h_out.data[0], h_ref, atol=1e-6)
 
     # attentive pooling against the three-line definition
     att = attention_vector(6, rng)
@@ -214,9 +214,8 @@ def test_criterion_02_straight_line_oracles():
     e = np.exp(raw_scores - raw_scores.max())
     alpha_ref = e / e.sum()
     z_ref = alpha_ref @ z_rows
-    z_out, alpha_out = attentive_pool(ad.Tensor(z_rows[:, None]), att,
-                                      np.ones((4, 1), dtype=bool))
-    np.testing.assert_allclose(alpha_out.data[:, 0], alpha_ref, atol=1e-6)
+    z_out, alpha_out = attentive_pool(ad.Tensor(z_rows), att, np.array([4]))
+    np.testing.assert_allclose(alpha_out.data, alpha_ref, atol=1e-6)
     np.testing.assert_allclose(z_out.data[0], z_ref, atol=1e-6)
 
     # output layer: squash, affine, normalize
@@ -242,18 +241,16 @@ def test_criterion_03_softmax_and_attention_sums():
             probs = ad.softmax(rng.uniform(-30, 30, k).astype(np.float32))
             assert abs(float(probs.sum()) - 1.0) <= 1e-7
         else:
-            real = int(rng.integers(1, 12))
-            pad = int(rng.integers(0, 12))  # heavy padding half the time
-            Z = ad.Tensor(rng.normal(size=(real + pad, 1, att_width))
+            # a packed batch of one to four sentences of 1-11 tokens
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 5)))
+            Z = ad.Tensor(rng.normal(size=(lengths.sum(), att_width))
                           .astype(np.float32))
-            mask = np.arange(real + pad)[:, None] < real
-            _, alpha = attentive_pool(Z, att, mask)
-            total = float(alpha.data.astype(np.float64).sum())
-            assert abs(total - 1.0) <= 1e-7
-            assert not alpha.data[real:].any()
+            _, alpha = attentive_pool(Z, att, lengths)
+            for weights in np.split(alpha.data.astype(np.float64),
+                                    np.cumsum(lengths)[:-1]):
+                assert abs(float(weights.sum()) - 1.0) <= 1e-7
     with pytest.raises(ValueError):
-        attentive_pool(ad.Tensor(np.ones((2, 1, att_width))), att,
-                       np.zeros((2, 1), dtype=bool))
+        attentive_pool(ad.Tensor(np.ones((2, att_width))), att, np.array([2, 0]))
 
 
 @criterion(4, "Adam first step closed form")

@@ -168,17 +168,18 @@ class TestFeaturizeFile:
 
 
 class TestCollate:
-    def test_time_major_columns_in_order(self):
+    def test_instances_packed_end_to_end_in_order(self):
         vocab = build_vocab([["a", "b", "c"]])
         pv = PositionVocab(3)
         short = featurize_one(["a", "b"], 0, 1, 2, vocab, pv)
         long = featurize_one(["c", "a", "b"], 0, 2, 4, vocab, pv)
-        batch = collate([short, long])
-        assert batch.word_ids.shape == (3, 2)
-        assert batch.word_ids[:, 0].tolist() == short.word_ids.tolist() + [PAD_ID]
-        assert batch.p2_ids[:, 1].tolist() == long.p2_ids.tolist()
-        assert batch.mask.T.tolist() == [[True, True, False], [True, True, True]]
-        assert batch.labels.tolist() == [2, 4]
+        batch = collate([long, short, long])
+        assert batch.lengths.tolist() == [3, 2, 3]
+        for name in ("word_ids", "p1_ids", "p2_ids"):
+            ids = [getattr(f, name).tolist() for f in (long, short, long)]
+            assert getattr(batch, name).tolist() == ids[0] + ids[1] + ids[2]
+        assert PAD_ID not in batch.word_ids.tolist()
+        assert batch.labels.tolist() == [4, 2, 4]
 
     def test_array_backed_equals_list_backed(self):
         vocab = build_vocab([["a", "b", "c"]])
@@ -192,11 +193,11 @@ class TestCollate:
             got = getattr(from_arrays, name)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, getattr(from_lists, name))
-        np.testing.assert_array_equal(from_arrays.mask, from_lists.mask)
+        np.testing.assert_array_equal(from_arrays.lengths, from_lists.lengths)
         np.testing.assert_array_equal(from_arrays.labels, from_lists.labels)
 
     def test_padded_or_empty_input_rejected(self):
-        # an instance carries no mask: collate is the only place padding arises
+        # an instance carries no mask, and a batch holds no padding
         with pytest.raises(TypeError):
             InstanceFeatures([2, PAD_ID], [1, PAD_ID], [1, PAD_ID], 4,
                              mask=[True, False])
@@ -271,7 +272,7 @@ class TestEmbed:
             m.data[...] = 0.0
         f = featurize_one(["a", "b"], 0, 1, 4, vocab, pv)
         out = embed(collate([f]), mw, mp1, mp2)
-        assert out.shape == (2, 1, 4)
+        assert out.shape == (2, 4)
         assert not out.data.any()
 
     def test_rows_concatenate_in_order(self):
@@ -281,12 +282,12 @@ class TestEmbed:
         mp1.data[f.p1_ids[0]] = [3.0]
         mp2.data[f.p2_ids[0]] = [4.0]
         out = embed(collate([f]), mw, mp1, mp2)
-        np.testing.assert_array_equal(out.data[0, 0], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0, 4.0])
 
     def test_gradient_hits_only_looked_up_rows(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
         f = featurize_one(["a", "b", "a"], 0, 1, 4, vocab, pv)
-        weights = np.random.default_rng(1).normal(size=(3, 1, 4))
+        weights = np.random.default_rng(1).normal(size=(3, 4))
 
         def loss():
             return weighted_sum(embed(collate([f]), mw, mp1, mp2), weights)

@@ -117,11 +117,11 @@ class TestForward:
     def test_joint_matches_hand_composed_pipeline(self):
         _, _, cfg, params, f = tiny_setup("joint", hidden=3)
         batch = collate([f])
-        mask = batch.mask
+        lengths = batch.lengths
         X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
-        z_max = max_pool(bilstm_forward(params.stacks[0], X, mask), mask)
-        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, mask),
-                                  params.w_a, mask)
+        z_max = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
+        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, lengths),
+                                  params.w_a, lengths)
         h2 = ad.concat(z_max, z_att)
         h3 = ad.tanh(h2)
         raw = ad.affine(h3, params.W_o, params.b_o)
@@ -133,10 +133,10 @@ class TestForward:
         _, _, cfg, params, f = tiny_setup("joint")
         batch = collate([f])
         X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
-        before = bilstm_forward(params.stacks[1], X, batch.mask).data.copy()
+        before = bilstm_forward(params.stacks[1], X, batch.lengths).data.copy()
         for p in params.stacks[0].parameters():
             p.data += 0.37
-        after = bilstm_forward(params.stacks[1], X, batch.mask).data
+        after = bilstm_forward(params.stacks[1], X, batch.lengths).data
         np.testing.assert_array_equal(before, after)
 
 
@@ -157,14 +157,17 @@ class TestBatch:
         # float32 tolerance only: a 1-row product goes to GEMV, a batch to GEMM
         cfg, params, feats = self._mixed(variant)
         batch_scores, batch_alpha = scores(params, cfg, collate(feats))
+        start = 0
         for b, f in enumerate(feats):
             alone, alpha = scores(params, cfg, collate([f]))
             np.testing.assert_allclose(batch_scores.data[b], alone.data[0],
                                        rtol=1e-5, atol=1e-6)
             if alpha is not None:
-                np.testing.assert_allclose(batch_alpha.data[:f.length, b],
-                                           alpha.data[:, 0], rtol=1e-5, atol=1e-7)
-                assert not batch_alpha.data[f.length:, b].any()
+                assert alpha.shape == (f.length,)
+                np.testing.assert_allclose(batch_alpha.data[start:start + f.length],
+                                           alpha.data, rtol=1e-5, atol=1e-7)
+            start += f.length
+        assert batch_alpha is None or batch_alpha.shape == (start,)
 
     def test_batch_dropout_draws_instance_order(self):
         cfg, params, feats = self._mixed("ab-lstm")
@@ -247,6 +250,20 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, before[name])
         probs_after, _ = forward(loaded, cfg2, f)
         assert probs_before.data.tobytes() == probs_after.data.tobytes()
+
+    def test_load_draws_no_init(self, tmp_path, monkeypatch):
+        import ddilstm.rng as rng_mod
+
+        vocab, pv, cfg, params, _ = tiny_setup("joint")
+        save_checkpoint(tmp_path, params, cfg, vocab, pv)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(rng_mod, "named_stream", no_draws)
+        loaded, *_ = load_checkpoint(tmp_path)
+        assert [n for n, _ in loaded.named_parameters()] == [
+            n for n, _ in params.named_parameters()]
 
     def test_truncated_blob_rejected(self, tmp_path):
         vocab, pv, cfg, params, _ = tiny_setup()

@@ -1,8 +1,9 @@
 """LSTM step and bidirectional encoder against straight-line oracles.
 
-A single step is the L = 1, B = 1 case of `lstm_sequence`, started from
-h0 = h_prev and c0 = c_prev; the cell state is observable only through
-the steps that follow.
+A single step is the one-token, one-sentence case of `lstm_sequence`,
+started from h0 = h_prev and c0 = c_prev; the cell state is observable
+only through the steps that follow. Batches are packed: the sentences'
+rows one sentence after another, with their lengths.
 """
 
 import numpy as np
@@ -46,13 +47,13 @@ def run_steps(p, xs, h_prev, c_prev):
     as one sentence started from h_prev and c_prev."""
     p.h0.data[...] = h_prev
     p.c0.data[...] = c_prev
-    X = ad.Tensor(np.asarray(xs, dtype=p.h0.data.dtype)[:, None, :])
-    return lstm_sequence(p, X, np.array([len(xs)])).data[:, 0]
+    X = ad.Tensor(np.asarray(xs, dtype=p.h0.data.dtype))
+    return lstm_sequence(p, X, np.array([len(xs)])).data
 
 
 def column(x):
-    """One (L, d) sentence as an (L, 1, d) batch, and its all-real mask."""
-    return ad.Tensor(np.asarray(x)[:, None, :]), np.ones((len(x), 1), dtype=bool)
+    """One (L, d) sentence as a packed batch, and its lengths."""
+    return ad.Tensor(np.asarray(x)), np.array([len(x)])
 
 
 class TestLstmStep:
@@ -114,9 +115,9 @@ class TestLstmStep:
         rng = np.random.default_rng(7)
         p = LstmParams(3, 2, rng)
         _randomized(p, rng)
-        X = ad.Tensor(rng.uniform(-1, 1, (4, 1, 2)))
-        weights = np.zeros((4, 1, 3))
-        weights[-1] = rng.normal(size=(1, 3))  # read the final state only
+        X = ad.Tensor(rng.uniform(-1, 1, (4, 2)))
+        weights = np.zeros((4, 3))
+        weights[-1] = rng.normal(size=3)  # read the final state only
 
         def loss():
             return weighted_sum(lstm_sequence(p, X, np.array([4])), weights)
@@ -135,7 +136,7 @@ class TestBilstm:
     def test_single_token_shape(self):
         stack = self._stack()
         Z = bilstm_forward(stack, *column(np.ones((1, 2))))
-        assert Z.shape == (1, 1, 6)
+        assert Z.shape == (1, 6)
 
     def test_zero_params_zero_output(self):
         stack = self._stack()
@@ -155,55 +156,55 @@ class TestBilstm:
         # palindrome: row t equals row m-1-t
         Z = bilstm_forward(stack, *column(np.stack([x, x * 0.5, x * 0.5, x])))
         n = 3
-        fwd_states = Z.data[:, 0, :n]
-        bwd_states = Z.data[:, 0, n:]
+        fwd_states = Z.data[:, :n]
+        bwd_states = Z.data[:, n:]
         np.testing.assert_allclose(fwd_states, bwd_states[::-1], atol=1e-6)
 
     def test_determinism(self):
         stack = self._stack(seed=5)
-        X, mask = column(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
-        a = bilstm_forward(stack, X, mask).data
-        b = bilstm_forward(stack, X, mask).data
+        X, lengths = column(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
+        a = bilstm_forward(stack, X, lengths).data
+        b = bilstm_forward(stack, X, lengths).data
         np.testing.assert_array_equal(a, b)
 
     def test_empty_sequence_rejected(self):
         stack = self._stack()
         X, _ = column(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            bilstm_forward(stack, X, mask=[[False], [False]])
+        with pytest.raises(ValueError, match="empty sequence"):
+            bilstm_forward(stack, X, np.array([2, 0]))
 
-    def test_padding_rows_are_zero_and_ignored(self):
+    def test_packed_neighbours_are_ignored(self, float64_mode):
         stack = self._stack(seed=9)
         rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, (3, 2)).astype(np.float32)
-        plain = bilstm_forward(stack, *column(x))
-        padded_input = np.vstack([x, rng.uniform(-1, 1, (2, 2)).astype(np.float32)])
-        padded = bilstm_forward(stack, column(padded_input)[0],
-                                mask=[[True], [True], [True], [False], [False]])
-        np.testing.assert_array_equal(padded.data[:3], plain.data)
-        assert not padded.data[3:].any()
+        x = rng.uniform(-1, 1, (3, 2))
+        alone = bilstm_forward(stack, *column(x)).data
+        before, after = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (1, 2))
+        batch = bilstm_forward(stack, ad.Tensor(np.vstack([before, x, after])),
+                               np.array([4, 3, 1])).data
+        np.testing.assert_allclose(batch[4:7], alone, rtol=0, atol=1e-12)
 
-    def test_non_suffix_padding_rejected(self):
+    def test_lengths_must_cover_every_row(self):
         stack = self._stack()
         X, _ = column(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            bilstm_forward(stack, X, mask=[[True], [False], [True]])
+        for lengths in ([2], [1, 1], [3, 1]):
+            with pytest.raises(ValueError, match="lengths sum to"):
+                bilstm_forward(stack, X, np.array(lengths))
 
     def test_output_width_always_2n(self):
         for hidden in (1, 4):
             stack = self._stack(hidden=hidden)
             Z = bilstm_forward(stack, *column(np.ones((3, 2))))
-            assert Z.shape == (3, 1, 2 * hidden)
+            assert Z.shape == (3, 2 * hidden)
 
 
 class TestLstmSequence:
-    LENGTHS = np.array([4, 1, 3, 4])  # mixed, with a length-1 row
+    LENGTHS = np.array([4, 1, 3, 4])  # mixed, with a length-1 sentence and a tie
 
     def _setup(self, seed, dtype=np.float64):
         rng = np.random.default_rng(seed)
         p = LstmParams(3, 2, rng)
         _randomized(p, rng)
-        X = ad.Tensor(rng.uniform(-1, 1, (4, len(self.LENGTHS), 2)).astype(dtype),
+        X = ad.Tensor(rng.uniform(-1, 1, (self.LENGTHS.sum(), 2)).astype(dtype),
                       requires_grad=True)
         return rng, p, X
 
@@ -211,18 +212,19 @@ class TestLstmSequence:
     def test_matches_per_row_reference_steps(self, reverse):
         _, p, X = self._setup(21, np.float32)
         out = lstm_sequence(p, X, self.LENGTHS, reverse=reverse).data
-        for b, m in enumerate(self.LENGTHS):
+        start = 0
+        for m in self.LENGTHS:
             h, c = p.h0.data, p.c0.data
             order = range(m - 1, -1, -1) if reverse else range(m)
             for t in order:
-                h, c = reference_step(p, X.data[t, b], h, c)
-                np.testing.assert_allclose(out[t, b], h, atol=1e-6)
-            assert not out[m:, b].any()
+                h, c = reference_step(p, X.data[start + t], h, c)
+                np.testing.assert_allclose(out[start + t], h, atol=1e-6)
+            start += m
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_mixed_lengths(self, float64_mode, reverse):
         rng, p, X = self._setup(22)
-        weights = rng.normal(size=(4, len(self.LENGTHS), 3))
+        weights = rng.normal(size=(self.LENGTHS.sum(), 3))
 
         def loss():
             return weighted_sum(lstm_sequence(p, X, self.LENGTHS, reverse), weights)
@@ -234,16 +236,16 @@ class TestLstmSequence:
         stack = BiLstmStack(2, 2, rng)
         for p in stack.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-        X = ad.Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
-        mask = np.arange(4)[:, None] < np.array([2, 4, 1])
-        weights = rng.normal(size=(4, 3, 4))
+        X = ad.Tensor(rng.uniform(-1, 1, (7, 2)), requires_grad=True)
+        lengths = np.array([2, 4, 1])
+        weights = rng.normal(size=(7, 4))
 
         def loss():
-            return weighted_sum(bilstm_forward(stack, X, mask), weights)
+            return weighted_sum(bilstm_forward(stack, X, lengths), weights)
 
         check_grads(loss, [X, *stack.parameters()])
 
-    def test_rank_two_sentence_rejected(self):
+    def test_padded_batch_rejected(self):
         _, p, _ = self._setup(24)
         with pytest.raises(ad.ShapeMismatch):
-            lstm_sequence(p, ad.Tensor(np.ones((3, 2))), np.array([3]))
+            lstm_sequence(p, ad.Tensor(np.ones((3, 1, 2))), np.array([3]))
