@@ -3,10 +3,10 @@
 Every forward operation appends a record to the active :class:`Tape`; a
 single reverse sweep over the tape populates ``.grad`` on every tensor
 that requires it. The op set is deliberately small: the affine layer
-over a (B, k) batch, elementwise tanh and mul, last-axis concatenation
-and row gather. Modules with larger fused ops (the LSTM sequence,
-pooling, the loss) record them through :func:`record_op`; `softmax` is
-a plain float64 helper that records nothing.
+over a (B, k) batch, elementwise tanh and mul, and last-axis
+concatenation. Modules with larger fused ops (the embedding lookup, the
+BiLSTM stack, pooling, the loss) record them through :func:`record_op`;
+`softmax` is a plain float64 helper that records nothing.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
 Storage defaults to float32; tests that need headroom (finite-difference
@@ -164,15 +164,16 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
-            rec = records.pop()
-            out_grad = rec.out.grad
-            if out_grad is None:
-                continue
-            grads = rec.backward(out_grad)
-            for tensor, grad in zip(rec.inputs, grads):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                tensor.accumulate(grad)
+            _apply(records.pop())
+
+
+def _apply(rec: _Record) -> None:
+    """Pass one record's output gradient on; what it held is freed on return."""
+    if rec.out.grad is None:
+        return
+    for tensor, grad in zip(rec.inputs, rec.backward(rec.out.grad)):
+        if grad is not None and tensor.requires_grad:
+            tensor.accumulate(grad)
 
 
 def segment_starts(lengths, packed: np.ndarray) -> np.ndarray:
@@ -261,22 +262,3 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
     return record_op(out, (a, b), grad_fn)
 
-
-def rows(m: Tensor, ids) -> Tensor:
-    """Gather rows of a matrix by an index array of any shape (embedding
-    lookup): ids of shape S give a result of shape S + (columns,)."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if m.data.ndim != 2:
-        raise ShapeMismatch(f"rows() needs a matrix, got {m.shape}")
-    n = m.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"row index out of range [0, {n})")
-    out = Tensor(m.data[idx])
-    shape = m.data.shape
-
-    def grad_fn(g):
-        dm = np.zeros(shape, dtype=g.dtype)
-        np.add.at(dm, idx, g)
-        return (dm,)
-
-    return record_op(out, (m,), grad_fn)

@@ -257,18 +257,27 @@ def _cmd_evaluate(args) -> int:
     gold_instances = corpus.read_instances(args.gold)
     pair_ids, pred_ids = _read_predictions(args.predictions)
     gold = _aligned_gold(gold_instances, pair_ids)
+    extra = {}
+    if args.against is not None:
+        other_pair_ids, other_ids = _read_predictions(args.against)
+        _aligned_gold(gold_instances, other_pair_ids)
+        extra["mcnemar"] = evaluation.compare(gold, pred_ids, other_ids)
     filtered = []
     if args.filter_report:
         filtered = filtering.read_removed_labels(args.filter_report)
     report = evaluation.evaluate(gold, pred_ids, filtered)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+        fh.write(report.to_json(**extra) + "\n")
     _write_manifest(_manifest_path(args.out), "evaluate", {},
                     {"predictions": args.predictions, "gold": args.gold,
-                     "filter_report": args.filter_report},
+                     "filter_report": args.filter_report, "against": args.against},
                     {"report": args.out})
     print(f"micro P {report.micro_p:.4f} R {report.micro_r:.4f} "
           f"F1 {report.micro_f1:.4f} MAVG {report.mavg:.4f}")
+    if extra:
+        test = extra["mcnemar"]
+        print(f"McNemar against {args.against}: b {test['b']} c {test['c']}, "
+              f"{test['significance'] or 'no discordant predictions'}")
     return 0
 
 
@@ -329,6 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--filter-report", dest="filter_report")
+    p.add_argument("--against", metavar="OTHER_PREDICTIONS",
+                   help="also run McNemar's test against these predictions")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_evaluate)
 

@@ -38,8 +38,9 @@ class EvalReport:
     n_filtered_positive: int
     counts: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=1)
+    def to_json(self, **extra) -> str:
+        """The report's fields, then any `extra` keys, as indented JSON."""
+        return json.dumps({**self.__dict__, **extra}, indent=1)
 
 
 def evaluate(gold: Sequence[int], predictions: Sequence[int],
@@ -125,6 +126,25 @@ def mcnemar(b: int, c: int) -> McNemarResult:
         if stat > critical:
             return McNemarResult(stat, verdict)
     return McNemarResult(stat, "not significant at 0.05")
+
+
+def compare(gold: Sequence[int], first: Sequence[int],
+            second: Sequence[int]) -> dict:
+    """McNemar's test between two classifiers' predictions of the same
+    gold labels, as a JSON-ready dict.
+
+    `b` counts the instances only `first` got right, `c` those only
+    `second` got right. With no discordant instance the test is
+    undefined, and `statistic` and `significance` are None.
+    """
+    pairs = list(zip(correctness(gold, first), correctness(gold, second)))
+    b = sum(x and not y for x, y in pairs)
+    c = sum(y and not x for x, y in pairs)
+    report = {"b": b, "c": c, "statistic": None, "significance": None}
+    if b + c:
+        result = mcnemar(b, c)
+        report.update(statistic=result.statistic, significance=result.significance)
+    return report
 
 
 def _moments(values: Sequence[int]) -> dict[str, float]:

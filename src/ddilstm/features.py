@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, rows
+from .autodiff import Parameter, Tensor, record_op
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -189,9 +189,10 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                       rng: np.random.Generator) -> Parameter:
     """Read whitespace-separated text vectors into the `embed.word` table.
 
-    In-vocabulary rows are copied from the file; everything else
-    (including PAD/UNK) keeps the small uniform noise of `random_table`.
-    The table is trainable either way.
+    In-vocabulary rows are copied from the file and must be finite in
+    the table's dtype; everything else (including PAD/UNK) keeps the
+    small uniform noise of `random_table`. The table is trainable either
+    way.
     """
     table = random_table(len(vocab), dim, rng, "embed.word")
     with open(path, "r", encoding="utf-8") as fh:
@@ -205,14 +206,32 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                     f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
                 )
             if token in vocab:
+                row = table.data[vocab.lookup(token)]
                 try:
-                    table.data[vocab.lookup(token)] = [float(v) for v in values]
+                    # an overflow is reported below, as an infinity
+                    with np.errstate(over="ignore"):
+                        row[...] = [float(v) for v in values]
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed float") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite float")
     return table
 
 
 def embed(batch: Batch, word: Parameter, p1: Parameter, p2: Parameter) -> Tensor:
-    """Per-token concatenation of the three embedding rows, (T, n1+n2+n3)."""
-    return concat(concat(rows(word, batch.word_ids), rows(p1, batch.p1_ids)),
-                  rows(p2, batch.p2_ids))
+    """Per-token concatenation of the three embedding rows, (T, n1+n2+n3),
+    as one tape op; each table's gradient sums the rows its ids picked."""
+    tables = ((word, batch.word_ids), (p1, batch.p1_ids), (p2, batch.p2_ids))
+    for table, ids in tables:
+        if ids.size and (ids.min() < 0 or ids.max() >= len(table.data)):
+            raise ValueError(f"{table.name}: id out of range [0, {len(table.data)})")
+    out = np.concatenate([table.data[ids] for table, ids in tables], axis=1)
+    ends = np.cumsum([table.data.shape[1] for table, _ in tables])
+
+    def grad_fn(g):
+        grads = [np.zeros(table.data.shape, dtype=g.dtype) for table, _ in tables]
+        for d, (_, ids), part in zip(grads, tables, np.split(g, ends[:-1], axis=1)):
+            np.add.at(d, ids, part)
+        return grads
+
+    return record_op(Tensor(out), (word, p1, p2), grad_fn)

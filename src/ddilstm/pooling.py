@@ -28,12 +28,11 @@ def max_pool(Z: Tensor, lengths) -> Tensor:
     peak = np.maximum.reduceat(z, starts, axis=0)
 
     def grad_fn(g):
-        # each row's index where it attains its sentence's maximum, T elsewhere
-        t = np.int32(len(z))
-        rank = np.where(z == np.repeat(peak, lengths, axis=0),
-                        np.arange(t, dtype=np.int32)[:, None], t)
+        # each sentence's first winning row of each dimension
+        winners = np.stack([a + z[a:e].argmax(axis=0)
+                            for a, e in zip(starts, starts + lengths)])
         dz = np.zeros(z.shape, dtype=g.dtype)
-        dz[np.minimum.reduceat(rank, starts, axis=0), np.arange(z.shape[1])] = g
+        dz[winners, np.arange(z.shape[1])] = g
         return (dz,)
 
     return record_op(Tensor(peak), (Z,), grad_fn)
@@ -50,8 +49,7 @@ def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
     """
     z, w_data = Z.data, w_a.data
     starts = segment_starts(lengths, z)
-    squashed = np.tanh(z)
-    s = (squashed @ w_data).astype(np.float64)
+    s = (np.tanh(z) @ w_data).astype(np.float64)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), lengths))
     alpha64 = e / np.repeat(np.add.reduceat(e, starts), lengths)
     alpha = alpha64.astype(z.dtype)
@@ -62,8 +60,14 @@ def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
         d_alpha = np.einsum("tk,tk->t", z, g_rows).astype(np.float64)
         d_mix = np.repeat(np.add.reduceat(alpha64 * d_alpha, starts), lengths)
         d_scores = (alpha64 * (d_alpha - d_mix)).astype(g.dtype)
-        d_squashed = d_scores[:, None] * (1.0 - squashed * squashed)
-        dz = alpha[:, None] * g_rows + d_squashed * w_data
-        return dz, d_scores @ squashed
+        # in place: tanh(z), taken again, becomes d_scores (1 - tanh^2) w_a
+        squashed = np.tanh(z)
+        d_w = d_scores @ squashed
+        np.subtract(1.0, np.square(squashed, out=squashed), out=squashed)
+        squashed *= d_scores[:, None]
+        squashed *= w_data
+        g_rows *= alpha[:, None]
+        g_rows += squashed
+        return g_rows, d_w
 
     return record_op(pooled, (Z, w_a), grad_fn), Tensor(alpha)

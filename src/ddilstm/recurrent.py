@@ -1,4 +1,4 @@
-"""LSTM cell and the bidirectional encoder, one tape op per direction per batch.
+"""LSTM cell and the bidirectional encoder, one tape op per stack per batch.
 
 One step computes the usual gated update
 
@@ -10,11 +10,12 @@ One step computes the usual gated update
 The encoder reads a packed (T, d) batch, one sentence's tokens after
 another's. Sentences step longest first, so the n_t still running at
 step t are a prefix: the active batch shrinks as short ones end. One
-flat index gathers each step's tokens and scatters the states back; the
-backward direction reads each sentence last to first. X U^T is one GEMM
-before the time loop, which keeps only the (n_t, N) x (N, 4N) recurrent
-product; the hand-derived BPTT sweep reuses the activation buffer for
-the gate gradients and ends with one GEMM each for dU, dW and dX.
+flat index per direction gathers each step's tokens and scatters the
+states into its half of the (T, 2N) output; the backward cell reads each
+sentence last to first. X U^T is one GEMM before the time loop. BPTT
+keeps only the gate activations and cell states, sweeps one direction
+and frees them before the other, and gathers the inputs and previous
+states again for its closing GEMMs for dU, dW and dX.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .autodiff import (
     Tensor,
     _check_finite,
     _sigmoid,
-    concat,
     record_op,
     segment_starts,
 )
@@ -100,13 +100,33 @@ def _cell_grads(act, c_prev, c, dh, dc) -> tuple[np.ndarray, np.ndarray]:
     return dz, dc * f
 
 
-def lstm_sequence(p: LstmParams, X: Tensor, lengths,
-                  reverse: bool = False) -> Tensor:
-    """Run one direction over a packed (T, d) input.
+def _run(p: LstmParams, x: np.ndarray, flat, steps, states: np.ndarray):
+    """One direction's recurrence over the rows x[flat], in step-major
+    order, writing its states to states[flat]; not a tape op. Returns
+    what BPTT keeps: the gate activations and the cell states."""
+    u, w = p.U.data, p.W.data
+    act = x[flat] @ u.T
+    act += p.b.data
+    cs, hs = (np.empty((len(flat), w.shape[1]), dtype=act.dtype) for _ in range(2))
+    # contiguous, so the first step's product takes the same GEMM as the rest
+    h = np.full((steps[0].stop, w.shape[1]), p.h0.data, dtype=act.dtype)
+    c = np.broadcast_to(p.c0.data, h.shape)
+    for s in steps:
+        act[s] += h[:s.stop - s.start] @ w.T
+        c, h = _cell(act[s], c[:s.stop - s.start])
+        cs[s], hs[s] = c, h
+    _check_finite(cs, "bilstm_forward")
+    states[flat] = hs
+    return act, cs
 
-    Sentence b is the lengths[b] rows after the sentences before it, read
-    first to last, or last to first when `reverse`; the (T, N) output
-    holds each token's state.
+
+def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
+    """Encode a packed (T, d) batch of sentences with the given lengths
+    into (T, 2N) per-token features in one tape op: the forward cell's
+    states on the left, the backward cell's on the right.
+
+    Each cell reads only its own sentence's rows, so an instance encodes
+    identically whatever it is packed beside.
     """
     x = X.data
     starts = segment_starts(lengths, x)
@@ -115,50 +135,39 @@ def lstm_sequence(p: LstmParams, X: Tensor, lengths,
     sorted_len = lengths[order]
     # step-major: step t holds token t of each of the first n_t sorted sentences
     t_idx, r_idx = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len)
-    flat = starts[order][r_idx] + (sorted_len[r_idx] - 1 - t_idx if reverse else t_idx)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(t_idx))])
     steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
-
-    u, w = p.U.data, p.W.data
-    x_packed = x[flat]
-    act = x_packed @ u.T
-    act += p.b.data
-    cs, h_prev, hs = (np.empty((len(flat), w.shape[1]), dtype=act.dtype) for _ in range(3))
-    h, c = (np.broadcast_to(v.data, (len(order), w.shape[1])) for v in (p.h0, p.c0))
-    for s in steps:
-        h_prev[s] = h[:s.stop - s.start]
-        act[s] += h_prev[s] @ w.T
-        c, h = _cell(act[s], c[:s.stop - s.start])
-        cs[s], hs[s] = c, h
-    _check_finite(cs, "lstm_sequence")
-    out = np.empty_like(hs)
-    out[flat] = hs
+    n = stack.fwd.W.data.shape[1]
+    # per direction: cell, rows in step order, shift to the previous state, half
+    directions = ((stack.fwd, starts[order][r_idx] + t_idx, -1, slice(0, n)),
+                  (stack.bwd, (starts + lengths - 1)[order][r_idx] - t_idx, 1,
+                   slice(n, 2 * n)))
+    out = np.empty((len(x), 2 * n), dtype=np.result_type(x, stack.fwd.U.data))
+    saved = [_run(cell, x, flat, steps, out[:, half]) for cell, flat, _, half in directions]
 
     def grad_fn(g):
-        dh_out = g[flat]
-        dh_next, dc_next = np.zeros((2, len(order), w.shape[1]), dtype=g.dtype)
-        for k in reversed(range(len(steps))):
-            s, n = steps[k], steps[k].stop - steps[k].start
-            c_prev = cs[steps[k - 1]][:n] if k else p.c0.data
-            act[s], dc_next[:n] = _cell_grads(act[s], c_prev, cs[s],
-                                              dh_out[s] + dh_next[:n], dc_next[:n])
-            dh_next[:n] = act[s] @ w
-        dx = None
-        if X.requires_grad:
+        # the backward direction first: X receives its gradients in that order
+        grads = []
+        for cell, flat, shift, half in reversed(directions):
+            act, cs = saved.pop()
+            dh_out = g[flat, half]
+            dh_next, dc_next = np.zeros((2, len(order), n), dtype=g.dtype)
+            for k in reversed(range(len(steps))):
+                s, m = steps[k], steps[k].stop - steps[k].start
+                c_prev = cs[steps[k - 1]][:m] if k else cell.c0.data
+                act[s], dc_next[:m] = _cell_grads(act[s], c_prev, cs[s],
+                                                  dh_out[s] + dh_next[:m], dc_next[:m])
+                dh_next[:m] = act[s] @ cell.W.data
+            del cs, dh_out  # freed before the gathers below
             dx = np.empty(x.shape, dtype=g.dtype)
-            dx[flat] = act @ u
-        return (dx, act.T @ x_packed, act.T @ h_prev, act.sum(axis=0),
-                dh_next.sum(axis=0), dc_next.sum(axis=0))
+            dx[flat] = act @ cell.U.data
+            # the inputs and the previous states are gathered again; the
+            # first step's rows, clipped, read h0
+            h_prev = out[(flat + shift).clip(0, len(x) - 1), half]
+            h_prev[:len(order)] = cell.h0.data
+            grads += [dx, act.T @ x[flat], act.T @ h_prev, act.sum(axis=0),
+                      dh_next.sum(axis=0), dc_next.sum(axis=0)]
+        return grads
 
-    return record_op(Tensor(out), (X, *p.parameters()), grad_fn)
-
-
-def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
-    """Encode a packed (T, d) batch of sentences with the given lengths
-    into (T, 2N) per-token features.
-
-    Each cell reads only its own sentence's rows, so an instance encodes
-    identically whatever it is packed beside.
-    """
-    return concat(lstm_sequence(stack.fwd, X, lengths),
-                  lstm_sequence(stack.bwd, X, lengths, reverse=True))
+    inputs = [t for cell in (stack.bwd, stack.fwd) for t in (X, *cell.parameters())]
+    return record_op(Tensor(out), inputs, grad_fn)

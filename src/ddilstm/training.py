@@ -99,17 +99,23 @@ def adam_step(state: AdamState, named_params: Sequence[tuple[str, Parameter]],
         if p.grad is None:
             continue
         stepped = True
+        # float64 in place: each operation, and their order, as in the plain update
         g = p.grad.astype(np.float64)
         if l2 and p.weight_decay:
-            g = g + l2 * p.data.astype(np.float64)
-        m = state.m[name].astype(np.float64)
-        v = state.v[name].astype(np.float64)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        state.m[name] = m.astype(p.data.dtype)
-        state.v[name] = v.astype(p.data.dtype)
-        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p.data -= update.astype(p.data.dtype)
+            g += l2 * p.data.astype(np.float64)
+        m, v = state.m[name].astype(np.float64), state.v[name].astype(np.float64)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        state.m[name][...], state.v[name][...] = m, v
+        m /= bc1
+        m *= cfg.lr
+        v /= bc2
+        np.sqrt(v, out=v)
+        v += cfg.eps
+        m /= v
+        p.data -= m.astype(p.data.dtype)
     if not stepped:
         raise ValueError("adam_step called with no gradients populated")
 

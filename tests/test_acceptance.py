@@ -29,9 +29,11 @@ from ddilstm.cli import main
 from ddilstm.corpus import generate_instances, parse_corpus, write_instances
 from ddilstm.evaluation import evaluate, mcnemar
 from ddilstm.features import (
+    Batch,
     PositionVocab,
     build_vocab,
     collate,
+    embed,
     featurize,
 )
 from ddilstm.filtering import apply_filters
@@ -45,7 +47,7 @@ from ddilstm.model import (
     scores,
 )
 from ddilstm.pooling import attentive_pool, max_pool
-from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward, lstm_sequence
+from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
     AdamState,
@@ -104,7 +106,12 @@ def test_criterion_01_gradients_vs_finite_differences():
         check_grads(lambda: head(ad.mul(a, c), labels), [a, c])
         m2 = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         check_grads(lambda: head(ad.concat(a, m2), labels), [a, m2])
-        check_grads(lambda: head(ad.rows(m2, [0, 0, 2]), labels), [m2])
+        # the embedding lookup, with a row picked twice
+        tables = [ad.Parameter(rng.normal(size=(3, k)), name=f"embed.t{k}")
+                  for k in (2, 1, 1)]
+        ids = Batch(np.array([0, 0, 2]), np.array([1, 2, 1]), np.array([2, 2, 0]),
+                    np.array([3]), np.array([0]))
+        check_grads(lambda: head(embed(ids, *tables), labels), tables)
 
         # packed batches: each sentence's rows follow the previous sentence's
         Z = ad.Tensor(rng.normal(size=(9, 4)), requires_grad=True)
@@ -114,16 +121,18 @@ def test_criterion_01_gradients_vs_finite_differences():
         check_grads(lambda: head(attentive_pool(Z, att, z_lengths)[0], [2, 0, 4]),
                     [Z, att])
 
-        cell = LstmParams(3, 2, rng)
-        for p in cell.parameters():
+        # each direction of the stack alone: one half of its output read out
+        cells = BiLstmStack(3, 2, rng)
+        for p in cells.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
         x_in = ad.Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True)
         lengths = np.array([4, 1, 3])
-        weights = rng.normal(size=(8, 3))
-        for reverse in (False, True):
-            check_grads(lambda r=reverse: weighted_sum(
-                lstm_sequence(cell, x_in, lengths, r), weights),
-                [x_in, *cell.parameters()])
+        for half in (slice(0, 3), slice(3, 6)):
+            weights = np.zeros((8, 6))
+            weights[:, half] = rng.normal(size=(8, 3))
+            check_grads(lambda w=weights: weighted_sum(
+                bilstm_forward(cells, x_in, lengths), w),
+                [x_in, *cells.parameters()])
 
         # the batched path: mixed lengths with a length-1 sentence, each op once
         stack = BiLstmStack(3, 2, rng)
@@ -204,8 +213,10 @@ def test_criterion_02_straight_line_oracles():
     h_ref = np.tanh(c_ref) * o
     cell.h0.data[...] = h_prev
     cell.c0.data[...] = c_prev
-    h_out = lstm_sequence(cell, ad.Tensor(x[None]), np.array([1]))
-    np.testing.assert_allclose(h_out.data[0], h_ref, atol=1e-6)
+    stack = BiLstmStack(5, 4, np.random.default_rng(0))
+    stack.fwd = cell  # the forward cell's state is the left half
+    h_out = bilstm_forward(stack, ad.Tensor(x[None]), np.array([1]))
+    np.testing.assert_allclose(h_out.data[0, :5], h_ref, atol=1e-6)
 
     # attentive pooling against the three-line definition
     att = attention_vector(6, rng)

@@ -174,22 +174,6 @@ class TestConcat:
         check_grads(lambda: head(ad.concat(a, b), [1, 0, 3]), [a, b])
 
 
-class TestStructuralOps:
-    def test_rows_gather_and_scatter(self, float64_mode):
-        m = ad.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        with ad.Tape() as tape:
-            picked = ad.rows(m, [1, 1, 3])
-            loss = weighted_sum(picked, np.outer([1.0, 0.0, 0.0], np.ones(3)))
-        np.testing.assert_array_equal(picked.data, m.data[[1, 1, 3]])
-        tape.backward(loss)
-        # row 1 used twice but only the first output row contributes
-        assert m.grad[1].sum() == 3.0 and m.grad[3].sum() == 0.0
-
-    def test_rows_out_of_range(self):
-        with pytest.raises(ValueError):
-            ad.rows(ad.Tensor(np.ones((2, 2))), [0, 2])
-
-
 class TestTape:
     def test_linear_sum_seed(self):
         w = ad.Tensor(np.ones((1, 3)), requires_grad=True)

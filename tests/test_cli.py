@@ -10,6 +10,7 @@ from conftest import corpus_xml
 from ddilstm.cli import main
 from ddilstm.corpus import read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
+from ddilstm.labels import label_name
 from ddilstm.model import ModelConfig, build_model, default_config, save_checkpoint
 from ddilstm.training import TrainConfig
 from ddilstm.synthetic import make_synthetic_instances
@@ -180,6 +181,41 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert "28 predictions for 30" in capsys.readouterr().err
 
+    def test_evaluate_against_other_predictions(self, tmp_path, synthetic_file,
+                                                capsys):
+        ckpt = run_train(tmp_path, synthetic_file)
+        preds = tmp_path / "preds.jsonl"
+        main(["predict", "--checkpoint", str(ckpt), "--instances",
+              str(synthetic_file), "--out", str(preds)])
+        plain, against = tmp_path / "plain.json", tmp_path / "against.json"
+        args = ["evaluate", "--predictions", str(preds), "--gold", str(synthetic_file)]
+        assert main([*args, "--out", str(plain)]) == 0
+        # identical predictions are a valid input: the test is undefined
+        assert main([*args, "--against", str(preds), "--out", str(against)]) == 0
+        report = json.loads(against.read_text())
+        assert report.pop("mcnemar") == {"b": 0, "c": 0, "statistic": None,
+                                         "significance": None}
+        assert report == json.loads(plain.read_text())
+
+        # every prediction flipped to the other side of right and wrong
+        gold = {i.pair_id: i.label for i in read_instances(synthetic_file)}
+        rows = [json.loads(line) for line in preds.read_text().splitlines()]
+        for row in rows:
+            right = row["label"] == label_name(gold[row["pair_id"]])
+            row["label"] = label_name((gold[row["pair_id"]] + right) % 5)
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main([*args, "--against", str(other), "--out", str(against)]) == 0
+        test = json.loads(against.read_text())["mcnemar"]
+        assert test["b"] + test["c"] == 30 and test["statistic"] is not None
+        assert "McNemar against" in capsys.readouterr().out
+
+        # the other file is aligned to the gold pairs like --predictions
+        other.write_text("".join(json.dumps(r) + "\n" for r in rows[::-1]))
+        assert main([*args, "--against", str(other), "--out", str(against)]) == 1
+        assert "does not match gold pair" in assert_one_error_line(capsys)
+
     def test_config_file_and_flag_precedence(self, tmp_path, synthetic_file):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"variant": "b-lstm", "hidden": 4,
@@ -216,6 +252,17 @@ class TestTrainPredictEvaluate:
         assert main(["train", "--instances", str(synthetic_file),
                      "--out-dir", str(tmp_path / "ckpt"), "--hidden", "4",
                      "--epochs", "1", "--word-vectors", str(vectors)]) == 0
+
+    def test_non_finite_word_vector_fails_cleanly(self, tmp_path, synthetic_file,
+                                                  capsys):
+        vectors = tmp_path / "vectors.txt"
+        width = default_config("b-lstm").word_dim
+        vectors.write_text("the nan " + " ".join(["0.5"] * (width - 1)) + "\n")
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "ckpt"), "--hidden", "4",
+                     "--epochs", "1", "--word-vectors", str(vectors)])
+        assert code == 1
+        assert f"{vectors}:1: non-finite float" in assert_one_error_line(capsys)
 
     def test_no_heldout_split_is_named(self, tmp_path, synthetic_file, capsys):
         run_train(tmp_path, synthetic_file, extra=("--val-fraction", "0"))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ddilstm.corpus import RawInstance
 from ddilstm.evaluation import (
+    compare,
     correctness,
     evaluate,
     length_stats,
@@ -111,6 +112,24 @@ class TestMcNemar:
 
     def test_strong_asymmetry_highly_significant(self):
         assert mcnemar(60, 5).significance == "p<0.001"
+
+
+class TestCompare:
+    def test_discordant_counts(self):
+        gold = [A, E, NEG, NEG, M]
+        first = [A, E, A, NEG, NEG]   # right on 0, 1, 3
+        second = [A, A, NEG, NEG, NEG]  # right on 0, 2, 3
+        assert compare(gold, first, second) == {
+            "b": 1, "c": 1, "statistic": 0.5, "significance": "not significant at 0.05"}
+
+    def test_identical_predictions_leave_the_test_undefined(self):
+        gold, pred = [A, E, NEG], [A, NEG, NEG]
+        assert compare(gold, pred, list(pred)) == {
+            "b": 0, "c": 0, "statistic": None, "significance": None}
+
+    def test_misaligned_predictions_rejected(self):
+        with pytest.raises(ValueError):
+            compare([A, E], [A, E], [A])
 
 
 def _inst(n_tokens, sep, label=NEG, pair="p0"):

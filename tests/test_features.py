@@ -10,6 +10,7 @@ from ddilstm import autodiff as ad
 from ddilstm.features import (
     PAD_ID,
     UNK_ID,
+    Batch,
     InstanceFeatures,
     PositionVocab,
     build_vocab,
@@ -239,6 +240,16 @@ class TestWordVectors:
             load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_float_names_the_line(self, tmp_path, value):
+        # 1e39 is finite in float64 but overflows the float32 table
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"fine 0.1 0.2\ndrug 0.1 {value}\n")
+        vocab = build_vocab([["drug", "fine"]])
+        with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite float"):
+            load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+
+
 class TestFrozenEmbeddings:
     def test_frozen_matrix_gets_no_gradient(self):
         vocab = build_vocab([["a", "b"]])
@@ -283,6 +294,32 @@ class TestEmbed:
         mp2.data[f.p2_ids[0]] = [4.0]
         out = embed(collate([f]), mw, mp1, mp2)
         np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0, 4.0])
+
+    def test_rows_gather_and_scatter(self, float64_mode):
+        vocab, pv, mw, mp1, mp2 = self._setup()
+        mw.data[...] = np.arange(8.0).reshape(4, 2)
+        batch = Batch(np.array([1, 1, 3]), np.array([0, 0, 0]), np.array([0, 0, 0]),
+                      np.array([3]), np.array([0]))
+        with ad.Tape() as tape:
+            picked = embed(batch, mw, mp1, mp2)
+            weights = np.zeros((3, 4))
+            weights[0, :2] = 1.0
+            loss = weighted_sum(picked, weights)
+        np.testing.assert_array_equal(picked.data[:, :2], mw.data[[1, 1, 3]])
+        tape.backward(loss)
+        # row 1 used twice but only the first output row contributes
+        assert mw.grad[1].sum() == 2.0 and not mw.grad[3].any()
+
+    @pytest.mark.parametrize("table", ["word", "p1", "p2"])
+    def test_rows_out_of_range(self, table):
+        vocab, pv, mw, mp1, mp2 = self._setup()
+        f = featurize_one(["a", "b"], 0, 1, 4, vocab, pv)
+        batch = collate([f])
+        size = {"word": len(vocab), "p1": len(pv), "p2": len(pv)}[table]
+        getattr(batch, f"{table}_ids")[1] = size
+        with pytest.raises(ValueError,
+                           match=rf"^embed\.{table}: id out of range \[0, {size}\)$"):
+            embed(batch, mw, mp1, mp2)
 
     def test_gradient_hits_only_looked_up_rows(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()

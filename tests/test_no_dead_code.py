@@ -29,10 +29,8 @@ ENTRY_POINTS = {
     ("model", "build_model"), ("model", "save_checkpoint"),
     ("training", "TrainingDiverged"),
     # library API that no subcommand runs: the float64 switch of the
-    # gradient checks, the paper's significance test and the synthetic
-    # corpus the tests train on
-    ("autodiff", "use_dtype"), ("evaluation", "mcnemar"),
-    ("synthetic", "make_synthetic_instances"),
+    # gradient checks and the synthetic corpus the tests train on
+    ("autodiff", "use_dtype"), ("synthetic", "make_synthetic_instances"),
 }
 
 

@@ -10,7 +10,7 @@ from conftest import attention_vector, check_grads, head, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.autodiff import segment_starts
 from ddilstm.pooling import attentive_pool, max_pool
-from ddilstm.recurrent import LstmParams, lstm_sequence
+from ddilstm.recurrent import BiLstmStack, bilstm_forward
 
 
 def packed(*sentences, requires_grad=False):
@@ -194,11 +194,10 @@ class TestLengths:
     @staticmethod
     def _ops():
         w_a = attention_vector(2, np.random.default_rng(0))
-        cell = LstmParams(2, 2, np.random.default_rng(0))
+        stack = BiLstmStack(2, 2, np.random.default_rng(0))
         return [lambda Z, n: max_pool(Z, n),
                 lambda Z, n: attentive_pool(Z, w_a, n),
-                lambda Z, n: lstm_sequence(cell, Z, n),
-                lambda Z, n: lstm_sequence(cell, Z, n, reverse=True)]
+                lambda Z, n: bilstm_forward(stack, Z, n)]
 
     @pytest.mark.parametrize("lengths, message", [
         ([2, 0, 3], "empty sequence"),

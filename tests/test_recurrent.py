@@ -1,9 +1,10 @@
 """LSTM step and bidirectional encoder against straight-line oracles.
 
-A single step is the one-token, one-sentence case of `lstm_sequence`,
-started from h0 = h_prev and c0 = c_prev; the cell state is observable
-only through the steps that follow. Batches are packed: the sentences'
-rows one sentence after another, with their lengths.
+A single step is the one-token, one-sentence case of the forward cell,
+the left half of `bilstm_forward`, started from h0 = h_prev and
+c0 = c_prev; the cell state is observable only through the steps that
+follow. Batches are packed: the sentences' rows one sentence after
+another, with their lengths.
 """
 
 import numpy as np
@@ -11,12 +12,7 @@ import pytest
 
 from conftest import check_grads, weighted_sum
 from ddilstm import autodiff as ad
-from ddilstm.recurrent import (
-    BiLstmStack,
-    LstmParams,
-    bilstm_forward,
-    lstm_sequence,
-)
+from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward
 
 
 def reference_step(p, x, h_prev, c_prev):
@@ -42,13 +38,22 @@ def _randomized(params, rng, scale=0.5):
         p.data[...] = rng.uniform(-scale, scale, size=p.data.shape).astype(p.data.dtype)
 
 
+def with_forward_cell(p):
+    """A stack whose forward cell is p: its states are the left half."""
+    stack = BiLstmStack(p.W.data.shape[1], p.U.data.shape[1],
+                        np.random.default_rng(0))
+    stack.fwd = p
+    return stack
+
+
 def run_steps(p, xs, h_prev, c_prev):
-    """h after each of the inputs xs (one row each), read by lstm_sequence
-    as one sentence started from h_prev and c_prev."""
+    """h after each of the inputs xs (one row each), read by the forward
+    cell p as one sentence started from h_prev and c_prev."""
     p.h0.data[...] = h_prev
     p.c0.data[...] = c_prev
     X = ad.Tensor(np.asarray(xs, dtype=p.h0.data.dtype))
-    return lstm_sequence(p, X, np.array([len(xs)])).data
+    n = p.h0.data.shape[0]
+    return bilstm_forward(with_forward_cell(p), X, np.array([len(xs)])).data[:, :n]
 
 
 def column(x):
@@ -116,11 +121,12 @@ class TestLstmStep:
         p = LstmParams(3, 2, rng)
         _randomized(p, rng)
         X = ad.Tensor(rng.uniform(-1, 1, (4, 2)))
-        weights = np.zeros((4, 3))
-        weights[-1] = rng.normal(size=3)  # read the final state only
+        weights = np.zeros((4, 6))
+        weights[-1, :3] = rng.normal(size=3)  # read the final state only
+        stack = with_forward_cell(p)
 
         def loss():
-            return weighted_sum(lstm_sequence(p, X, np.array([4])), weights)
+            return weighted_sum(bilstm_forward(stack, X, np.array([4])), weights)
 
         check_grads(loss, p.parameters())
 
@@ -198,20 +204,26 @@ class TestBilstm:
 
 
 class TestLstmSequence:
+    """Each half of the fused op as one direction over packed sentences:
+    the left half reads each sentence first to last, the right half last
+    to first."""
+
     LENGTHS = np.array([4, 1, 3, 4])  # mixed, with a length-1 sentence and a tie
 
     def _setup(self, seed, dtype=np.float64):
         rng = np.random.default_rng(seed)
-        p = LstmParams(3, 2, rng)
-        _randomized(p, rng)
+        stack = BiLstmStack(3, 2, rng)
+        _randomized(stack.fwd, rng)
+        _randomized(stack.bwd, rng)
         X = ad.Tensor(rng.uniform(-1, 1, (self.LENGTHS.sum(), 2)).astype(dtype),
                       requires_grad=True)
-        return rng, p, X
+        return rng, stack, X
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_per_row_reference_steps(self, reverse):
-        _, p, X = self._setup(21, np.float32)
-        out = lstm_sequence(p, X, self.LENGTHS, reverse=reverse).data
+        _, stack, X = self._setup(21, np.float32)
+        p, half = (stack.bwd, slice(3, 6)) if reverse else (stack.fwd, slice(0, 3))
+        out = bilstm_forward(stack, X, self.LENGTHS).data[:, half]
         start = 0
         for m in self.LENGTHS:
             h, c = p.h0.data, p.c0.data
@@ -223,13 +235,17 @@ class TestLstmSequence:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_mixed_lengths(self, float64_mode, reverse):
-        rng, p, X = self._setup(22)
-        weights = rng.normal(size=(self.LENGTHS.sum(), 3))
+        # one half read out: its cell's h0 starts every sentence, and the
+        # other cell gets no gradient
+        rng, stack, X = self._setup(22)
+        weights = np.zeros((self.LENGTHS.sum(), 6))
+        half = slice(3, 6) if reverse else slice(0, 3)
+        weights[:, half] = rng.normal(size=(self.LENGTHS.sum(), 3))
 
         def loss():
-            return weighted_sum(lstm_sequence(p, X, self.LENGTHS, reverse), weights)
+            return weighted_sum(bilstm_forward(stack, X, self.LENGTHS), weights)
 
-        check_grads(loss, [X, *p.parameters()])
+        check_grads(loss, [X, *stack.parameters()])
 
     def test_bilstm_batch_gradients(self, float64_mode):
         rng = np.random.default_rng(23)
@@ -246,6 +262,6 @@ class TestLstmSequence:
         check_grads(loss, [X, *stack.parameters()])
 
     def test_padded_batch_rejected(self):
-        _, p, _ = self._setup(24)
+        _, stack, _ = self._setup(24)
         with pytest.raises(ad.ShapeMismatch):
-            lstm_sequence(p, ad.Tensor(np.ones((3, 1, 2))), np.array([3]))
+            bilstm_forward(stack, ad.Tensor(np.ones((3, 1, 2))), np.array([3]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from conftest import raw_instance
 from ddilstm import autodiff as ad
 from ddilstm import training as tr
 from ddilstm.features import (
+    InstanceFeatures,
     PositionVocab,
     build_vocab,
     collate,
     featurize,
 )
-from ddilstm.model import ModelConfig, build_model, scores
+from ddilstm.model import ModelConfig, build_model, default_config, scores
 from ddilstm.rng import named_stream
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
@@ -163,6 +165,36 @@ class TestAdam:
         assert float(w.data) < 2.0
         assert float(b.data) == 2.0
 
+    def test_in_place_update_equals_the_textbook_expressions(self):
+        # the float64 update written out as expressions, step after step;
+        # the in-place one must agree to the bit
+        cfg = TrainConfig(lr=3e-3)
+        rng = np.random.default_rng(4)
+        w = ad.Parameter(rng.normal(size=(5, 3)), name="w")
+        b = ad.Parameter(rng.normal(size=3), name="b", weight_decay=False)
+        named = [("w", w), ("b", b)]
+        state = AdamState(named)
+        ref = {n: p.data.copy() for n, p in named}
+        m = {n: np.zeros_like(p.data) for n, p in named}
+        v = {n: np.zeros_like(p.data) for n, p in named}
+        for t in range(1, 4):
+            for n, p in named:
+                p.grad = rng.normal(size=p.data.shape).astype(np.float32)
+                g = p.grad.astype(np.float64)
+                if p.weight_decay:
+                    g = g + 0.01 * ref[n].astype(np.float64)
+                m64 = cfg.beta1 * m[n].astype(np.float64) + (1.0 - cfg.beta1) * g
+                v64 = cfg.beta2 * v[n].astype(np.float64) + (1.0 - cfg.beta2) * g * g
+                m[n], v[n] = m64.astype(np.float32), v64.astype(np.float32)
+                update = cfg.lr * (m64 / (1.0 - cfg.beta1 ** t)) / (
+                    np.sqrt(v64 / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+                ref[n] = ref[n] - update.astype(np.float32)
+            adam_step(state, named, cfg, l2=0.01)
+            for n, p in named:
+                assert p.data.tobytes() == ref[n].tobytes()
+                assert state.m[n].tobytes() == m[n].tobytes()
+                assert state.v[n].tobytes() == v[n].tobytes()
+
     def test_step_touches_exactly_grad_bearing_params(self):
         _, vocab, pv, feats = featurized_synthetic(6)
         mcfg, params = small_model(vocab, pv)
@@ -225,6 +257,61 @@ class TestTapeSize:
                     tr._batch_loss(params, mcfg, batch, named_stream(0, "dropout"))
                 sizes.add(len(tape))
         assert len(sizes) == 1, sizes
+
+
+    @pytest.mark.parametrize("variant, records", [
+        ("b-lstm", 7), ("ab-lstm", 7), ("joint", 9)])
+    def test_records_per_variant(self, variant, records):
+        # embed, one per stack, one per pooling, [concat], [dropout], tanh,
+        # affine, loss; at each variant's default keep_prob
+        vocab = build_vocab([["DRUG-A", "w", "DRUG-B"]])
+        pv = PositionVocab(10)
+        mcfg = default_config(variant)
+        params = build_model(mcfg, len(vocab), len(pv))
+        batch = featurize([raw_instance(["DRUG-A", "w", "DRUG-B"], 0, 2, 1)],
+                          vocab, pv)
+        with ad.Tape() as tape:
+            tr._batch_loss(params, mcfg, batch, named_stream(0, "dropout"))
+        assert len(tape) == records
+
+
+class TestStepMemory:
+    """What a training step keeps, traced on a fixed packed batch.
+
+    After the forward the tape should hold little more than the floor:
+    per stack, each direction's gate activations (T, 4N) and cell states
+    (T, N) and the (T, 2N) output, plus the (T, d) embeddings. The
+    backward may add at most two (T, 2N) buffers on top of that.
+    """
+
+    HIDDEN, LENGTHS = 48, [60, 50, 40, 30, 20] * 10
+
+    @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm", "joint"])
+    def test_forward_holds_the_floor_and_backward_two_buffers(self, variant):
+        mcfg = ModelConfig(variant=variant, hidden=self.HIDDEN, word_dim=24,
+                           pos_dim=4, keep_prob=0.7)
+        params = build_model(mcfg, 40, 22, seed=1)
+        rng = np.random.default_rng(0)
+        batch = [InstanceFeatures(rng.integers(0, 40, m), rng.integers(0, 22, m),
+                                  rng.integers(0, 22, m), k % 5)
+                 for k, m in enumerate(self.LENGTHS)]
+        t, n, stacks = sum(self.LENGTHS), self.HIDDEN, len(params.stacks)
+        floor = 4 * t * (stacks * (2 * (4 * n + n) + 2 * n) + mcfg.input_dim)
+        buffer = 4 * t * 2 * n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with ad.Tape() as tape:
+                loss = tr._batch_loss(params, mcfg, batch, named_stream(0, "dropout"))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * floor, f"forward holds {held / floor:.2f} x the floor"
+        assert peak <= 1.1 * floor + 2 * buffer, (
+            f"backward peaks {(peak - floor) / buffer:.2f} buffers above the floor")
 
 
 class TestTrain:
