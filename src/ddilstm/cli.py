@@ -18,8 +18,6 @@ import time
 from dataclasses import asdict, fields, replace
 
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
-from .autodiff import NonFiniteError
-from .corpus import CorpusError
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
 from .labels import label_id, label_name
 from .model import (
@@ -60,7 +58,10 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold one JSON object")
     return data
@@ -357,8 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CorpusError, TrainingDiverged, NonFiniteError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    except (TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

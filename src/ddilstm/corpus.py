@@ -84,15 +84,13 @@ def _parse_file(path) -> list[SentenceRecord]:
         raise CorpusError(f"{path}: malformed XML ({exc})") from exc
     root = tree.getroot()
     docs = [root] if root.tag == "document" else root.findall(".//document")
-    if root.tag == "sentence":
-        docs = []
+    if not docs:
+        raise CorpusError(f"{path}: no <document> element")
     records = []
     for doc in docs:
         doc_id = doc.get("id", os.path.basename(str(path)))
         for sent in doc.findall("sentence"):
             records.append(_parse_sentence(sent, doc_id))
-    if root.tag == "sentence":
-        records.append(_parse_sentence(root, os.path.basename(str(path))))
     return records
 
 

@@ -101,18 +101,9 @@ def evaluate(gold: Sequence[int], predictions: Sequence[int],
 _CHI2_CRITICAL = ((10.828, "p<0.001"), (6.635, "p<0.01"), (3.841, "p<0.05"))
 
 
-@dataclass
-class McNemarResult:
-    statistic: float
-    significance: str
-
-    @property
-    def significant(self) -> bool:
-        return self.significance != "not significant at 0.05"
-
-
-def mcnemar(b: int, c: int) -> McNemarResult:
-    """Continuity-corrected McNemar chi-square on discordant counts.
+def mcnemar(b: int, c: int) -> tuple[float, str]:
+    """Continuity-corrected McNemar chi-square on discordant counts, and
+    its significance verdict.
 
     `b` and `c` count the instances exactly one of the two classifiers
     got right.
@@ -124,8 +115,8 @@ def mcnemar(b: int, c: int) -> McNemarResult:
     stat = (abs(b - c) - 1) ** 2 / (b + c)
     for critical, verdict in _CHI2_CRITICAL:
         if stat > critical:
-            return McNemarResult(stat, verdict)
-    return McNemarResult(stat, "not significant at 0.05")
+            return stat, verdict
+    return stat, "not significant at 0.05"
 
 
 def compare(gold: Sequence[int], first: Sequence[int],
@@ -140,11 +131,8 @@ def compare(gold: Sequence[int], first: Sequence[int],
     pairs = list(zip(correctness(gold, first), correctness(gold, second)))
     b = sum(x and not y for x, y in pairs)
     c = sum(y and not x for x, y in pairs)
-    report = {"b": b, "c": c, "statistic": None, "significance": None}
-    if b + c:
-        result = mcnemar(b, c)
-        report.update(statistic=result.statistic, significance=result.significance)
-    return report
+    statistic, significance = mcnemar(b, c) if b + c else (None, None)
+    return {"b": b, "c": c, "statistic": statistic, "significance": significance}
 
 
 def _moments(values: Sequence[int]) -> dict[str, float]:

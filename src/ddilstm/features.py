@@ -10,6 +10,7 @@ no padding; `embed` concatenates each token's three embedding rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -18,26 +19,19 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, record_op
 
-PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
-PAD_ID = 0
-UNK_ID = 1
+UNK_ID = 0
 
 # rows for unseen tokens and for fresh position/word matrices
 INIT_RANGE = 0.05
 
 
 class Vocabulary:
-    """Dense token -> id map with reserved PAD=0 and UNK=1."""
+    """Dense token -> id map: UNK is 0, then the tokens in the order given."""
 
     def __init__(self, tokens: Iterable[str]):
-        self._token_to_id = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
-        for tok in tokens:
-            if tok not in self._token_to_id:
-                self._token_to_id[tok] = len(self._token_to_id)
-        self._id_to_token = [None] * len(self._token_to_id)
-        for tok, i in self._token_to_id.items():
-            self._id_to_token[i] = tok
+        self._token_to_id = {tok: i for i, tok in
+                             enumerate(dict.fromkeys(chain([UNK_TOKEN], tokens)))}
 
     def __len__(self) -> int:
         return len(self._token_to_id)
@@ -54,8 +48,8 @@ class Vocabulary:
                            np.int32)
 
     def tokens(self) -> list[str]:
-        """All tokens in id order (PAD and UNK first)."""
-        return list(self._id_to_token)
+        """All tokens in id order (UNK first)."""
+        return list(self._token_to_id)
 
 
 def build_vocab(sentences: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
@@ -66,21 +60,15 @@ def build_vocab(sentences: Sequence[Sequence[str]], min_count: int = 1) -> Vocab
     """
     if not sentences:
         raise ValueError("build_vocab: empty corpus")
-    counts: dict[str, int] = {}
-    order: list[str] = []
-    for sent in sentences:
-        for tok in sent:
-            if tok not in counts:
-                order.append(tok)
-            counts[tok] = counts.get(tok, 0) + 1
-    return Vocabulary(tok for tok in order if counts[tok] >= min_count)
+    counts = Counter(chain.from_iterable(sentences))
+    return Vocabulary(tok for tok, n in counts.items() if n >= min_count)
 
 
 class PositionVocab:
     """Ids for signed word distances clamped to [-radius, radius].
 
-    Distance d maps to id 1 + (clamp(d) + radius); id 0 is PAD. Distances
-    beyond the radius share the +/-radius ids.
+    Distance d maps to id clamp(d) + radius, so the ids are 0..2 radius.
+    Distances beyond the radius share the +/-radius ids.
     """
 
     def __init__(self, radius: int = 50):
@@ -89,11 +77,11 @@ class PositionVocab:
         self.radius = radius
 
     def __len__(self) -> int:
-        return 2 * self.radius + 2
+        return 2 * self.radius + 1
 
     def id_for(self, distance):
         """The id of one distance, or elementwise of an int array of them."""
-        return 1 + self.radius + np.clip(distance, -self.radius, self.radius)
+        return self.radius + np.clip(distance, -self.radius, self.radius)
 
 
 def random_table(size: int, dim: int, rng: np.random.Generator,
@@ -190,7 +178,7 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     """Read whitespace-separated text vectors into the `embed.word` table.
 
     In-vocabulary rows are copied from the file and must be finite in
-    the table's dtype; everything else (including PAD/UNK) keeps the
+    the table's dtype; everything else (UNK included) keeps the
     small uniform noise of `random_table`. The table is trainable either
     way.
     """

@@ -200,7 +200,10 @@ def write_report(path, report: FilterReport) -> None:
 def read_removed_labels(path) -> list[int]:
     """Label ids of the filtered-out instances, for evaluation reinsertion."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON ({exc})") from None
     removed = data.get("removed", []) if isinstance(data, dict) else None
     if not isinstance(removed, list):
         raise ValueError(f"{path}: filter report needs a 'removed' list")

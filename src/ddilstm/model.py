@@ -241,7 +241,6 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
         for _, p in params.named_parameters()
     )
     manifest = {
-        "variant": cfg.variant,
         "config": asdict(cfg),
         "params": [
             {"name": name, "shape": list(p.data.shape)}
@@ -280,9 +279,10 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
             vocab_blob = json.load(fh)
         cfg = ModelConfig(**manifest["config"])
         words = vocab_blob["words"]
-        vocab = Vocabulary(words[2:])  # PAD/UNK are re-reserved by the constructor
+        vocab = Vocabulary(words[1:])  # UNK is re-reserved by the constructor
         if vocab.tokens() != words:
-            raise ValueError("vocabulary in checkpoint is not in id order")
+            raise ValueError("vocabulary is not <unk> then distinct words; "
+                             "a checkpoint with a <pad> row must be retrained")
         pv = PositionVocab(vocab_blob["position_radius"])
 
         # the blob overwrites every parameter, so nothing is drawn

@@ -2,7 +2,7 @@
 
 Each interaction class carries an unambiguous cue word, so any of the
 model variants can drive training accuracy to 100% quickly. Sentences
-vary in length and filler so the corpus still exercises padding and
+vary in length and filler so the corpus still exercises packing and
 position features.
 """
 

@@ -24,6 +24,10 @@ from .features import InstanceFeatures, collate
 from .model import ModelConfig, ModelParams, predict, scores
 
 
+# Adam's moment decay rates and the denominator's stabilizer
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the epoch/batch where it happened."""
 
@@ -31,9 +35,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 200
     max_epochs: int = 10
     seed: int = 0
@@ -42,8 +43,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1/beta2 must lie in (0, 1)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.max_epochs < 1:
@@ -92,8 +91,8 @@ def adam_step(state: AdamState, named_params: Sequence[tuple[str, Parameter]],
     """One update over every parameter that received a gradient."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     stepped = False
     for name, p in named_params:
         if p.grad is None:
@@ -104,16 +103,16 @@ def adam_step(state: AdamState, named_params: Sequence[tuple[str, Parameter]],
         if l2 and p.weight_decay:
             g += l2 * p.data.astype(np.float64)
         m, v = state.m[name].astype(np.float64), state.v[name].astype(np.float64)
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         state.m[name][...], state.v[name][...] = m, v
         m /= bc1
         m *= cfg.lr
         v /= bc2
         np.sqrt(v, out=v)
-        v += cfg.eps
+        v += EPS
         m /= v
         p.data -= m.astype(p.data.dtype)
     if not stepped:

@@ -69,6 +69,19 @@ class TestPreprocess:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xml", [
+        "<foo/>", "<corpus><foo/></corpus>",
+        '<sentence id="s0" text="aspirin"/>'], ids=["foo", "no-document", "sentence"])
+    def test_corpus_without_document_rejected(self, tmp_path, capsys, xml):
+        path = tmp_path / "odd.xml"
+        path.write_text(xml)
+        out = tmp_path / "o.jsonl"
+        code = main(["preprocess", "--corpus", str(path), "--out", str(out)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert str(path) in err and "no <document>" in err
+        assert not out.exists()
+
 
 class TestFilter:
     def test_filter_writes_outputs(self, tmp_path):
@@ -290,6 +303,15 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert_one_error_line(capsys)
 
+    def test_malformed_config_json_names_the_file(self, tmp_path, synthetic_file,
+                                                  capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{bad")
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 1
+        assert f"{cfg}: malformed JSON" in assert_one_error_line(capsys)
+
 
 def _drop(blob, key):
     del blob[key]
@@ -342,6 +364,9 @@ CHECKPOINT_EDITS = {
                                      lambda v: _drop(v, "position_radius")),
     "flipped-blob-bit": _flip_one_bit,
     "per-gate-layout": _edit_json("manifest", _per_gate_layout),
+    # the layout with a reserved padding id: <pad> = 0 before <unk>
+    "padded-layout": _edit_json("vocab.json",
+                                lambda v: v["words"].insert(0, "<pad>")),
 }
 
 
@@ -425,3 +450,14 @@ class TestRecordBoundary:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
         assert str(report_path) in assert_one_error_line(capsys)
+
+    def test_malformed_filter_report_json(self, tmp_path, synthetic_file, capsys):
+        preds = tmp_path / "preds.jsonl"
+        _write_predictions(preds, synthetic_file)
+        report_path = tmp_path / "report.json"
+        report_path.write_text("{bad")
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(synthetic_file), "--filter-report", str(report_path),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert f"{report_path}: malformed JSON" in assert_one_error_line(capsys)

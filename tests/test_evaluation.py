@@ -94,24 +94,24 @@ class TestEvaluate:
 
 class TestMcNemar:
     def test_symmetric_counts_not_significant(self):
-        res = mcnemar(10, 10)
-        assert res.statistic == pytest.approx(1 / 20)
-        assert not res.significant
+        statistic, significance = mcnemar(10, 10)
+        assert statistic == pytest.approx(1 / 20)
+        assert significance == "not significant at 0.05"
 
     def test_fifteen_five(self):
-        res = mcnemar(15, 5)
-        assert res.statistic == 81 / 20
-        assert res.significance == "p<0.05"
+        statistic, significance = mcnemar(15, 5)
+        assert statistic == 81 / 20
+        assert significance == "p<0.05"
 
     def test_single_discordance_absorbed(self):
-        assert mcnemar(1, 0).statistic == 0.0
+        assert mcnemar(1, 0)[0] == 0.0
 
     def test_no_discordance_rejected(self):
         with pytest.raises(ValueError):
             mcnemar(0, 0)
 
     def test_strong_asymmetry_highly_significant(self):
-        assert mcnemar(60, 5).significance == "p<0.001"
+        assert mcnemar(60, 5)[1] == "p<0.001"
 
 
 class TestCompare:

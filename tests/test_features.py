@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import check_grads, featurize_one, raw_instance, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.features import (
-    PAD_ID,
     UNK_ID,
     Batch,
     InstanceFeatures,
@@ -33,10 +32,26 @@ class TestVocabulary:
         assert all(t in vocab for t in "xyz")
 
     def test_reserved_ids(self):
-        vocab = build_vocab([["a"]])
-        assert vocab.lookup("<pad>") == PAD_ID == 0
-        assert vocab.lookup("<unk>") == UNK_ID == 1
-        assert vocab.lookup("a") == 2
+        vocab = build_vocab([["a", "b"]])
+        assert vocab.lookup("<unk>") == UNK_ID == 0
+        assert vocab.lookup("a") == 1 and vocab.lookup("b") == 2
+        assert vocab.tokens() == ["<unk>", "a", "b"] and len(vocab) == 3
+
+    def test_pad_token_is_an_ordinary_word(self):
+        # no id is reserved for padding, so a literal <pad> gets its own
+        vocab = build_vocab([["a", "<pad>"], ["<pad>"]], min_count=2)
+        assert vocab.tokens() == ["<unk>", "<pad>"]
+        f = featurize_one(["<pad>", "a", "<pad>"], 0, 2, 4, vocab, PositionVocab(3))
+        assert f.word_ids.tolist() == [1, UNK_ID, 1]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>", "<pad>"]),
+                             min_size=1, max_size=6), min_size=1, max_size=5),
+           st.integers(1, 3))
+    def test_every_id_is_reachable(self, sentences, min_count):
+        vocab = build_vocab(sentences, min_count=min_count)
+        reached = {UNK_ID} | {vocab.lookup(t) for s in sentences for t in s}
+        assert reached == set(range(len(vocab)))
 
     def test_ids_dense_and_reversible(self):
         vocab = build_vocab([["c", "b", "a", "b"]])
@@ -51,7 +66,8 @@ class TestVocabulary:
 class TestPositionVocab:
     def test_zero_distance_fixed_id(self):
         pv = PositionVocab(5)
-        assert pv.id_for(0) == 1 + pv.radius
+        assert pv.id_for(0) == pv.radius == 5
+        assert pv.id_for(-5) == 0 and pv.id_for(5) == 10
 
     def test_clamping(self):
         pv = PositionVocab(50)
@@ -59,11 +75,16 @@ class TestPositionVocab:
         assert pv.id_for(-100) == pv.id_for(-50)
         assert pv.id_for(49) != pv.id_for(50)
 
-    def test_size_covers_range_plus_pad(self):
+    def test_size_covers_range(self):
         pv = PositionVocab(3)
         ids = {pv.id_for(d) for d in range(-3, 4)}
-        assert len(ids) == 7 and PAD_ID not in ids
-        assert len(pv) == 8
+        assert ids == set(range(7)) and len(pv) == 7
+
+    @pytest.mark.parametrize("radius", [1, 2, 7, 50])
+    def test_every_id_is_reachable(self, radius):
+        pv = PositionVocab(radius)
+        reached = {int(pv.id_for(d)) for d in range(-radius - 1, radius + 2)}
+        assert reached == set(range(len(pv)))
 
 
 class TestFeaturize:
@@ -179,7 +200,7 @@ class TestCollate:
         for name in ("word_ids", "p1_ids", "p2_ids"):
             ids = [getattr(f, name).tolist() for f in (long, short, long)]
             assert getattr(batch, name).tolist() == ids[0] + ids[1] + ids[2]
-        assert PAD_ID not in batch.word_ids.tolist()
+        assert batch.word_ids.size == batch.lengths.sum()
         assert batch.labels.tolist() == [4, 2, 4]
 
     def test_array_backed_equals_list_backed(self):
@@ -200,7 +221,7 @@ class TestCollate:
     def test_padded_or_empty_input_rejected(self):
         # an instance carries no mask, and a batch holds no padding
         with pytest.raises(TypeError):
-            InstanceFeatures([2, PAD_ID], [1, PAD_ID], [1, PAD_ID], 4,
+            InstanceFeatures([2, 0], [1, 0], [1, 0], 4,
                              mask=[True, False])
         with pytest.raises(ValueError):
             collate([])
@@ -297,18 +318,18 @@ class TestEmbed:
 
     def test_rows_gather_and_scatter(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
-        mw.data[...] = np.arange(8.0).reshape(4, 2)
-        batch = Batch(np.array([1, 1, 3]), np.array([0, 0, 0]), np.array([0, 0, 0]),
+        mw.data[...] = np.arange(6.0).reshape(3, 2)
+        batch = Batch(np.array([1, 1, 2]), np.array([0, 0, 0]), np.array([0, 0, 0]),
                       np.array([3]), np.array([0]))
         with ad.Tape() as tape:
             picked = embed(batch, mw, mp1, mp2)
             weights = np.zeros((3, 4))
             weights[0, :2] = 1.0
             loss = weighted_sum(picked, weights)
-        np.testing.assert_array_equal(picked.data[:, :2], mw.data[[1, 1, 3]])
+        np.testing.assert_array_equal(picked.data[:, :2], mw.data[[1, 1, 2]])
         tape.backward(loss)
         # row 1 used twice but only the first output row contributes
-        assert mw.grad[1].sum() == 2.0 and not mw.grad[3].any()
+        assert mw.grad[1].sum() == 2.0 and not mw.grad[2].any()
 
     @pytest.mark.parametrize("table", ["word", "p1", "p2"])
     def test_rows_out_of_range(self, table):

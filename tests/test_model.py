@@ -282,4 +282,5 @@ class TestCheckpoint:
         listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
         actual = [(n, p.data.shape) for n, p in params.named_parameters()]
         assert listed == actual
-        assert manifest["variant"] == cfg.variant
+        assert manifest["config"]["variant"] == cfg.variant
+        assert "variant" not in manifest

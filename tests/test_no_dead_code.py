@@ -34,8 +34,8 @@ ENTRY_POINTS = {
 }
 
 
-# methods and properties that no module calls: the verdict of `mcnemar`
-METHOD_API = {("evaluation", "McNemarResult", "significant")}
+# methods and properties that no module calls
+METHOD_API = set()
 
 
 def _is_dunder(name):

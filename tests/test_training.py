@@ -21,6 +21,9 @@ from ddilstm.model import ModelConfig, build_model, default_config, scores
 from ddilstm.rng import named_stream
 from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     EpochRecord,
     TrainConfig,
@@ -123,7 +126,7 @@ class TestAdam:
         p.grad = np.asarray(g, dtype=np.float32)
         state = AdamState([("theta", p)])
         adam_step(state, [("theta", p)], cfg)
-        expected = -cfg.lr * g / (abs(g) + cfg.eps)
+        expected = -cfg.lr * g / (abs(g) + EPS)
         assert abs(float(p.data) - expected) < 1e-9
 
     def test_zero_gradient_no_motion(self):
@@ -183,11 +186,11 @@ class TestAdam:
                 g = p.grad.astype(np.float64)
                 if p.weight_decay:
                     g = g + 0.01 * ref[n].astype(np.float64)
-                m64 = cfg.beta1 * m[n].astype(np.float64) + (1.0 - cfg.beta1) * g
-                v64 = cfg.beta2 * v[n].astype(np.float64) + (1.0 - cfg.beta2) * g * g
+                m64 = BETA1 * m[n].astype(np.float64) + (1.0 - BETA1) * g
+                v64 = BETA2 * v[n].astype(np.float64) + (1.0 - BETA2) * g * g
                 m[n], v[n] = m64.astype(np.float32), v64.astype(np.float32)
-                update = cfg.lr * (m64 / (1.0 - cfg.beta1 ** t)) / (
-                    np.sqrt(v64 / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+                update = cfg.lr * (m64 / (1.0 - BETA1 ** t)) / (
+                    np.sqrt(v64 / (1.0 - BETA2 ** t)) + EPS)
                 ref[n] = ref[n] - update.astype(np.float32)
             adam_step(state, named, cfg, l2=0.01)
             for n, p in named:
