@@ -60,7 +60,7 @@ def _load_config_file(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold one JSON object")
@@ -207,17 +207,20 @@ def _read_predictions(path) -> tuple[list, list[int]]:
     """The pair ids and the label ids of a predictions file, in order."""
     pair_ids, labels = [], []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict) or type(rec.get("label")) is not str:
-                    raise ValueError("needs a JSON object with a string label")
-                labels.append(label_id(rec["label"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad prediction ({exc})") from None
-            pair_ids.append(rec.get("pair_id"))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict) or type(rec.get("label")) is not str:
+                        raise ValueError("needs a JSON object with a string label")
+                    labels.append(label_id(rec["label"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad prediction ({exc})") from None
+                pair_ids.append(rec.get("pair_id"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return pair_ids, labels
 
 

@@ -325,14 +325,17 @@ def _check_record(rec) -> None:
 def read_instances(path) -> list[RawInstance]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                _check_record(rec)
-                rec["label"] = label_id(rec["label"])
-                out.append(RawInstance(**rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad instance record ({exc})")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    _check_record(rec)
+                    rec["label"] = label_id(rec["label"])
+                    out.append(RawInstance(**rec))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: bad instance record ({exc})")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out

@@ -184,25 +184,28 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     """
     table = random_table(len(vocab), dim, rng, "embed.word")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
-                )
-            if token in vocab:
-                row = table.data[vocab.lookup(token)]
-                try:
-                    # an overflow is reported below, as an infinity
-                    with np.errstate(over="ignore"):
-                        row[...] = [float(v) for v in values]
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed float") from None
-                if not np.isfinite(row).all():
-                    raise ValueError(f"{path}:{lineno}: non-finite float")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split()
+                if not parts:
+                    continue
+                token, values = parts[0], parts[1:]
+                if len(values) != dim:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
+                    )
+                if token in vocab:
+                    row = table.data[vocab.lookup(token)]
+                    try:
+                        # an overflow is reported below, as an infinity
+                        with np.errstate(over="ignore"):
+                            row[...] = [float(v) for v in values]
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: malformed float") from None
+                    if not np.isfinite(row).all():
+                        raise ValueError(f"{path}:{lineno}: non-finite float")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return table
 
 

@@ -9,6 +9,12 @@ Three rule families, applied in order with first-match attribution:
      ("DRUG-A , DRUG-N , DRUG-B", optionally with and/or before the last
      conjunct).
 
+Rules 2 and 3 read only the tokens strictly between the targets, each
+coded as one character: `DRUG-N` as `N`, `and`/`or` as `&`, `such` as
+`s`, `as` as `a`, `,` and `(` as themselves. Each of their patterns is
+a regular expression (`_PATTERNS`) that must match the whole coded span;
+none matches a span holding any other token, so coding stops there.
+
 Every pattern can be switched off individually, so the exact pattern set
 in use is always auditable.
 """
@@ -16,7 +22,8 @@ in use is always auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
@@ -33,8 +40,9 @@ class FilterConfig:
     coord_list_conj: bool = True
 
     def disable(self, name: str) -> "FilterConfig":
-        if not hasattr(self, name):
-            raise ValueError(f"unknown filter pattern {name!r}")
+        names = [f.name for f in fields(self)]
+        if name not in names:
+            raise ValueError(f"unknown filter pattern {name!r}; pick one of {names}")
         setattr(self, name, False)
         return self
 
@@ -43,61 +51,22 @@ def _normalized_name(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def _match_same_name(inst: RawInstance) -> bool:
-    return _normalized_name(inst.a_text) == _normalized_name(inst.b_text)
+_TOKEN_CLASS = {DRUG_N: "N", ",": ",", "and": "&", "or": "&", "(": "(",
+                "such": "s", "as": "a"}
 
-
-def _match_apposition_paren(tokens: Sequence[str], a: int, b: int) -> bool:
+# pattern name -> (rule, regex over the coded span), in attribution order
+_PATTERNS = {
     # DRUG-A ( DRUG-B: immediately parenthesized, closing anywhere
-    return b == a + 2 and tokens[a + 1] == "("
-
-
-def _match_such_as(tokens: Sequence[str], a: int, b: int) -> bool:
-    return b == a + 3 and tokens[a + 1] == "such" and tokens[a + 2] == "as"
-
-
-def _match_such_as_list(tokens: Sequence[str], a: int, b: int) -> bool:
+    "apposition_paren": ("rule2", re.compile(r"\(")),
+    # DRUG-A such as DRUG-B
+    "such_as": ("rule2", re.compile("sa")),
     # DRUG-A such as DRUG-N , ... DRUG-B
-    if not (b > a + 3 and tokens[a + 1] == "such" and tokens[a + 2] == "as"):
-        return False
-    between = tokens[a + 3:b]
-    if DRUG_N not in between:
-        return False
-    return all(t in (DRUG_N, ",", "and", "or") for t in between)
-
-
-def _match_coord_list(tokens: Sequence[str], a: int, b: int) -> bool:
+    "such_as_list": ("rule2", re.compile("sa[N,&]*N[N,&]*")),
     # DRUG-A , (DRUG-N ,)+ DRUG-B
-    j = a + 1
-    if j >= b or tokens[j] != ",":
-        return False
-    j += 1
-    reps = 0
-    while j + 1 < b and tokens[j] == DRUG_N and tokens[j + 1] == ",":
-        reps += 1
-        j += 2
-    return reps >= 1 and j == b
-
-
-def _match_coord_list_conj(tokens: Sequence[str], a: int, b: int) -> bool:
+    "coord_list": ("rule3", re.compile(",(?:N,)+")),
     # DRUG-A , DRUG-N (, DRUG-N)* ,? (and|or) DRUG-B
-    if b <= a + 3 or tokens[a + 1] != ",":
-        return False
-    if tokens[b - 1] not in ("and", "or"):
-        return False
-    between = tokens[a + 2:b - 1]
-    if between and between[-1] == ",":
-        between = between[:-1]
-    if not between:
-        return False
-    expect_drug = True
-    for t in between:
-        if expect_drug and t != DRUG_N:
-            return False
-        if not expect_drug and t != ",":
-            return False
-        expect_drug = not expect_drug
-    return expect_drug is False  # must end on a DRUG-N
+    "coord_list_conj": ("rule3", re.compile(",N(?:,N)*,?&")),
+}
 
 
 @dataclass
@@ -140,31 +109,21 @@ class FilterReport:
         }
 
 
-_RULE1 = [("same_name", _match_same_name)]
-_RULE2 = [
-    ("apposition_paren", _match_apposition_paren),
-    ("such_as", _match_such_as),
-    ("such_as_list", _match_such_as_list),
-]
-_RULE3 = [
-    ("coord_list", _match_coord_list),
-    ("coord_list_conj", _match_coord_list_conj),
-]
-
-
 def match_rule(inst: RawInstance,
                config: Optional[FilterConfig] = None) -> Optional[tuple[str, str]]:
     """(rule name, pattern name) of the first matching rule, else None."""
     cfg = config or FilterConfig()
-    if cfg.same_name and _match_same_name(inst):
+    if cfg.same_name and _normalized_name(inst.a_text) == _normalized_name(inst.b_text):
         return "rule1", "same_name"
-    a, b = inst.drug_a, inst.drug_b
-    for name, fn in _RULE2:
-        if getattr(cfg, name) and fn(inst.tokens, a, b):
-            return "rule2", name
-    for name, fn in _RULE3:
-        if getattr(cfg, name) and fn(inst.tokens, a, b):
-            return "rule3", name
+    coded = []
+    for token in inst.tokens[inst.drug_a + 1:inst.drug_b]:
+        if token not in _TOKEN_CLASS:
+            return None
+        coded.append(_TOKEN_CLASS[token])
+    span = "".join(coded)
+    for name, (rule, regex) in _PATTERNS.items():
+        if getattr(cfg, name) and regex.fullmatch(span):
+            return rule, name
     return None
 
 
@@ -202,7 +161,7 @@ def read_removed_labels(path) -> list[int]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: malformed JSON ({exc})") from None
     removed = data.get("removed", []) if isinstance(data, dict) else None
     if not isinstance(removed, list):

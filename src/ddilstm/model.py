@@ -67,6 +67,8 @@ class ModelConfig:
             raise ValueError("keep_prob must be in (0, 1]")
         if min(self.hidden, self.word_dim, self.pos_dim) < 1:
             raise ValueError("dims must be positive")
+        if not 0.0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2}")
 
     @property
     def input_dim(self) -> int:

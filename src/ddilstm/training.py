@@ -41,6 +41,8 @@ class TrainConfig:
     val_fraction: float = 0.05
 
     def __post_init__(self):
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:

@@ -118,6 +118,19 @@ class TestFilter:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    # names of FilterConfig's other attributes, which are no patterns
+    @pytest.mark.parametrize("names", [
+        ["disable"], ["__init__"], ["__class__"], ["disable", "same_name"]],
+        ids=["disable", "init", "class", "disable-then-same_name"])
+    def test_disable_takes_only_pattern_names(self, tmp_path, synthetic_file,
+                                              capsys, names):
+        code = main(["filter", "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "k.jsonl"),
+                     "--report", str(tmp_path / "r.json"),
+                     *[arg for name in names for arg in ("--disable", name)]])
+        assert code == 1
+        assert repr(names[0]) in assert_one_error_line(capsys)
+
 
 class TestTrainPredictEvaluate:
     def test_full_loop(self, tmp_path, synthetic_file):
@@ -303,6 +316,22 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")),
+        ("l2", -1.0), ("l2", float("inf"))])
+    def test_meaningless_lr_or_l2_rejected(self, tmp_path, synthetic_file, capsys,
+                                           via, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN and Infinity as Python writes them
+        given = (["--" + key, str(value)] if via == "flag"
+                 else ["--config", str(cfg)])
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "x"), "--hidden", "4",
+                     "--epochs", "1", *given])
+        assert code == 1
+        assert f"{key} must be a finite number" in assert_one_error_line(capsys)
+
     def test_malformed_config_json_names_the_file(self, tmp_path, synthetic_file,
                                                   capsys):
         cfg = tmp_path / "config.json"
@@ -461,3 +490,27 @@ class TestRecordBoundary:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
         assert f"{report_path}: malformed JSON" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command,option", [
+        ("filter", "--instances"), ("train", "--config"),
+        ("train", "--word-vectors"), ("evaluate", "--predictions"),
+        ("evaluate", "--filter-report"), ("analyze", "--gold")])
+    def test_non_utf8_file_is_named(self, tmp_path, synthetic_file, capsys,
+                                    command, option):
+        preds = tmp_path / "preds.jsonl"
+        _write_predictions(preds, synthetic_file)
+        out = tmp_path / "out"
+        scored = {"--predictions": preds, "--gold": synthetic_file, "--out": out}
+        given = {
+            "filter": {"--instances": synthetic_file, "--out": out,
+                       "--report": tmp_path / "report.json"},
+            "train": {"--instances": synthetic_file, "--out-dir": out},
+            "evaluate": scored,
+            "analyze": scored,
+        }[command]
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff\n")
+        given[option] = bad
+        code = main([command, *(str(arg) for pair in given.items() for arg in pair)])
+        assert code == 1
+        assert str(bad) in assert_one_error_line(capsys)

@@ -111,6 +111,15 @@ class TestRules:
         hit = match_rule(inst, off)
         assert hit is None or hit[1] != pattern
 
+    @pytest.mark.parametrize("span", [
+        "( x", "such", "as such", "such as , and", "such as DRUG-N foo",
+        ", DRUG-N", ", DRUG-N , , and", ", and",
+        # literal tokens that collide with the one-character token codes
+        ", N ,", "s a", "such as N", ", DRUG-N &"])
+    def test_pattern_edges_match_nothing(self, span):
+        tokens = ["DRUG-A", *span.split(), "DRUG-B"]
+        assert match_rule(instance(tokens, 0, len(tokens) - 1)) is None
+
     def test_unknown_toggle_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig().disable("rule99")

@@ -1,12 +1,13 @@
 """Every top-level function and class in the package has a caller, and
-so does every method and property.
+so does every method and property; every module-level name is read.
 
-A definition counts as used when some module of `src/ddilstm` refers to
-it by name, or through an imported module (`corpus.parse_corpus`); a
-method or property, when some module there reads an attribute of its
-name (`vocab.tokens()`). Code that only tests call is dead, unless it is
-an outside entry point or library API listed below. No module of the
-package or of the tests imports a name it never uses.
+A definition or module-level name counts as used when some module of
+`src/ddilstm` reads it by name, or through an imported module
+(`corpus.parse_corpus`); a method or property, when some module there
+reads an attribute of its name (`vocab.tokens()`). Code that only tests
+call is dead, unless it is an outside entry point or library API listed
+below. No module of the package or of the tests imports a name it never
+uses.
 """
 
 import ast
@@ -42,12 +43,20 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name) and not _is_dunder(t.id)]
+
+
 def _definitions_and_references():
     defined, methods, used, attributes = [], [], set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.stem, node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(path.stem, name) for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for name in _assigned_names(node)]
         methods += [(path.stem, node.name, item.name) for node in tree.body
                     if isinstance(node, ast.ClassDef) for item in node.body
                     if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name)]
@@ -55,7 +64,7 @@ def _definitions_and_references():
                    if isinstance(node, ast.ImportFrom) and node.module is None
                    for alias in node.names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
