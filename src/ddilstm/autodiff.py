@@ -2,38 +2,25 @@
 
 Every forward operation appends a record to the active :class:`Tape`; a
 single reverse sweep over the tape populates ``.grad`` on every tensor
-that requires it. The op set is deliberately small: the affine layer
-over a (B, k) batch, elementwise tanh and mul, and last-axis
-concatenation. Modules with larger fused ops (the embedding lookup, the
-BiLSTM stack, pooling, the loss) record them through :func:`record_op`;
+that requires it. There are no generic ops: each layer (the embedding
+lookup, a BiLSTM stack, a pooling, the output layer, the loss) is one
+fused op that its module records through :func:`record_op`, and every
+backward returns a fresh array per input, so no gradient is copied.
 `softmax` is a plain float64 helper that records nothing.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
-Storage defaults to float32; tests that need headroom (finite-difference
-checks, tight normalization bounds) switch to float64 via `use_dtype`.
+Storage defaults to float32 (`_DTYPE`); the tests' gradient checks
+switch it to float64.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 _DTYPE = np.float32
-
-
-@contextlib.contextmanager
-def use_dtype(dtype):
-    """Temporarily switch the default storage dtype (e.g. to float64)."""
-    global _DTYPE
-    previous = _DTYPE
-    _DTYPE = np.dtype(dtype).type
-    try:
-        yield
-    finally:
-        _DTYPE = previous
 
 
 class ShapeMismatch(ValueError):
@@ -77,14 +64,15 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add an incoming gradient; fan-out sums naturally here."""
+        """Add an incoming gradient; fan-out sums naturally here. The first
+        one is kept as it is, and later ones are added into it."""
         g = np.asarray(g, dtype=self.data.dtype)
         if g.shape != self.data.shape:
             raise ShapeMismatch(
                 f"gradient shape {g.shape} vs data shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad += g
 
@@ -197,8 +185,10 @@ def segment_starts(lengths, packed: np.ndarray) -> np.ndarray:
 def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -> Tensor:
     """Attach `out` to the active tape when any input needs gradients.
 
-    Extension hook: modules defining their own differentiable ops (max
-    pooling, cross-entropy) route through here.
+    `backward_fn` maps the output gradient to one gradient per input, in
+    order, and each must be a fresh array: neither the output gradient
+    nor a view into another returned gradient, since `accumulate` adopts
+    it and adds later gradients into it.
     """
     if _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -206,37 +196,9 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for each row of a (B, k) matrix x, with w (k, c) and b (c,)."""
-    if (x.data.ndim != 2 or w.data.ndim != 2
-            or x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]):
-        raise ShapeMismatch(f"affine {x.shape} @ {w.shape} + {b.shape}")
-    x_data, w_data = x.data, w.data
-
-    def grad_fn(g):
-        return g @ w_data.T, x_data.T @ g, g.sum(axis=0)
-
-    return record_op(Tensor(x_data @ w_data + b.data), (x, w, b), grad_fn)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # (1 + tanh(x / 2)) / 2: one ufunc pass, and no exp to overflow
     return 0.5 + 0.5 * np.tanh(0.5 * x)
-
-
-def tanh(a: Tensor) -> Tensor:
-    """Elementwise tanh."""
-    t = np.tanh(a.data)
-    return record_op(Tensor(t), (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two tensors of one shape."""
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    a_data, b_data = a.data, b.data
-    return record_op(Tensor(a_data * b_data), (a, b),
-                     lambda g: (g * b_data, g * a_data))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -245,20 +207,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Join two tensors of equal rank end to end along their last axis."""
-    ra, rb = a.data.ndim, b.data.ndim
-    if ra != rb or ra == 0:
-        raise ShapeMismatch(f"concat ranks {ra} vs {rb}")
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeMismatch(f"concat leading dims {a.shape} vs {b.shape}")
-    split = a.data.shape[-1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1))
-
-    def grad_fn(g):
-        return g[..., :split], g[..., split:]
-
-    return record_op(out, (a, b), grad_fn)
-

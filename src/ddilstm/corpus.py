@@ -86,12 +86,11 @@ def _parse_file(path) -> list[SentenceRecord]:
     docs = [root] if root.tag == "document" else root.findall(".//document")
     if not docs:
         raise CorpusError(f"{path}: no <document> element")
-    records = []
-    for doc in docs:
-        doc_id = doc.get("id", os.path.basename(str(path)))
-        for sent in doc.findall("sentence"):
-            records.append(_parse_sentence(sent, doc_id))
-    return records
+    try:
+        return [_parse_sentence(sent, doc.get("id", os.path.basename(str(path))))
+                for doc in docs for sent in doc.findall("sentence")]
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def _parse_sentence(sent: ET.Element, doc_id: str) -> SentenceRecord:
@@ -114,9 +113,17 @@ def _parse_sentence(sent: ET.Element, doc_id: str) -> SentenceRecord:
         e1, e2 = pair.get("e1", ""), pair.get("e2", "")
         if e1 not in known or e2 not in known:
             raise CorpusError(f"pair {pid}: references unknown entity")
-        ddi = pair.get("ddi", "false").strip().lower() == "true"
+        ddi = pair.get("ddi", "").strip().lower()
+        if ddi not in ("true", "false"):
+            raise CorpusError(f"pair {pid}: ddi must be 'true' or 'false', "
+                              f"got {pair.get('ddi')!r}")
         ptype = pair.get("type")
-        pairs.append(PairAnnotation(pid, e1, e2, ddi, ptype))
+        if ddi == "true" and ptype is not None:
+            try:
+                label_id(ptype)
+            except ValueError as exc:
+                raise CorpusError(f"pair {pid}: {exc}") from None
+        pairs.append(PairAnnotation(pid, e1, e2, ddi == "true", ptype))
     return SentenceRecord(sid, doc_id, text, entities, pairs)
 
 

@@ -60,6 +60,8 @@ def build_vocab(sentences: Sequence[Sequence[str]], min_count: int = 1) -> Vocab
     """
     if not sentences:
         raise ValueError("build_vocab: empty corpus")
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = Counter(chain.from_iterable(sentences))
     return Vocabulary(tok for tok, n in counts.items() if n >= min_count)
 

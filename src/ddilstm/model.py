@@ -1,10 +1,10 @@
 """The three classifier variants and their serialization.
 
-All variants share the same skeleton: embed tokens and distances, encode
-with one or two bidirectional LSTM stacks, pool to a fixed vector h2,
-optionally drop out, squash (h3 = tanh(h2)) and score through a single
-affine layer. A collated, padding-free batch is scored in one tape op
-per layer; training takes its loss from the scores.
+A collated, padding-free batch is scored in one tape record per layer:
+`embed`, one `bilstm_forward` per stack, the pooling, and `output_layer`,
+which joins the pooled features into h2, drops out when training,
+squashes (h3 = tanh(h2)) and scores h3 W_o + b_o. Training records the
+loss as one more op: 5 records per step, 7 for joint.
 
     b-lstm   one stack, max pooling           h2 width 2N
     ab-lstm  one stack, attentive pooling     h2 width 2N
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .autodiff import Parameter, Tensor, affine, concat, mul, softmax, tanh
+from .autodiff import Parameter, ShapeMismatch, Tensor, record_op, softmax
 from .features import (
     Batch,
     InstanceFeatures,
@@ -164,6 +164,36 @@ def _assemble(cfg, vocab_size, position_size, stream, word_matrix=None) -> Model
     return ModelParams(word, p1, p2, stacks, w_a, W_o, b_o)
 
 
+def output_layer(pooled: Sequence[Tensor], drop: Optional[np.ndarray],
+                 W_o: Tensor, b_o: Tensor) -> Tensor:
+    """(B, C) scores tanh(h2 * drop) @ W_o + b_o in one tape op: h2 joins
+    the (B, k) `pooled` tensors end to end, and `drop` is the (B, width)
+    inverted-dropout scale, None at inference."""
+    shapes = [p.data.shape for p in pooled]
+    rows, width = shapes[0][:1], sum(s[-1] for s in shapes)
+    if ({s[:-1] for s in shapes} != {rows} or b_o.data.ndim != 1
+            or W_o.data.shape != (width, *b_o.data.shape)
+            or drop is not None and drop.shape != (*rows, width)):
+        raise ShapeMismatch(f"output layer: pooled {shapes}, W_o {W_o.shape}, "
+                            f"b_o {b_o.shape}")
+    h3 = np.concatenate([p.data for p in pooled], axis=1)
+    if drop is not None:
+        h3 *= drop
+    np.tanh(h3, out=h3)
+
+    def grad_fn(g):
+        d = g @ W_o.data.T
+        d *= 1.0 - h3 * h3
+        if drop is not None:
+            d *= drop
+        if len(shapes) == 1:
+            return d, h3.T @ g, g.sum(axis=0)
+        parts = np.split(d, np.cumsum([s[1] for s in shapes])[:-1], axis=1)
+        return (*[part.copy() for part in parts], h3.T @ g, g.sum(axis=0))
+
+    return record_op(Tensor(h3 @ W_o.data + b_o.data), (*pooled, W_o, b_o), grad_fn)
+
+
 def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
            training: bool = False,
            dropout_rng: Optional[np.random.Generator] = None,
@@ -178,27 +208,23 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
     lengths = batch.lengths
     X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
 
-    alpha = None
-    if cfg.variant == "b-lstm":
-        h2 = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
-    elif cfg.variant == "ab-lstm":
-        h2, alpha = attentive_pool(bilstm_forward(params.stacks[0], X, lengths),
-                                   params.w_a, lengths)
-    else:
-        z_max = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
-        z_att, alpha = attentive_pool(bilstm_forward(params.stacks[1], X, lengths),
+    alpha, pooled = None, []
+    if cfg.variant != "ab-lstm":
+        pooled.append(max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths))
+    if cfg.variant != "b-lstm":
+        z_att, alpha = attentive_pool(bilstm_forward(params.stacks[-1], X, lengths),
                                       params.w_a, lengths)
-        h2 = concat(z_max, z_att)
+        pooled.append(z_att)
 
+    drop = None
     if training and cfg.keep_prob < 1.0:
         if dropout_rng is None:
             raise ValueError("training with dropout needs a dropout stream")
-        keep = dropout_rng.random(h2.data.shape) < cfg.keep_prob
+        keep = dropout_rng.random((len(lengths), cfg.pooled_width)) < cfg.keep_prob
         # inverted scaling: inference needs no correction
-        drop = Tensor((keep / cfg.keep_prob).astype(h2.data.dtype))
-        h2 = mul(h2, drop)
+        drop = (keep / cfg.keep_prob).astype(pooled[0].data.dtype)
 
-    return affine(tanh(h2), params.W_o, params.b_o), alpha
+    return output_layer(pooled, drop, params.W_o, params.b_o), alpha
 
 
 def forward(params: ModelParams, cfg: ModelConfig,

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def softmax_cross_entropy(scores: Tensor, labels) -> Tensor:

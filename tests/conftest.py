@@ -1,13 +1,19 @@
-"""Shared oracles: central finite differences against the tape gradients."""
+"""Shared oracles: central finite differences against the tape gradients,
+the float64 switch they run under, and a synthetic corpus to train on."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from ddilstm import autodiff as ad
-from ddilstm.corpus import RawInstance
+from ddilstm.corpus import DRUG_A, DRUG_B, RawInstance
 from ddilstm.features import featurize
+from ddilstm.labels import LABELS, label_id
+from ddilstm.model import output_layer
+from ddilstm.rng import named_stream
 from ddilstm.training import softmax_cross_entropy
 
 EPS = 1e-4
@@ -73,10 +79,14 @@ def weighted_sum(t, weights):
 
 
 def head(x, labels):
-    """Scalar head for finite-difference checks: softmax cross-entropy of a
-    fixed affine map of the (B, k) rows of x to five classes."""
-    w = ad.Tensor(np.random.default_rng(99).normal(size=(x.data.shape[1], 5)))
-    return softmax_cross_entropy(ad.affine(x, w, ad.Tensor(np.zeros(5))), labels)
+    """Scalar head for finite-difference checks: softmax cross-entropy of
+    the output layer, with fixed weights to five classes, over the (B, k)
+    rows of x, or of a tuple of such tensors joined end to end."""
+    pooled = x if isinstance(x, tuple) else (x,)
+    width = sum(p.data.shape[1] for p in pooled)
+    w = ad.Tensor(np.random.default_rng(99).normal(size=(width, 5)))
+    return softmax_cross_entropy(output_layer(pooled, None, w, ad.Tensor(np.zeros(5))),
+                                 labels)
 
 
 def attention_vector(width, rng):
@@ -99,10 +109,73 @@ def featurize_one(tokens, drug_a, drug_b, label, vocab, pv):
     return f
 
 
+@contextlib.contextmanager
+def use_dtype(dtype):
+    """Temporarily switch the default storage dtype of tensors (e.g. to
+    float64)."""
+    previous = ad._DTYPE
+    ad._DTYPE = np.dtype(dtype).type
+    try:
+        yield
+    finally:
+        ad._DTYPE = previous
+
+
 @pytest.fixture
 def float64_mode():
-    with ad.use_dtype(np.float64):
+    with use_dtype(np.float64):
         yield
+
+
+# each class's cue words, so that any variant can fit the corpus quickly
+_CUES = {
+    "advice": ["avoid", "combining"],
+    "effect": ["enhances", "response"],
+    "mechanism": ["slows", "clearance"],
+    "int": ["interacts", "reportedly"],
+    "negative": ["mentioned", "alongside"],
+}
+
+_FILLER = ["the", "patients", "dose", "study", "plasma", "observed",
+           "treatment", "clinical", "reported", "serum"]
+
+
+def make_synthetic_instances(n: int = 40, seed: int = 7) -> list[RawInstance]:
+    """`n` keyword-separable instances cycling through the five classes.
+
+    Each class carries an unambiguous cue word, and sentences vary in
+    length and filler, so the corpus still exercises packing and the
+    position features.
+    """
+    rng = named_stream(seed, "synthetic")
+
+    def filler(max_count):
+        count = int(rng.integers(0, max_count + 1))
+        return [_FILLER[int(i)] for i in rng.integers(0, len(_FILLER), size=count)]
+
+    out = []
+    for k in range(n):
+        name = LABELS[k % len(LABELS)]
+        cue = _CUES[name]
+        lead = filler(2)
+        mid = [cue[0]] + filler(1) + [cue[1]]
+        tail = filler(2)
+        tokens = lead + [DRUG_A] + mid + [DRUG_B] + tail
+        out.append(RawInstance(
+            tokens=tokens,
+            drug_a=len(lead),
+            drug_b=len(lead) + 1 + len(mid),
+            label=label_id(name),
+            doc_id="synthetic",
+            sent_id=f"synthetic.s{k}",
+            pair_id=f"synthetic.s{k}.p0",
+            e1=f"synthetic.s{k}.e0",
+            e2=f"synthetic.s{k}.e1",
+            a_text=f"alpha{k}",
+            b_text=f"beta{k}",
+            swapped=False,
+        ))
+    return out
 
 
 def corpus_xml(doc_id, sentences) -> str:

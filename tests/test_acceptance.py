@@ -21,7 +21,9 @@ from conftest import (
     featurize_one,
     finite_difference,
     head,
+    make_synthetic_instances,
     max_rel_error,
+    use_dtype,
     weighted_sum,
 )
 from ddilstm import autodiff as ad
@@ -42,13 +44,13 @@ from ddilstm.model import (
     build_model,
     forward,
     load_checkpoint,
+    output_layer,
     predict,
     save_checkpoint,
     scores,
 )
 from ddilstm.pooling import attentive_pool, max_pool
 from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward
-from ddilstm.synthetic import make_synthetic_instances
 from ddilstm.training import (
     EPS,
     AdamState,
@@ -91,22 +93,28 @@ def tiny_vocab():
 @criterion(1, "gradient correctness")
 def test_criterion_01_gradients_vs_finite_differences():
     started = time.perf_counter()
-    with ad.use_dtype(np.float64):
+    with use_dtype(np.float64):
         rng = np.random.default_rng(0)
 
         # every differentiable op, smallest viable graphs, read out through
-        # softmax_cross_entropy(affine(...)) over five classes
+        # softmax_cross_entropy over five classes; first the output layer
+        # over one pooled input and over two, without and with a dropout
+        # scale (the two-input weights from their own stream, so that the
+        # graphs below draw what they always drew)
+        labels = [1, 4, 0]
         a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         bias = ad.Tensor(rng.normal(size=5), requires_grad=True)
-        labels = [1, 4, 0]
-        check_grads(lambda: softmax_cross_entropy(ad.affine(a, w, bias), labels),
-                    [a, w, bias])
-        c = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        check_grads(lambda: head(ad.tanh(a), labels), [a])
-        check_grads(lambda: head(ad.mul(a, c), labels), [a, c])
+        drop = rng.normal(size=(3, 4))
         m2 = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        check_grads(lambda: head(ad.concat(a, m2), labels), [a, m2])
+        joined = np.random.default_rng(1)
+        w6 = ad.Tensor(joined.normal(size=(6, 5)), requires_grad=True)
+        drop6 = joined.uniform(0.5, 2.0, size=(3, 6))
+        for pooled, w_out, scale in (((a,), w, None), ((a,), w, drop),
+                                     ((a, m2), w6, None), ((a, m2), w6, drop6)):
+            check_grads(lambda: softmax_cross_entropy(
+                output_layer(pooled, scale, w_out, bias), labels),
+                [*pooled, w_out, bias])
         # the embedding lookup, with a row picked twice
         tables = [ad.Parameter(rng.normal(size=(3, k)), name=f"embed.t{k}")
                   for k in (2, 1, 1)]
@@ -146,8 +154,8 @@ def test_criterion_01_gradients_vs_finite_differences():
 
         def batch_loss():
             H = bilstm_forward(stack, xb, lengths)
-            pooled = ad.concat(max_pool(H, lengths), attentive_pool(H, att6, lengths)[0])
-            return softmax_cross_entropy(ad.affine(ad.tanh(pooled), w_o, b_o),
+            pooled = (max_pool(H, lengths), attentive_pool(H, att6, lengths)[0])
+            return softmax_cross_entropy(output_layer(pooled, None, w_o, b_o),
                                          [0, 3, 4])
 
         check_grads(batch_loss, [xb, *stack.parameters(), att6, w_o, b_o])
@@ -230,16 +238,17 @@ def test_criterion_02_straight_line_oracles():
     np.testing.assert_allclose(alpha_out.data, alpha_ref, atol=1e-6)
     np.testing.assert_allclose(z_out.data[0], z_ref, atol=1e-6)
 
-    # output layer: squash, affine, normalize
-    pooled = rng.uniform(-1.5, 1.5, 10).astype(np.float32)
+    # output layer: join, squash, affine, normalize
+    pooled = rng.uniform(-1.5, 1.5, (2, 1, 5)).astype(np.float32)
     w_o = rng.uniform(-0.7, 0.7, (10, 5)).astype(np.float32)
     b_o = rng.uniform(-0.1, 0.1, 5).astype(np.float32)
-    h3 = np.tanh(pooled)
+    h3 = np.tanh(np.concatenate(pooled, axis=1))
     raw = h3 @ w_o + b_o
     e = np.exp(raw - raw.max())
     probs_ref = e / e.sum()
-    out = ad.affine(ad.tanh(ad.Tensor(pooled[None])), ad.Tensor(w_o), ad.Tensor(b_o))
-    np.testing.assert_allclose(ad.softmax(out.data[0]), probs_ref, atol=1e-6)
+    out = output_layer([ad.Tensor(p) for p in pooled], None, ad.Tensor(w_o),
+                       ad.Tensor(b_o))
+    np.testing.assert_allclose(ad.softmax(out.data[0]), probs_ref[0], atol=1e-6)
 
 
 @criterion(3, "normalization invariants")

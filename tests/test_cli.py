@@ -6,14 +6,13 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import corpus_xml
+from conftest import corpus_xml, make_synthetic_instances
 from ddilstm.cli import main
 from ddilstm.corpus import read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.labels import label_name
 from ddilstm.model import ModelConfig, build_model, default_config, save_checkpoint
 from ddilstm.training import TrainConfig
-from ddilstm.synthetic import make_synthetic_instances
 
 THREE_DRUGS = [(
     "d9.s0",
@@ -80,6 +79,20 @@ class TestPreprocess:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert str(path) in err and "no <document>" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ddi,ptype", [("maybe", None), (True, "bogus")],
+                             ids=["ddi-maybe", "unknown-type"])
+    def test_bad_pair_names_file_and_pair(self, tmp_path, capsys, ddi, ptype):
+        sid, text, entities, _ = THREE_DRUGS[0]
+        path = tmp_path / "one.xml"
+        path.write_text(corpus_xml("d9", [(sid, text, entities[:2], [
+            ("d9.s0.p0", "d9.s0.e0", "d9.s0.e1", ddi, ptype)])]))
+        out = tmp_path / "o.jsonl"
+        code = main(["preprocess", "--corpus", str(path), "--out", str(out)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert f"{path}: pair d9.s0.p0: " in err
         assert not out.exists()
 
 
@@ -331,6 +344,21 @@ class TestTrainPredictEvaluate:
                      "--epochs", "1", *given])
         assert code == 1
         assert f"{key} must be a finite number" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("min_count", 0),
+                                           ("min_count", -5)])
+    def test_negative_seed_or_min_count_rejected(self, tmp_path, synthetic_file,
+                                                 capsys, via, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        given = (["--" + key.replace("_", "-"), str(value)] if via == "flag"
+                 else ["--config", str(cfg)])
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(tmp_path / "x"), "--hidden", "4",
+                     "--epochs", "1", *given])
+        assert code == 1
+        assert f"{key} must be >= " in assert_one_error_line(capsys)
 
     def test_malformed_config_json_names_the_file(self, tmp_path, synthetic_file,
                                                   capsys):

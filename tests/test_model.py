@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import featurize_one
+from conftest import featurize_one, make_synthetic_instances
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PositionVocab,
@@ -26,7 +26,6 @@ from ddilstm.recurrent import bilstm_forward
 from ddilstm.features import embed
 from ddilstm.labels import NUM_CLASSES
 from ddilstm.rng import named_stream
-from ddilstm.synthetic import make_synthetic_instances
 
 
 def tiny_setup(variant="b-lstm", hidden=4, seed=0):
@@ -122,10 +121,8 @@ class TestForward:
         z_max = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
         z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, lengths),
                                   params.w_a, lengths)
-        h2 = ad.concat(z_max, z_att)
-        h3 = ad.tanh(h2)
-        raw = ad.affine(h3, params.W_o, params.b_o)
-        expected = ad.softmax(raw.data[0])
+        h3 = np.tanh(np.concatenate([z_max.data, z_att.data], axis=1))
+        expected = ad.softmax((h3 @ params.W_o.data + params.b_o.data)[0])
         probs, _ = forward(params, cfg, f)
         np.testing.assert_allclose(probs.data, expected, atol=1e-5)
 

@@ -29,9 +29,6 @@ ENTRY_POINTS = {
     ("features", "PositionVocab"), ("features", "build_vocab"),
     ("model", "build_model"), ("model", "save_checkpoint"),
     ("training", "TrainingDiverged"),
-    # library API that no subcommand runs: the float64 switch of the
-    # gradient checks and the synthetic corpus the tests train on
-    ("autodiff", "use_dtype"), ("synthetic", "make_synthetic_instances"),
 }
 
 
