@@ -26,6 +26,7 @@ from .model import (
     build_model,
     default_config,
     load_checkpoint,
+    parameter_count,
     predict,
     save_checkpoint,
 )
@@ -160,6 +161,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{args.instances}: no instances")
     vocab = build_vocab([i.tokens for i in instances], min_count=cfg["min_count"])
     pv = PositionVocab(cfg["radius"])
+    parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
     word_matrix = None
     if cfg["word_vectors"]:
         word_matrix = load_word_vectors(

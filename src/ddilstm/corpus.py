@@ -56,6 +56,7 @@ class SentenceRecord:
     text: str
     entities: list[EntityMention]
     pairs: list[PairAnnotation]
+    path: str  # the corpus file, named in errors raised after parsing
 
     def entity(self, entity_id: str) -> EntityMention:
         for e in self.entities:
@@ -87,13 +88,13 @@ def _parse_file(path) -> list[SentenceRecord]:
     if not docs:
         raise CorpusError(f"{path}: no <document> element")
     try:
-        return [_parse_sentence(sent, doc.get("id", os.path.basename(str(path))))
+        return [_parse_sentence(sent, doc.get("id", os.path.basename(str(path))), str(path))
                 for doc in docs for sent in doc.findall("sentence")]
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 
 
-def _parse_sentence(sent: ET.Element, doc_id: str) -> SentenceRecord:
+def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
     sid = sent.get("id", "")
     text = sent.get("text", "")
     entities = []
@@ -124,7 +125,7 @@ def _parse_sentence(sent: ET.Element, doc_id: str) -> SentenceRecord:
             except ValueError as exc:
                 raise CorpusError(f"pair {pid}: {exc}") from None
         pairs.append(PairAnnotation(pid, e1, e2, ddi == "true", ptype))
-    return SentenceRecord(sid, doc_id, text, entities, pairs)
+    return SentenceRecord(sid, doc_id, text, entities, pairs, path)
 
 
 def parse_corpus(path) -> list[SentenceRecord]:
@@ -185,9 +186,8 @@ def blind_entities(s: SentenceRecord, pair: PairAnnotation) -> str:
     for entity, tag in ((first, DRUG_A), (second, DRUG_B)):
         for seg in segments(entity, tag):
             if overlaps(seg):
-                raise CorpusError(
-                    f"pair {pair.id}: target mentions overlap and cannot be blinded"
-                )
+                raise CorpusError(f"{s.path}: pair {pair.id}: target mentions overlap "
+                                  "and cannot be blinded")
             placed.append(seg)
 
     others = [e for e in s.entities if e.id not in (pair.e1, pair.e2)]
@@ -271,10 +271,8 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
         for pair in s.pairs:
             tokens = tokenize_normalize(blind_entities(s, pair), memo)
             if tokens.count(DRUG_A) != 1 or tokens.count(DRUG_B) != 1:
-                raise CorpusError(
-                    f"pair {pair.id}: target placeholders not locatable "
-                    f"after tokenization"
-                )
+                raise CorpusError(f"{s.path}: pair {pair.id}: target placeholders "
+                                  "not locatable after tokenization")
             first, second = s.entity(pair.e1), s.entity(pair.e2)
             swapped = second.start < first.start
             if swapped:

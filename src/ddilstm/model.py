@@ -46,6 +46,9 @@ VOCAB_FILE = "vocab.json"
 
 # instances scored per forward pass by `predict`
 PREDICT_CHUNK = 200
+# `parameter_count`'s bound: 20 GiB of float32 training state (values,
+# gradients, Adam's two moments and the best epoch's copy of each)
+MAX_PARAMS = 2**30
 
 
 @dataclass
@@ -142,8 +145,20 @@ def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
                      rng_mod.named_stream(seed, "init"), word_matrix)
 
 
+def parameter_count(cfg: ModelConfig, vocab_size: int, position_size: int) -> int:
+    """How many floats `_assemble` allocates; ValueError above MAX_PARAMS."""
+    h, stacks = cfg.hidden, 2 if cfg.variant == "joint" else 1
+    count = (vocab_size * cfg.word_dim + 2 * position_size * cfg.pos_dim
+             + stacks * 2 * (4 * h * (cfg.input_dim + h + 1) + 2 * h)
+             + 2 * h * (cfg.variant != "b-lstm") + (cfg.pooled_width + 1) * NUM_CLASSES)
+    if count > MAX_PARAMS:
+        raise ValueError(f"model has {count} parameters, above the bound {MAX_PARAMS}")
+    return count
+
+
 def _assemble(cfg, vocab_size, position_size, stream, word_matrix=None) -> ModelParams:
     """Every parameter, drawn from `stream` in checkpoint order."""
+    parameter_count(cfg, vocab_size, position_size)
     word = word_matrix if word_matrix is not None else random_table(
         vocab_size, cfg.word_dim, stream, "embed.word")
     if word.data.shape != (vocab_size, cfg.word_dim):

@@ -8,14 +8,15 @@ One step computes the usual gated update
     h       = tanh(c) * o
 
 The encoder reads a packed (T, d) batch, one sentence's tokens after
-another's. Sentences step longest first, so the n_t still running at
-step t are a prefix: the active batch shrinks as short ones end. One
-flat index per direction gathers each step's tokens and scatters the
-states into its half of the (T, 2N) output; the backward cell reads each
-sentence last to first. X U^T is one GEMM before the time loop. BPTT
-keeps only the gate activations and cell states, sweeps one direction
-and frees them before the other, and gathers the inputs and previous
-states again for its closing GEMMs for dU, dW and dX.
+another's. Sentences step longest first, so the n_t still running at step t
+are a prefix: the active batch shrinks as short ones end. One flat index per
+direction gathers each step's tokens and scatters the states into its half
+of the (T, 2N) output; the backward cell reads each sentence last to first.
+X U^T is one GEMM before the time loop; the steps multiply by a contiguous
+W^T, copied once per call, several times faster than the transposed view for
+few rows. BPTT keeps only the gate activations and cell states, sweeps one
+direction and frees them before the other, and gathers the inputs and
+previous states again for its closing GEMMs for dU, dW and dX.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def _run(p: LstmParams, x: np.ndarray, flat, steps, states: np.ndarray):
     # contiguous, so the first step's product takes the same GEMM as the rest
     h = np.full((steps[0].stop, w.shape[1]), p.h0.data, dtype=act.dtype)
     c = np.broadcast_to(p.c0.data, h.shape)
+    w_t = np.ascontiguousarray(w.T)
     for s in steps:
-        act[s] += h[:s.stop - s.start] @ w.T
+        act[s] += h[:s.stop - s.start] @ w_t
         c, h = _cell(act[s], c[:s.stop - s.start])
         cs[s], hs[s] = c, h
     _check_finite(cs, "bilstm_forward")

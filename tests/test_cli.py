@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import asdict
 
 import pytest
@@ -11,7 +12,8 @@ from ddilstm.cli import main
 from ddilstm.corpus import read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.labels import label_name
-from ddilstm.model import ModelConfig, build_model, default_config, save_checkpoint
+from ddilstm.model import (MAX_PARAMS, ModelConfig, build_model, default_config,
+                           save_checkpoint)
 from ddilstm.training import TrainConfig
 
 THREE_DRUGS = [(
@@ -93,6 +95,24 @@ class TestPreprocess:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert f"{path}: pair d9.s0.p0: " in err
+        assert not out.exists()
+
+    def test_overlapping_targets_name_file_and_pair(self, tmp_path, capsys):
+        # found while blinding, after parsing: targets at 0-6 and 2-9
+        path = tmp_path / "one.xml"
+        path.write_text(
+            '<document id="d9">\n'
+            '  <sentence id="d9.s0" text="Aspirinols mix well.">\n'
+            '    <entity id="d9.s0.e0" charOffset="0-6" type="drug" text="Aspirin"/>\n'
+            '    <entity id="d9.s0.e1" charOffset="2-9" type="drug" text="pirinols"/>\n'
+            '    <pair id="d9.s0.p0" e1="d9.s0.e0" e2="d9.s0.e1" ddi="false"/>\n'
+            "  </sentence>\n"
+            "</document>\n")
+        out = tmp_path / "o.jsonl"
+        code = main(["preprocess", "--corpus", str(path), "--out", str(out)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert f"{path}: pair d9.s0.p0: target mentions overlap" in err
         assert not out.exists()
 
 
@@ -360,6 +380,23 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert f"{key} must be >= " in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["--hidden", "--word-dim"])
+    def test_oversized_model_refused_before_allocation(self, tmp_path, synthetic_file,
+                                                       capsys, flag):
+        # refused by the parameter count, before any table is drawn and
+        # before the vectors file is read (its one-float row would fail)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("w 0.5\n")
+        out_dir = tmp_path / "x"
+        code = main(["train", "--instances", str(synthetic_file), "--out-dir", str(out_dir),
+                     flag, "100000000", "--word-vectors", str(vectors)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        count = re.search(rf"model has (\d+) parameters, above the bound {MAX_PARAMS}$",
+                          err.strip())
+        assert count and int(count.group(1)) > MAX_PARAMS, err
+        assert not out_dir.exists()
+
     def test_malformed_config_json_names_the_file(self, tmp_path, synthetic_file,
                                                   capsys):
         cfg = tmp_path / "config.json"
@@ -424,6 +461,9 @@ CHECKPOINT_EDITS = {
     # the layout with a reserved padding id: <pad> = 0 before <unk>
     "padded-layout": _edit_json("vocab.json",
                                 lambda v: v["words"].insert(0, "<pad>")),
+    # refused by its parameter count before any parameter is allocated
+    "oversized-hidden": _edit_json("manifest",
+                                   lambda m: m["config"].update(hidden=10**8)),
 }
 
 

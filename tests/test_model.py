@@ -12,11 +12,13 @@ from ddilstm.features import (
     featurize,
 )
 from ddilstm.model import (
+    MAX_PARAMS,
     ModelConfig,
     build_model,
     default_config,
     forward,
     load_checkpoint,
+    parameter_count,
     predict,
     save_checkpoint,
     scores,
@@ -204,6 +206,13 @@ class TestParameterCount:
         expected += cfg.pooled_width * c + c
         total = sum(p.data.size for _, p in params.named_parameters())
         assert total == expected
+        assert parameter_count(cfg, vocab_size, pos_size) == expected
+
+    def test_oversized_model_refused_before_any_draw(self):
+        # counted, not built: a million words at the default sizes pass
+        assert parameter_count(ModelConfig(), 10**6, 101) > 10**8
+        with pytest.raises(ValueError, match=f"above the bound {MAX_PARAMS}$"):
+            build_model(ModelConfig(hidden=10**8), 10, 5)
 
     def test_names_are_unique(self):
         _, _, _, params, _ = tiny_setup("joint")

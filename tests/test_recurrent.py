@@ -209,23 +209,25 @@ class TestLstmSequence:
     to first."""
 
     LENGTHS = np.array([4, 1, 3, 4])  # mixed, with a length-1 sentence and a tie
+    # sorted 6, 3, 2, 1: steps of 4, 3 and 2 rows, then the longest alone
+    # for three 1-row steps inside a multi-sentence batch
+    LONE_TAIL = np.array([6, 1, 3, 2])
 
-    def _setup(self, seed, dtype=np.float64):
+    def _setup(self, seed, dtype=np.float64, lengths=LENGTHS):
         rng = np.random.default_rng(seed)
         stack = BiLstmStack(3, 2, rng)
         _randomized(stack.fwd, rng)
         _randomized(stack.bwd, rng)
-        X = ad.Tensor(rng.uniform(-1, 1, (self.LENGTHS.sum(), 2)).astype(dtype),
+        X = ad.Tensor(rng.uniform(-1, 1, (lengths.sum(), 2)).astype(dtype),
                       requires_grad=True)
         return rng, stack, X
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_row_reference_steps(self, reverse):
-        _, stack, X = self._setup(21, np.float32)
+    def _check_reference_steps(self, reverse, lengths, seed):
+        _, stack, X = self._setup(seed, np.float32, lengths)
         p, half = (stack.bwd, slice(3, 6)) if reverse else (stack.fwd, slice(0, 3))
-        out = bilstm_forward(stack, X, self.LENGTHS).data[:, half]
+        out = bilstm_forward(stack, X, lengths).data[:, half]
         start = 0
-        for m in self.LENGTHS:
+        for m in lengths:
             h, c = p.h0.data, p.c0.data
             order = range(m - 1, -1, -1) if reverse else range(m)
             for t in order:
@@ -233,19 +235,34 @@ class TestLstmSequence:
                 np.testing.assert_allclose(out[start + t], h, atol=1e-6)
             start += m
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_mixed_lengths(self, float64_mode, reverse):
+    def _check_half_gradients(self, reverse, lengths, seed):
         # one half read out: its cell's h0 starts every sentence, and the
         # other cell gets no gradient
-        rng, stack, X = self._setup(22)
-        weights = np.zeros((self.LENGTHS.sum(), 6))
+        rng, stack, X = self._setup(seed, lengths=lengths)
+        weights = np.zeros((lengths.sum(), 6))
         half = slice(3, 6) if reverse else slice(0, 3)
-        weights[:, half] = rng.normal(size=(self.LENGTHS.sum(), 3))
+        weights[:, half] = rng.normal(size=(lengths.sum(), 3))
 
         def loss():
-            return weighted_sum(bilstm_forward(stack, X, self.LENGTHS), weights)
+            return weighted_sum(bilstm_forward(stack, X, lengths), weights)
 
         check_grads(loss, [X, *stack.parameters()])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_row_reference_steps(self, reverse):
+        self._check_reference_steps(reverse, self.LENGTHS, 21)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_mixed_lengths(self, float64_mode, reverse):
+        self._check_half_gradients(reverse, self.LENGTHS, 22)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lone_tail_matches_reference_steps(self, reverse):
+        self._check_reference_steps(reverse, self.LONE_TAIL, 25)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lone_tail_gradients(self, float64_mode, reverse):
+        self._check_half_gradients(reverse, self.LONE_TAIL, 26)
 
     def test_bilstm_batch_gradients(self, float64_mode):
         rng = np.random.default_rng(23)
