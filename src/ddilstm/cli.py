@@ -19,6 +19,7 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
+from .inputs import check_fields, json_document, json_lines
 from .labels import label_id, label_name
 from .model import (
     VARIANTS,
@@ -55,35 +56,16 @@ def _manifest_path(anchor: str) -> str:
     return anchor + ".manifest.json"
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must hold one JSON object")
-    return data
-
-
-def _resolve(options: dict, file_cfg: dict, args: argparse.Namespace) -> dict:
+def _resolve(options: dict, config_path, args: argparse.Namespace) -> dict:
     """Precedence: defaults < config file < explicit command-line flags.
-
-    A file value must have its flag's type: a JSON int passes for a float
-    flag, and a bool for neither.
-    """
+    The config file holds one JSON object of option keys, each value of
+    its flag's type (`inputs.check_fields`)."""
     resolved = {key: default for key, (_, default) in options.items()}
-    for key, value in file_cfg.items():
-        if key not in options:
-            raise ValueError(f"unknown config key {key!r}")
-        kind = options[key][0]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"config key {key!r} must be {kind.__name__}, "
-                             f"got {value!r}")
-        resolved[key] = value
+    if config_path is not None:
+        file_cfg = json_document(config_path, {})  # any object; its keys follow
+        check_fields(file_cfg, {key: options[key][0] for key in file_cfg if key in options},
+                     str(config_path), closed=True)
+        resolved.update(file_cfg)
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -149,8 +131,7 @@ def _given_fields(cls, options: dict) -> dict:
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _resolve(_TRAIN_OPTIONS, file_cfg, args)
+    cfg = _resolve(_TRAIN_OPTIONS, args.config, args)
     cfg["max_epochs"] = cfg.pop("epochs")
     mcfg = replace(default_config(cfg["variant"]), **_given_fields(ModelConfig, cfg))
     tcfg = TrainConfig(**_given_fields(TrainConfig, cfg))
@@ -205,25 +186,19 @@ def _write_predictions(path, instances, preds) -> None:
             }) + "\n")
 
 
-def _read_predictions(path) -> tuple[list, list[int]]:
-    """The pair ids and the label ids of a predictions file, in order."""
-    pair_ids, labels = [], []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict) or type(rec.get("label")) is not str:
-                        raise ValueError("needs a JSON object with a string label")
-                    labels.append(label_id(rec["label"]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad prediction ({exc})") from None
-                pair_ids.append(rec.get("pair_id"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return pair_ids, labels
+def _read_predictions(path, gold_instances) -> list[int]:
+    """The label ids of a predictions file naming `gold_instances`' pairs."""
+    labels, gold = [], iter(gold_instances)
+    for where, rec in json_lines(path, "prediction", {"label": str, "pair_id": str}):
+        gold_pair = getattr(next(gold, None), "pair_id", None)
+        if rec["pair_id"] != gold_pair:
+            raise ValueError(f"{where}: prediction for pair {rec['pair_id']!r} does not "
+                             f"match gold pair {gold_pair!r}")
+        labels.append(label_id(rec["label"], where))
+    if len(labels) != len(gold_instances):
+        raise ValueError(f"{path}: {len(labels)} predictions for "
+                         f"{len(gold_instances)} gold instances")
+    return labels
 
 
 def _cmd_predict(args) -> int:
@@ -245,28 +220,13 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _aligned_gold(gold_instances, pair_ids) -> list[int]:
-    if len(gold_instances) != len(pair_ids):
-        raise ValueError(
-            f"{len(pair_ids)} predictions for {len(gold_instances)} gold instances"
-        )
-    for inst, pair_id in zip(gold_instances, pair_ids):
-        if pair_id != inst.pair_id:
-            raise ValueError(
-                f"prediction for pair {pair_id!r} does not match "
-                f"gold pair {inst.pair_id!r}"
-            )
-    return [inst.label for inst in gold_instances]
-
-
 def _cmd_evaluate(args) -> int:
     gold_instances = corpus.read_instances(args.gold)
-    pair_ids, pred_ids = _read_predictions(args.predictions)
-    gold = _aligned_gold(gold_instances, pair_ids)
+    pred_ids = _read_predictions(args.predictions, gold_instances)
+    gold = [inst.label for inst in gold_instances]
     extra = {}
     if args.against is not None:
-        other_pair_ids, other_ids = _read_predictions(args.against)
-        _aligned_gold(gold_instances, other_pair_ids)
+        other_ids = _read_predictions(args.against, gold_instances)
         extra["mcnemar"] = evaluation.compare(gold, pred_ids, other_ids)
     filtered = []
     if args.filter_report:
@@ -289,9 +249,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     gold_instances = corpus.read_instances(args.gold)
-    pair_ids, pred_ids = _read_predictions(args.predictions)
-    gold = _aligned_gold(gold_instances, pair_ids)
-    flags = evaluation.correctness(gold, pred_ids)
+    pred_ids = _read_predictions(args.predictions, gold_instances)
+    flags = evaluation.correctness([inst.label for inst in gold_instances], pred_ids)
     stats = evaluation.length_stats(gold_instances, flags)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=1)

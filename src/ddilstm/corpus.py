@@ -15,8 +15,9 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
+from .inputs import json_lines
 from .labels import NEGATIVE_ID, label_id, label_name
 
 
@@ -305,42 +306,18 @@ def write_instances(path, instances: Sequence[RawInstance]) -> None:
 
 
 # the JSON type of each RawInstance field as write_instances stores it
-_RECORD_TYPES = {
-    "tokens": list, "drug_a": int, "drug_b": int, "label": str, "doc_id": str,
-    "sent_id": str, "pair_id": str, "e1": str, "e2": str, "a_text": str,
-    "b_text": str, "swapped": bool,
-}
-
-
-def _check_record(rec) -> None:
-    """Raise KeyError, TypeError or ValueError unless `rec` is a record
-    that write_instances could have written."""
-    if not isinstance(rec, dict):
-        raise TypeError("not a JSON object")
-    for key, kind in _RECORD_TYPES.items():
-        # exact types: a JSON bool is no int, and 2.0 is no index
-        if type(rec[key]) is not kind:
-            raise TypeError(f"{key} must be {kind.__name__}, got {rec[key]!r}")
-    if not set(map(type, rec["tokens"])) <= {str}:
-        raise TypeError("tokens must be strings")
-    if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
-        raise ValueError("drug indices out of order or outside the sentence")
+_RECORD_TYPES = {**get_type_hints(RawInstance), "label": str}
 
 
 def read_instances(path) -> list[RawInstance]:
+    """The records of an instance file; CorpusError names a malformed line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    _check_record(rec)
-                    rec["label"] = label_id(rec["label"])
-                    out.append(RawInstance(**rec))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CorpusError(f"{path}:{lineno}: bad instance record ({exc})")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        for where, rec in json_lines(path, "instance record", _RECORD_TYPES, closed=True):
+            if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
+                raise ValueError(f"{where}: drug indices out of order or outside the sentence")
+            rec["label"] = label_id(rec["label"], where)
+            out.append(RawInstance(**rec))
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from None
     return out

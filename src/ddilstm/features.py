@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Parameter, Tensor, record_op
+from .inputs import text_lines
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -185,29 +186,20 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     way.
     """
     table = random_table(len(vocab), dim, rng, "embed.word")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split()
-                if not parts:
-                    continue
-                token, values = parts[0], parts[1:]
-                if len(values) != dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {dim} floats, got {len(values)}"
-                    )
-                if token in vocab:
-                    row = table.data[vocab.lookup(token)]
-                    try:
-                        # an overflow is reported below, as an infinity
-                        with np.errstate(over="ignore"):
-                            row[...] = [float(v) for v in values]
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: malformed float") from None
-                    if not np.isfinite(row).all():
-                        raise ValueError(f"{path}:{lineno}: non-finite float")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in text_lines(path):
+        token, *values = line.split()
+        if len(values) != dim:
+            raise ValueError(f"{path}:{lineno}: expected {dim} floats, got {len(values)}")
+        if token in vocab:
+            row = table.data[vocab.lookup(token)]
+            try:
+                # an overflow is reported below, as an infinity
+                with np.errstate(over="ignore"):
+                    row[...] = [float(v) for v in values]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed float") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite float")
     return table
 
 

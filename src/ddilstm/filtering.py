@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
+from .inputs import check_fields, json_document
 from .labels import NEGATIVE_ID, label_id, label_name
 
 
@@ -158,20 +159,10 @@ def write_report(path, report: FilterReport) -> None:
 
 def read_removed_labels(path) -> list[int]:
     """Label ids of the filtered-out instances, for evaluation reinsertion."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: malformed JSON ({exc})") from None
-    removed = data.get("removed", []) if isinstance(data, dict) else None
-    if not isinstance(removed, list):
-        raise ValueError(f"{path}: filter report needs a 'removed' list")
+    report = json_document(path, {"removed": list})
     ids = []
-    for k, r in enumerate(removed):
-        if not isinstance(r, dict) or type(r.get("label")) is not str:
-            raise ValueError(f"{path}: removed[{k}] needs a string label")
-        try:
-            ids.append(label_id(r["label"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: removed[{k}]: {exc}") from None
+    for k, entry in enumerate(report["removed"]):
+        where = f"{path}: removed[{k}]"
+        check_fields(entry, {"label": str}, where)
+        ids.append(label_id(entry["label"], where))
     return ids

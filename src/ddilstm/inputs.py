@@ -1,0 +1,71 @@
+"""The input boundary: every text and JSON file the pipeline reads is decoded
+and type-checked here, and each error is one ValueError naming the file."""
+
+import json
+import reprlib
+from types import GenericAlias
+
+# json.loads without its two whitespace scans, for text already stripped
+_decode = json.JSONDecoder().raw_decode
+
+
+def text_lines(path):
+    """(line number, line) for each non-blank line of a UTF-8 text file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace():  # a line read from a file is never ""
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_lines(path, what: str, schema: dict, closed: bool = False):
+    """(where, record) for each non-blank line of a JSON-lines file, each
+    record an object of `schema` (check_fields), where `where` is
+    "path:line: bad <what>", the start of that line's errors."""
+    for lineno, line in text_lines(path):
+        where, text = f"{path}:{lineno}: bad {what}", line.strip(" \t\n\r")
+        try:
+            value, end = _decode(text)
+            if end < len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{where}: malformed JSON ({exc})") from None
+        check_fields(value, schema, where, closed)
+        yield where, value
+
+
+def json_document(path, schema: dict) -> dict:
+    """The JSON object a UTF-8 file holds, of `schema` (check_fields)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed JSON ({exc})") from None
+    check_fields(value, schema, str(path))
+    return value
+
+
+def check_fields(obj, schema: dict, where: str, closed: bool = False) -> None:
+    """Raise ValueError("where: key: problem") unless `obj` is a JSON object
+    holding each key of `schema` with a value of exactly that key's type:
+    a JSON type, or list[t] for a list whose values all have type t. A bool
+    is no int and 2.0 is no index, but an int passes for a float. `closed`
+    also refuses keys that `schema` does not name."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: not a JSON object")
+    try:
+        for key, kind in schema.items():
+            value = obj[key]
+            if type(value) is kind or kind is float and type(value) is int:
+                continue
+            if (type(kind) is GenericAlias and type(value) is list  # list[t]
+                    and set(map(type, value)) <= set(kind.__args__)):
+                continue
+            name = kind if type(kind) is GenericAlias else kind.__name__
+            raise ValueError(f"{where}: {key}: must be {name}, got {reprlib.repr(value)}")
+    except KeyError:
+        raise ValueError(f"{where}: {key}: missing") from None
+    if closed and len(obj) > len(schema):  # every key of schema is in obj
+        raise ValueError(f"{where}: {next(k for k in obj if k not in schema)}: unknown key")

@@ -12,11 +12,14 @@ NUM_CLASSES = len(LABELS)
 _ALIASES = {"advise": "advice"}
 
 
-def label_id(name: str) -> int:
+def label_id(name: str, where: str = "") -> int:
+    """The id of a label name. `where` names the record whose `label` field
+    held the name, in the error of an unknown one."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
     if key not in LABEL_TO_ID:
-        raise ValueError(f"unknown interaction label {name!r}")
+        field = f"{where}: label: " if where else ""
+        raise ValueError(f"{field}unknown interaction label {name!r}")
     return LABEL_TO_ID[key]
 
 

@@ -19,7 +19,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .features import (
     embed,
     random_table,
 )
+from .inputs import check_fields, json_document
 from .labels import NUM_CLASSES
 from .pooling import attentive_pool, max_pool
 from .recurrent import BiLstmStack, bilstm_forward
@@ -315,11 +316,18 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
     does a blob whose sha256 is not the manifest's or a checkpoint of an
     older layout; a missing or unreadable file raises OSError.
     """
+    manifest_path = os.path.join(directory, MANIFEST_FILE)
     try:
-        with open(os.path.join(directory, MANIFEST_FILE), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        with open(os.path.join(directory, VOCAB_FILE), encoding="utf-8") as fh:
-            vocab_blob = json.load(fh)
+        manifest = json_document(manifest_path, {"config": dict, "params": list,
+                                                 "params_sha256": str})
+        check_fields(manifest["config"], get_type_hints(ModelConfig),
+                     f"{manifest_path}: config", closed=True)
+        for k, entry in enumerate(manifest["params"]):
+            check_fields(entry, {"name": str, "shape": list[int]},
+                         f"{manifest_path}: params[{k}]")
+        vocab_blob = json_document(os.path.join(directory, VOCAB_FILE),
+                                   {"words": list[str], "position_radius": int})
+
         cfg = ModelConfig(**manifest["config"])
         words = vocab_blob["words"]
         vocab = Vocabulary(words[1:])  # UNK is re-reserved by the constructor
@@ -346,9 +354,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
             raise ValueError(
                 f"params.bin holds {raw.size} floats, manifest expects {expected}"
             )
-    except KeyError as exc:
-        raise CheckpointError(f"{directory}: checkpoint lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{directory}: malformed checkpoint: {exc}") from exc
     ends = np.cumsum([p.data.size for _, p in entries])[:-1]
     for (_, p), values in zip(entries, np.split(raw, ends)):

@@ -464,7 +464,36 @@ CHECKPOINT_EDITS = {
     # refused by its parameter count before any parameter is allocated
     "oversized-hidden": _edit_json("manifest",
                                    lambda m: m["config"].update(hidden=10**8)),
+    "word-as-int": _edit_json("vocab.json", lambda v: v["words"].__setitem__(3, 5)),
+    "shape-as-float": _edit_json("manifest", lambda m: m["params"][0].update(
+        shape=[float(n) for n in m["params"][0]["shape"]])),
 }
+
+
+def _flip_a_manifest_byte(ckpt):
+    blob = bytearray((ckpt / "manifest").read_bytes())
+    blob[len(blob) // 2] = 0xFF
+    (ckpt / "manifest").write_bytes(bytes(blob))
+
+
+# edits whose error line must name the file, and the key where one is at fault
+NAMED_EDITS = {
+    "keep-prob-as-string": ("manifest", "keep_prob", _edit_json(
+        "manifest", lambda m: m["config"].update(keep_prob="0.7"))),
+    "hidden-as-bool": ("manifest", "hidden", _edit_json(
+        "manifest", lambda m: m["config"].update(hidden=True))),
+    "words-as-object": ("vocab.json", "words", _edit_json(
+        "vocab.json", lambda v: v.update(words={w: i for i, w in enumerate(v["words"])}))),
+    "manifest-not-utf8": ("manifest", None, _flip_a_manifest_byte),
+}
+
+
+def _small_checkpoint(ckpt, synthetic_file):
+    instances = read_instances(synthetic_file)
+    vocab = build_vocab([i.tokens for i in instances])
+    pv = PositionVocab(8)
+    cfg = ModelConfig(hidden=4, word_dim=6, pos_dim=2)
+    save_checkpoint(ckpt, build_model(cfg, len(vocab), len(pv)), cfg, vocab, pv)
 
 
 class TestCheckpointBoundary:
@@ -483,6 +512,21 @@ class TestCheckpointBoundary:
                      "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", sorted(NAMED_EDITS))
+    def test_error_names_the_file_and_the_key(self, tmp_path, synthetic_file, capsys,
+                                              edit):
+        fname, key, change = NAMED_EDITS[edit]
+        ckpt = tmp_path / "ckpt"
+        _small_checkpoint(ckpt, synthetic_file)
+        change(ckpt)
+        code = main(["predict", "--checkpoint", str(ckpt),
+                     "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert f"{ckpt / fname}: " in err
+        assert key is None or re.search(rf"\b{key}: ", err), err
 
 
 def _rewrite_first_line(path, change):
@@ -521,8 +565,9 @@ class TestRecordBoundary:
     @pytest.mark.parametrize("command", ["evaluate", "analyze"])
     @pytest.mark.parametrize("change", [
         lambda rec: {"pair_id": rec["pair_id"]}, lambda rec: list(rec),
-        lambda rec: {**rec, "label": 3}],
-        ids=["no-label", "list", "label-as-int"])
+        lambda rec: {**rec, "label": 3}, lambda rec: {"label": rec["label"]},
+        lambda rec: {**rec, "pair_id": 5}],
+        ids=["no-label", "list", "label-as-int", "no-pair-id", "pair-id-as-int"])
     def test_bad_prediction(self, tmp_path, synthetic_file, capsys, command,
                             change):
         preds = tmp_path / "preds.jsonl"
@@ -531,7 +576,20 @@ class TestRecordBoundary:
         code = main([command, "--predictions", str(preds), "--gold",
                      str(synthetic_file), "--out", str(tmp_path / "out.json")])
         assert code == 1
-        assert_one_error_line(capsys)
+        assert f"{preds}:1: bad prediction" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("option", ["--predictions", "--filter-report", "--gold"])
+    def test_deeply_nested_json(self, tmp_path, synthetic_file, capsys, option):
+        # deeper than the interpreter's recursion limit
+        preds = tmp_path / "preds.jsonl"
+        _write_predictions(preds, synthetic_file)
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "\n")
+        given = {"--predictions": preds, "--gold": synthetic_file, option: nested}
+        code = main(["evaluate", *(str(arg) for pair in given.items() for arg in pair),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert f"{nested}" in assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("report", [
         [], {"removed": [{"pair_id": "x"}]}, {"removed": 5},
