@@ -11,7 +11,6 @@ manifest).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
-from .inputs import check_fields, json_document, json_lines
+from .files import check_fields, json_document, json_lines, write_json, write_json_lines
 from .labels import label_id, label_name
 from .model import (
     VARIANTS,
@@ -34,9 +33,13 @@ from .model import (
 from .training import TrainConfig, TrainingDiverged
 
 
-def _write_manifest(out_path: str, command: str, config: dict,
+def _write_manifest(anchor: str, command: str, config: dict,
                     inputs: dict, outputs: dict, seed=None) -> None:
-    manifest = {
+    """Write the run manifest: run_manifest.json in an `anchor` directory,
+    else `anchor`.manifest.json."""
+    path = (os.path.join(anchor, "run_manifest.json") if os.path.isdir(anchor)
+            else anchor + ".manifest.json")
+    write_json(path, {
         "command": command,
         "version": __version__,
         "seed": seed,
@@ -44,16 +47,7 @@ def _write_manifest(out_path: str, command: str, config: dict,
         "inputs": inputs,
         "outputs": outputs,
         "created_unix": time.time(),
-    }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-
-
-def _manifest_path(anchor: str) -> str:
-    if os.path.isdir(anchor):
-        return os.path.join(anchor, "run_manifest.json")
-    return anchor + ".manifest.json"
+    })
 
 
 def _resolve(options: dict, config_path, args: argparse.Namespace) -> dict:
@@ -82,7 +76,7 @@ def _cmd_preprocess(args) -> int:
     records = corpus.parse_corpus(args.corpus)
     instances = corpus.generate_instances(records)
     corpus.write_instances(args.out, instances)
-    _write_manifest(_manifest_path(args.out), "preprocess", {},
+    _write_manifest(args.out, "preprocess", {},
                     {"corpus": args.corpus}, {"instances": args.out})
     print(f"wrote {len(instances)} instances from {len(records)} sentences")
     return 0
@@ -95,8 +89,8 @@ def _cmd_filter(args) -> int:
         config.disable(name)
     report = filtering.apply_filters(instances, mode=args.mode, config=config)
     corpus.write_instances(args.out, report.kept)
-    filtering.write_report(args.report, report)
-    _write_manifest(_manifest_path(args.out), "filter", asdict(config),
+    write_json(args.report, report.summary_dict())
+    _write_manifest(args.out, "filter", asdict(config),
                     {"instances": args.instances},
                     {"filtered": args.out, "report": args.report})
     print(f"kept {len(report.kept)} of {report.n_input} "
@@ -158,9 +152,9 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
     log_path = os.path.join(args.out_dir, "train_log.jsonl")
-    training.write_log(log_path, result.log)
+    write_json_lines(log_path, map(asdict, result.log))
     _write_manifest(
-        _manifest_path(args.out_dir), "train",
+        args.out_dir, "train",
         {"model": asdict(mcfg), "train": asdict(tcfg),
          "min_count": cfg["min_count"], "radius": cfg["radius"],
          "word_vectors": cfg["word_vectors"]},
@@ -173,17 +167,6 @@ def _cmd_train(args) -> int:
                else "no held-out split")
     print(f"best epoch {best.epoch}: {heldout} (train loss {best.train_loss:.4f})")
     return 0
-
-
-def _write_predictions(path, instances, preds) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst, pred in zip(instances, preds):
-            fh.write(json.dumps({
-                "doc_id": inst.doc_id,
-                "sent_id": inst.sent_id,
-                "pair_id": inst.pair_id,
-                "label": label_name(pred),
-            }) + "\n")
 
 
 def _read_predictions(path, gold_instances) -> list[int]:
@@ -207,13 +190,18 @@ def _cmd_predict(args) -> int:
         raise ValueError("variant 'b-lstm' has no attention weights")
     instances = corpus.read_instances(args.instances)
     preds, alphas = predict(params, mcfg, featurize(instances, vocab, pv))
-    _write_predictions(args.out, instances, preds)
+    write_json_lines(args.out, ({
+        "doc_id": inst.doc_id,
+        "sent_id": inst.sent_id,
+        "pair_id": inst.pair_id,
+        "label": label_name(pred),
+    } for inst, pred in zip(instances, preds)))
     outputs = {"predictions": args.out}
     if args.attention is not None:
         evaluation.write_attention_records(
             args.attention, list(zip(instances, alphas)))
         outputs["attention"] = args.attention
-    _write_manifest(_manifest_path(args.out), "predict", {"variant": mcfg.variant},
+    _write_manifest(args.out, "predict", {"variant": mcfg.variant},
                     {"checkpoint": args.checkpoint, "instances": args.instances},
                     outputs)
     print(f"predicted {len(preds)} instances")
@@ -232,9 +220,8 @@ def _cmd_evaluate(args) -> int:
     if args.filter_report:
         filtered = filtering.read_removed_labels(args.filter_report)
     report = evaluation.evaluate(gold, pred_ids, filtered)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(**extra) + "\n")
-    _write_manifest(_manifest_path(args.out), "evaluate", {},
+    write_json(args.out, {**vars(report), **extra})
+    _write_manifest(args.out, "evaluate", {},
                     {"predictions": args.predictions, "gold": args.gold,
                      "filter_report": args.filter_report, "against": args.against},
                     {"report": args.out})
@@ -252,10 +239,8 @@ def _cmd_analyze(args) -> int:
     pred_ids = _read_predictions(args.predictions, gold_instances)
     flags = evaluation.correctness([inst.label for inst in gold_instances], pred_ids)
     stats = evaluation.length_stats(gold_instances, flags)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=1)
-        fh.write("\n")
-    _write_manifest(_manifest_path(args.out), "analyze", {},
+    write_json(args.out, stats)
+    _write_manifest(args.out, "analyze", {},
                     {"predictions": args.predictions, "gold": args.gold},
                     {"stats": args.out})
     print(f"wrote length statistics for {len(flags)} instances")

@@ -10,14 +10,13 @@ everything else is lowercased and split on punctuation.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Optional, Sequence, get_type_hints
 
-from .inputs import json_lines
+from .files import json_lines, write_json_lines
 from .labels import NEGATIVE_ID, label_id, label_name
 
 
@@ -297,12 +296,9 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
 
 def write_instances(path, instances: Sequence[RawInstance]) -> None:
     """One JSON record per line; the `label` field is stored by name."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            # a copy keeps the caller's label; asdict would copy each token
-            rec = dict(vars(inst))
-            rec["label"] = label_name(inst.label)
-            fh.write(json.dumps(rec) + "\n")
+    # a copy keeps the caller's label; asdict would copy each token
+    write_json_lines(path, ({**vars(inst), "label": label_name(inst.label)}
+                            for inst in instances))
 
 
 # the JSON type of each RawInstance field as write_instances stores it

@@ -9,12 +9,12 @@ as predicted-Negative before scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .files import write_json_lines
 from .labels import LABELS, NEGATIVE_ID, NUM_CLASSES, POSITIVE_IDS
 
 
@@ -37,10 +37,6 @@ class EvalReport:
     n_filtered: int
     n_filtered_positive: int
     counts: dict[str, int] = field(default_factory=dict)
-
-    def to_json(self, **extra) -> str:
-        """The report's fields, then any `extra` keys, as indented JSON."""
-        return json.dumps({**self.__dict__, **extra}, indent=1)
 
 
 def evaluate(gold: Sequence[int], predictions: Sequence[int],
@@ -186,17 +182,19 @@ def write_attention_records(path, records) -> None:
 
     Each record is (instance, weights) with weights aligned to tokens.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    def rows():
         for inst, weights in records:
             if len(weights) != len(inst.tokens):
                 raise ValueError(
                     f"pair {inst.pair_id}: {len(weights)} weights for "
                     f"{len(inst.tokens)} tokens"
                 )
-            fh.write(json.dumps({
+            yield {
                 "doc_id": inst.doc_id,
                 "sent_id": inst.sent_id,
                 "pair_id": inst.pair_id,
                 "tokens": inst.tokens,
                 "weights": [float(w) for w in weights],
-            }) + "\n")
+            }
+
+    write_json_lines(path, rows())

@@ -10,6 +10,7 @@ no padding; `embed` concatenates each token's three embedding rows.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Parameter, Tensor, record_op
-from .inputs import text_lines
+from .files import text_lines
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -75,8 +76,9 @@ class PositionVocab:
     """
 
     def __init__(self, radius: int = 50):
-        if radius < 1:
-            raise ValueError("radius must be positive")
+        # at most the largest radius whose 2 radius + 1 ids len() can count
+        if not 1 <= radius <= sys.maxsize // 2:
+            raise ValueError(f"radius must be in [1, {sys.maxsize // 2}], got {radius}")
         self.radius = radius
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
-"""The input boundary: every text and JSON file the pipeline reads is decoded
-and type-checked here, and each error is one ValueError naming the file."""
+"""The file boundary. Every text and JSON file the pipeline reads is decoded
+and type-checked here, and each error is one ValueError naming the file;
+every JSON file it writes, but the checkpoint (`model.save_checkpoint`),
+is encoded here."""
 
 import json
 import reprlib
@@ -69,3 +71,17 @@ def check_fields(obj, schema: dict, where: str, closed: bool = False) -> None:
         raise ValueError(f"{where}: {key}: missing") from None
     if closed and len(obj) > len(schema):  # every key of schema is in obj
         raise ValueError(f"{where}: {next(k for k in obj if k not in schema)}: unknown key")
+
+
+def write_json_lines(path, records) -> None:
+    """One compact JSON line per record, each ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def write_json(path, value) -> None:
+    """One JSON document indented by one space, and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=1)
+        fh.write("\n")

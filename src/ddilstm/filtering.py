@@ -21,13 +21,12 @@ in use is always auditable.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
-from .inputs import check_fields, json_document
+from .files import check_fields, json_document
 from .labels import NEGATIVE_ID, label_id, label_name
 
 
@@ -149,12 +148,6 @@ def apply_filters(instances: Sequence[RawInstance], mode: str = "train",
         by_rule[rule] = by_rule.get(rule, 0) + 1
         by_label[name] = by_label.get(name, 0) + 1
     return FilterReport(mode, len(instances), kept, removed, by_rule, by_label)
-
-
-def write_report(path, report: FilterReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary_dict(), fh, indent=1)
-        fh.write("\n")
 
 
 def read_removed_labels(path) -> list[int]:

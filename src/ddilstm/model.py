@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence, get_type_hints
@@ -34,7 +35,7 @@ from .features import (
     embed,
     random_table,
 )
-from .inputs import check_fields, json_document
+from .files import check_fields, json_document
 from .labels import NUM_CLASSES
 from .pooling import attentive_pool, max_pool
 from .recurrent import BiLstmStack, bilstm_forward
@@ -308,15 +309,26 @@ class CheckpointError(ValueError):
     """A checkpoint whose manifest, vocabulary or parameter blob is malformed."""
 
 
+@contextmanager
+def _naming(where: str):
+    """Start the message of a ValueError raised inside with `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                                         PositionVocab]:
     """Rebuild a model bit-exactly from a checkpoint directory.
 
-    Any malformed manifest, vocabulary or blob raises CheckpointError, as
-    does a blob whose sha256 is not the manifest's or a checkpoint of an
-    older layout; a missing or unreadable file raises OSError.
+    Any malformed manifest, vocabulary or blob raises CheckpointError
+    naming its file, as does a blob whose sha256 is not the manifest's or a
+    checkpoint of an older layout; a missing or unreadable file raises
+    OSError.
     """
-    manifest_path = os.path.join(directory, MANIFEST_FILE)
+    manifest_path, vocab_path, params_path = (
+        os.path.join(directory, name) for name in (MANIFEST_FILE, VOCAB_FILE, PARAMS_FILE))
     try:
         manifest = json_document(manifest_path, {"config": dict, "params": list,
                                                  "params_sha256": str})
@@ -325,37 +337,39 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
         for k, entry in enumerate(manifest["params"]):
             check_fields(entry, {"name": str, "shape": list[int]},
                          f"{manifest_path}: params[{k}]")
-        vocab_blob = json_document(os.path.join(directory, VOCAB_FILE),
-                                   {"words": list[str], "position_radius": int})
+        vocab_blob = json_document(vocab_path, {"words": list[str], "position_radius": int})
 
-        cfg = ModelConfig(**manifest["config"])
+        with _naming(f"{manifest_path}: config"):
+            cfg = ModelConfig(**manifest["config"])
         words = vocab_blob["words"]
         vocab = Vocabulary(words[1:])  # UNK is re-reserved by the constructor
         if vocab.tokens() != words:
-            raise ValueError("vocabulary is not <unk> then distinct words; "
+            raise ValueError(f"{vocab_path}: words: not <unk> then distinct words; "
                              "a checkpoint with a <pad> row must be retrained")
-        pv = PositionVocab(vocab_blob["position_radius"])
+        with _naming(f"{vocab_path}: position_radius"):
+            pv = PositionVocab(vocab_blob["position_radius"])
 
         # the blob overwrites every parameter, so nothing is drawn
         no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))
-        params = _assemble(cfg, len(vocab), len(pv), no_draws)
+        with _naming(manifest_path):
+            params = _assemble(cfg, len(vocab), len(pv), no_draws)
         entries = params.named_parameters()
         listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
         if [(n, p.data.shape) for n, p in entries] != listed:
-            raise ValueError("manifest parameter list does not match this build")
+            raise ValueError(f"{manifest_path}: parameter list does not match this build")
 
-        with open(os.path.join(directory, PARAMS_FILE), "rb") as fh:
+        with open(params_path, "rb") as fh:
             blob = fh.read()
         if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
-            raise ValueError("params.bin does not match the manifest's sha256")
+            raise ValueError(f"{params_path}: does not match the manifest's sha256")
         raw = np.frombuffer(blob, dtype="<f4")
         expected = sum(p.data.size for _, p in entries)
         if raw.size != expected:
             raise ValueError(
-                f"params.bin holds {raw.size} floats, manifest expects {expected}"
+                f"{params_path}: holds {raw.size} floats, the manifest expects {expected}"
             )
     except ValueError as exc:
-        raise CheckpointError(f"{directory}: malformed checkpoint: {exc}") from exc
+        raise CheckpointError(str(exc)) from exc
     ends = np.cumsum([p.data.size for _, p in entries])[:-1]
     for (_, p), values in zip(entries, np.split(raw, ends)):
         p.data[...] = values.reshape(p.data.shape)

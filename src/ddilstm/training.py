@@ -11,9 +11,8 @@ the parameters of the best held-out epoch are what the caller gets back.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,9 +219,3 @@ def train(params: ModelParams, data: Sequence[InstanceFeatures],
         return TrainResult(params, log, len(log) - 1, 0)
     params.load_state(best_state)
     return TrainResult(params, log, select_epoch(log), len(heldout))
-
-
-def write_log(path, log: Sequence[EpochRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in log:
-            fh.write(json.dumps(asdict(rec)) + "\n")

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -380,6 +381,19 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert f"{key} must be >= " in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_radius_past_an_index_rejected(self, tmp_path, synthetic_file, capsys, via):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"radius": 10**19}))
+        given = ["--radius", str(10**19)] if via == "flag" else ["--config", str(cfg)]
+        out_dir = tmp_path / "x"
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(out_dir), "--hidden", "4", "--epochs", "1", *given])
+        assert code == 1
+        assert f"radius must be in [1, {sys.maxsize // 2}], got {10**19}" in \
+            assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag", ["--hidden", "--word-dim"])
     def test_oversized_model_refused_before_allocation(self, tmp_path, synthetic_file,
                                                        capsys, flag):
@@ -467,6 +481,8 @@ CHECKPOINT_EDITS = {
     "word-as-int": _edit_json("vocab.json", lambda v: v["words"].__setitem__(3, 5)),
     "shape-as-float": _edit_json("manifest", lambda m: m["params"][0].update(
         shape=[float(n) for n in m["params"][0]["shape"]])),
+    # past what len() of the position vocabulary can count
+    "huge-radius": _edit_json("vocab.json", lambda v: v.update(position_radius=10**30)),
 }
 
 
@@ -485,6 +501,7 @@ NAMED_EDITS = {
     "words-as-object": ("vocab.json", "words", _edit_json(
         "vocab.json", lambda v: v.update(words={w: i for i, w in enumerate(v["words"])}))),
     "manifest-not-utf8": ("manifest", None, _flip_a_manifest_byte),
+    "huge-radius": ("vocab.json", "position_radius", CHECKPOINT_EDITS["huge-radius"]),
 }
 
 
@@ -512,6 +529,21 @@ class TestCheckpointBoundary:
                      "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", sorted(CHECKPOINT_EDITS))
+    def test_error_names_its_file_and_the_directory_once(self, tmp_path, synthetic_file,
+                                                         capsys, edit):
+        ckpt = tmp_path / "ckpt"
+        _small_checkpoint(ckpt, synthetic_file)
+        CHECKPOINT_EDITS[edit](ckpt)
+        code = main(["predict", "--checkpoint", str(ckpt),
+                     "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert err.count(str(ckpt)) == 1, err
+        assert re.search(rf"{re.escape(str(ckpt))}/(manifest|vocab\.json|params\.bin): ",
+                         err), err
 
     @pytest.mark.parametrize("edit", sorted(NAMED_EDITS))
     def test_error_names_the_file_and_the_key(self, tmp_path, synthetic_file, capsys,

@@ -1,12 +1,20 @@
-"""The input boundary: exact JSON types, named files and lines, and one
-module that decodes every input file."""
+"""The file boundary: exact JSON types, named files and lines, the exact
+bytes of the two JSON writers, and one module that decodes every input
+file and encodes every output file but the checkpoint."""
 
 import ast
 import pathlib
 
 import pytest
 
-from ddilstm.inputs import check_fields, json_document, json_lines, text_lines
+from ddilstm.files import (
+    check_fields,
+    json_document,
+    json_lines,
+    text_lines,
+    write_json,
+    write_json_lines,
+)
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ddilstm"
 
@@ -88,6 +96,25 @@ class TestFiles:
             json_document(path, {"name": int})
 
 
+# each writer's exact bytes: non-ASCII escaped, key order kept, one
+# compact line per record, or one space of indent and a final newline
+WRITTEN = {
+    "json-lines": (write_json_lines, [{"b": "é", "a": [1, 2.5]}, {"z": None, "y": True}],
+                   b'{"b": "\\u00e9", "a": [1, 2.5]}\n{"z": null, "y": true}\n'),
+    "json-lines-empty": (write_json_lines, [], b""),
+    "json": (write_json, {"b": "é", "a": [1, {"c": 2.5}], "e": {}},
+             b'{\n "b": "\\u00e9",\n "a": [\n  1,\n  {\n   "c": 2.5\n  }\n ],\n "e": {}\n}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN))
+def test_writer_bytes(tmp_path, case):
+    write, value, expected = WRITTEN[case]
+    path = tmp_path / "out"
+    write(path, iter(value) if write is write_json_lines else value)  # lines stream
+    assert path.read_bytes() == expected
+
+
 FORBIDDEN = {"json.load", "json.loads", "UnicodeDecodeError", "JSONDecodeError"}
 
 
@@ -106,9 +133,57 @@ def _boundary_uses(tree):
 
 
 def test_only_the_input_module_decodes_files():
-    """No module but inputs.py calls json.load or json.loads, or catches a
+    """No module but files.py calls json.load or json.loads, or catches a
     decode error, so every reader goes through the one boundary."""
     found = {path.name: sorted(set(uses)) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "inputs.py"
+             if path.name != "files.py"
              and (uses := list(_boundary_uses(ast.parse(path.read_text(encoding="utf-8")))))}
-    assert not found, f"decodes input outside inputs.py: {found}"
+    assert not found, f"decodes input outside files.py: {found}"
+
+
+# the checkpoint is staged through temp files and renamed as one unit
+WRITERS_ALLOWED = {("model", "save_checkpoint")}
+
+
+def _writer_use(node):
+    """The JSON encode or open-for-writing that `node` is, else None."""
+    if isinstance(node, ast.ImportFrom) and node.module == "json":
+        return next((f"json.{a.name}" for a in node.names if a.name in ("dump", "dumps")),
+                    None)
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name in ("dump", "dumps") and getattr(func.value, "id", "") == "json":
+        return f"json.{name}"
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name in ("open", "fdopen"):
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        # a mode that is no literal counts as writing
+        if not isinstance(mode, ast.Constant) or set(mode.value) - set("rbt"):
+            return f"{name}({ast.unparse(mode)})"
+    return None
+
+
+def _writer_uses(tree):
+    """(top-level definition, use) for each JSON encode and each file
+    opened for writing in a module."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if use := _writer_use(node):
+                yield getattr(top, "name", "<module>"), use
+
+
+def test_only_the_file_module_encodes_outputs():
+    """No module but files.py encodes JSON or opens a file for writing,
+    except model.save_checkpoint, so every output goes through its two
+    writers."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "files.py":
+            for owner, use in _writer_uses(ast.parse(path.read_text(encoding="utf-8"))):
+                if (path.stem, owner) not in WRITERS_ALLOWED:
+                    found.setdefault(f"{path.stem}.{owner}", set()).add(use)
+    assert not found, f"writes output outside files.py: {found}"

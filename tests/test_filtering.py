@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddilstm.corpus import RawInstance, generate_instances, parse_corpus
+from ddilstm.files import write_json
 from ddilstm.filtering import (
     FilterConfig,
     apply_filters,
     match_rule,
     read_removed_labels,
-    write_report,
 )
 from ddilstm.labels import label_id
 
@@ -158,7 +158,7 @@ class TestApplyFilters:
     def test_report_roundtrip(self, tmp_path):
         report = apply_filters(fixture_instances(), mode="test")
         path = tmp_path / "report.json"
-        write_report(path, report)
+        write_json(path, report.summary_dict())
         labels = read_removed_labels(path)
         assert len(labels) == report.n_removed
         assert labels == [label_id(r.label) for r in report.removed]

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ddilstm.features import (
     collate,
     featurize,
 )
+from ddilstm.files import write_json_lines
 from ddilstm.model import ModelConfig, build_model, default_config, scores
 from ddilstm.rng import named_stream
 from ddilstm.training import (
@@ -411,6 +413,6 @@ class TestTrain:
         log = [EpochRecord(0, 1.25, 0.5, 0.25, 0.333),
                EpochRecord(1, 0.75, 0.6, 0.5, 0.545)]
         path = tmp_path / "log.jsonl"
-        tr.write_log(path, log)
+        write_json_lines(path, map(asdict, log))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [EpochRecord(**json.loads(line)) for line in lines] == log
