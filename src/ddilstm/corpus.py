@@ -27,7 +27,7 @@ class CorpusError(ValueError):
 @dataclass
 class EntityMention:
     id: str
-    spans: list[tuple[int, int]]  # inclusive character offsets
+    spans: list[tuple[int, int]]  # inclusive character offsets, in text order
     text: str
     type: str
 
@@ -58,14 +58,9 @@ class SentenceRecord:
     pairs: list[PairAnnotation]
     path: str  # the corpus file, named in errors raised after parsing
 
-    def entity(self, entity_id: str) -> EntityMention:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise CorpusError(f"sentence {self.id}: unknown entity {entity_id}")
 
-
-def _parse_offsets(raw: str, sentence_id: str) -> list[tuple[int, int]]:
+def _parse_offsets(raw: str, sentence_id: str, entity_id: str) -> list[tuple[int, int]]:
+    """The spans of `raw` in text order; they may not overlap."""
     spans = []
     for part in raw.split(";"):
         m = re.fullmatch(r"(\d+)-(\d+)", part.strip())
@@ -75,6 +70,10 @@ def _parse_offsets(raw: str, sentence_id: str) -> list[tuple[int, int]]:
         if end < start:
             raise CorpusError(f"sentence {sentence_id}: bad charOffset {raw!r}")
         spans.append((start, end))
+    spans.sort()
+    if any(b[0] <= a[1] for a, b in zip(spans, spans[1:])):
+        raise CorpusError(f"sentence {sentence_id}: entity {entity_id}: "
+                          f"charOffset {raw!r} overlaps itself")
     return spans
 
 
@@ -97,22 +96,23 @@ def _parse_file(path) -> list[SentenceRecord]:
 def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
     sid = sent.get("id", "")
     text = sent.get("text", "")
-    entities = []
+    entities: dict[str, EntityMention] = {}
     for ent in sent.findall("entity"):
-        spans = _parse_offsets(ent.get("charOffset", ""), sid)
+        eid = ent.get("id", "")
+        if eid in entities:
+            raise CorpusError(f"sentence {sid}: entity id {eid!r} used twice")
+        spans = _parse_offsets(ent.get("charOffset", ""), sid, eid)
         for start, end in spans:
             if end >= len(text):
                 raise CorpusError(
                     f"sentence {sid}: offset {start}-{end} outside text"
                 )
-        entities.append(EntityMention(ent.get("id", ""), spans,
-                                      ent.get("text", ""), ent.get("type", "")))
-    known = {e.id for e in entities}
+        entities[eid] = EntityMention(eid, spans, ent.get("text", ""), ent.get("type", ""))
     pairs = []
     for pair in sent.findall("pair"):
         pid = pair.get("id", "")
         e1, e2 = pair.get("e1", ""), pair.get("e2", "")
-        if e1 not in known or e2 not in known:
+        if e1 not in entities or e2 not in entities:
             raise CorpusError(f"pair {pid}: references unknown entity")
         ddi = pair.get("ddi", "").strip().lower()
         if ddi not in ("true", "false"):
@@ -125,7 +125,7 @@ def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
             except ValueError as exc:
                 raise CorpusError(f"pair {pid}: {exc}") from None
         pairs.append(PairAnnotation(pid, e1, e2, ddi == "true", ptype))
-    return SentenceRecord(sid, doc_id, text, entities, pairs, path)
+    return SentenceRecord(sid, doc_id, text, list(entities.values()), pairs, path)
 
 
 def parse_corpus(path) -> list[SentenceRecord]:
@@ -157,52 +157,6 @@ DRUG_B = "DRUG-B"
 DRUG_N = "DRUG-N"
 
 
-def blind_entities(s: SentenceRecord, pair: PairAnnotation) -> str:
-    """Replace the pair with DRUG-A/DRUG-B and other mentions with DRUG-N.
-
-    DRUG-A is whichever target appears first in the text. Targets are
-    placed first; remaining mentions are placed longest-first and any
-    mention overlapping an already-placed span is dropped (it is covered).
-    Overlapping *targets* cannot be represented and raise.
-
-    Discontinuous mentions keep the placeholder on their first span and
-    have the later spans deleted.
-    """
-    first, second = s.entity(pair.e1), s.entity(pair.e2)
-    if second.start < first.start:
-        first, second = second, first
-
-    def segments(entity: EntityMention, placeholder: str):
-        spans = sorted(entity.spans)
-        out = [(spans[0][0], spans[0][1], placeholder)]
-        out.extend((start, end, "") for start, end in spans[1:])
-        return out
-
-    placed: list[tuple[int, int, str]] = []
-
-    def overlaps(seg):
-        return any(seg[0] <= p[1] and p[0] <= seg[1] for p in placed)
-
-    for entity, tag in ((first, DRUG_A), (second, DRUG_B)):
-        for seg in segments(entity, tag):
-            if overlaps(seg):
-                raise CorpusError(f"{s.path}: pair {pair.id}: target mentions overlap "
-                                  "and cannot be blinded")
-            placed.append(seg)
-
-    others = [e for e in s.entities if e.id not in (pair.e1, pair.e2)]
-    for entity in sorted(others, key=lambda e: (-e.length, e.start)):
-        segs = segments(entity, DRUG_N)
-        if any(overlaps(seg) for seg in segs):
-            continue
-        placed.extend(segs)
-
-    text = s.text
-    for start, end, replacement in sorted(placed, reverse=True):
-        text = text[:start] + replacement + text[end + 1:]
-    return text
-
-
 _PLACEHOLDER_SPLIT = re.compile(r"(DRUG-[ABN])")
 _CHUNKS = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 # a word already in normal form: lowercase letters and DG digit markers
@@ -222,15 +176,17 @@ def tokenize_normalize(text: str, memo: Optional[dict] = None) -> list[str]:
     function is a fixed point on its own output (already-normalized words
     such as "DG" or "pgfDGalpha" pass through untouched).
 
-    `memo` maps each text part between placeholders to its tokens; the
-    blindings of one sentence share it. The result is always a new list.
+    `memo` maps each text part between placeholders to its tokens;
+    `generate_instances` shares one per sentence. The result is always a
+    new list.
     """
     memo = {} if memo is None else memo
     tokens: list[str] = []
     for part in _PLACEHOLDER_SPLIT.split(text):
         if part not in memo:
             memo[part] = [part] if _PLACEHOLDER_SPLIT.fullmatch(part) else [
-                _normalize_word(word) if word[0].isalnum() else word
+                word if word.islower() and word.isalpha() and word.isascii()  # [a-z]+
+                else _normalize_word(word) if word[0].isalnum() else word
                 for word in _CHUNKS.findall(part)]
         tokens.extend(memo[part])
     return tokens
@@ -263,24 +219,74 @@ def _pair_label(pair: PairAnnotation) -> int:
     return label_id(pair.type)
 
 
+def _layout(text: str, spans: list, placed: frozenset, memo: dict) -> tuple:
+    """The tokens of `text` with DRUG-N on each mention in `placed` (on its
+    first span; its later spans deleted), and the index of each DRUG-N."""
+    tokens: list[str] = []
+    where = {}
+    run, pos = "", 0
+    for start, end, eid, lead in spans:
+        if eid in placed:
+            run += text[pos:start]
+            pos = end + 1
+            if lead:
+                tokens += tokenize_normalize(run, memo)
+                where[eid] = len(tokens)
+                tokens.append(DRUG_N)
+                run = ""
+    tokens += tokenize_normalize(run + text[pos:], memo)
+    return tokens, where
+
+
 def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
-    """One instance per annotated pair, blinded and tokenized."""
+    """One instance per annotated pair, blinded and tokenized.
+
+    The targets become DRUG-A and DRUG-B, DRUG-A being the one that starts
+    first in the text; overlapping targets cannot be blinded and raise. The
+    other mentions then become DRUG-N, longest first, unless they overlap
+    one already placed (they are covered). A discontinuous mention keeps its
+    placeholder on its first span; its later spans are deleted. The pairs of
+    a sentence that place the same mentions share one `_layout`.
+    """
     out = []
     for s in records:
+        by_id = {e.id: e for e in s.entities}
+        ranked = sorted(s.entities, key=lambda e: (-e.length, e.start))
+        # the mentions that overlap each mention, itself included
+        clash = {e.id: {f.id for f in s.entities if any(
+            a <= y and x <= b for a, b in e.spans for x, y in f.spans)} for e in s.entities}
+        # every span in text order, flagged when it carries its mention's placeholder
+        spans = sorted((start, end, e.id, k == 0)
+                       for e in s.entities for k, (start, end) in enumerate(e.spans))
         memo: dict[str, list[str]] = {}
+        layouts: dict[frozenset, tuple] = {}
         for pair in s.pairs:
-            tokens = tokenize_normalize(blind_entities(s, pair), memo)
-            if tokens.count(DRUG_A) != 1 or tokens.count(DRUG_B) != 1:
-                raise CorpusError(f"{s.path}: pair {pair.id}: target placeholders "
-                                  "not locatable after tokenization")
-            first, second = s.entity(pair.e1), s.entity(pair.e2)
+            first, second = by_id[pair.e1], by_id[pair.e2]
             swapped = second.start < first.start
             if swapped:
                 first, second = second, first
+            if second.id in clash[first.id]:
+                raise CorpusError(f"{s.path}: pair {pair.id}: target mentions overlap "
+                                  "and cannot be blinded")
+            placed = {first.id, second.id}
+            for e in ranked:
+                if clash[e.id].isdisjoint(placed):
+                    placed.add(e.id)
+            placed = frozenset(placed)
+            if placed not in layouts:
+                layouts[placed] = _layout(s.text, spans, placed, memo)
+                # the sentence's own DRUG-A or DRUG-B text would pass for a target
+                if DRUG_A in layouts[placed][0] or DRUG_B in layouts[placed][0]:
+                    raise CorpusError(f"{s.path}: pair {pair.id}: target placeholders "
+                                      "not locatable after tokenization")
+            template, where = layouts[placed]
+            tokens = template.copy()
+            drug_a, drug_b = where[first.id], where[second.id]
+            tokens[drug_a], tokens[drug_b] = DRUG_A, DRUG_B
             out.append(RawInstance(
                 tokens=tokens,
-                drug_a=tokens.index(DRUG_A),
-                drug_b=tokens.index(DRUG_B),
+                drug_a=drug_a,
+                drug_b=drug_b,
                 label=_pair_label(pair),
                 doc_id=s.doc_id,
                 sent_id=s.id,

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command-line driver."""
 
+import hashlib
 import json
 import os
 import re
@@ -116,8 +117,77 @@ class TestPreprocess:
         assert f"{path}: pair d9.s0.p0: target mentions overlap" in err
         assert not out.exists()
 
+    def test_spans_listed_out_of_order_blind_in_text_order(self, tmp_path):
+        # e1's second span comes first in the text, so e1 is DRUG-A
+        path = tmp_path / "one.xml"
+        path.write_text(
+            '<document id="d9">\n'
+            '  <sentence id="d9.s0" text="aspirin raises the level of warfarin'
+            ' and other drugs">\n'
+            '    <entity id="d9.s0.e0" charOffset="28-35" type="drug" text="warfarin"/>\n'
+            '    <entity id="d9.s0.e1" charOffset="40-44;0-6" type="drug" text="aspirin"/>\n'
+            '    <pair id="d9.s0.p0" e1="d9.s0.e0" e2="d9.s0.e1" ddi="false"/>\n'
+            "  </sentence>\n"
+            "</document>\n")
+        raw, kept = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl"
+        assert main(["preprocess", "--corpus", str(path), "--out", str(raw)]) == 0
+        assert main(["filter", "--instances", str(raw), "--out", str(kept),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        [inst] = read_instances(raw)
+        assert inst.tokens == ["DRUG-A", "raises", "the", "level", "of", "DRUG-B",
+                               "andr", "drugs"]
+        assert (inst.drug_a, inst.drug_b, inst.swapped) == (0, 5, True)
+
+    @pytest.mark.parametrize("entity,error", [
+        ('<entity id="d9.s0.e2" charOffset="41-47;43-45" type="drug" text="heparin"/>',
+         "sentence d9.s0: entity d9.s0.e2: charOffset '41-47;43-45' overlaps itself"),
+        ('<entity id="d9.s0.e1" charOffset="41-47" type="drug" text="heparin"/>',
+         "sentence d9.s0: entity id 'd9.s0.e1' used twice"),
+    ], ids=["self-overlap", "duplicate-id"])
+    def test_bad_entity_names_file_and_sentence(self, tmp_path, capsys, entity, error):
+        path = tmp_path / "one.xml"
+        path.write_text(
+            '<document id="d9">\n'
+            '  <sentence id="d9.s0" text="Aspirin raises the level of warfarin'
+            ' and heparin today">\n'
+            '    <entity id="d9.s0.e0" charOffset="0-6" type="drug" text="Aspirin"/>\n'
+            '    <entity id="d9.s0.e1" charOffset="28-35" type="drug" text="warfarin"/>\n'
+            f"    {entity}\n"
+            '    <pair id="d9.s0.p0" e1="d9.s0.e0" e2="d9.s0.e1" ddi="false"/>\n'
+            "  </sentence>\n"
+            "</document>\n")
+        out = tmp_path / "o.jsonl"
+        code = main(["preprocess", "--corpus", str(path), "--out", str(out)])
+        assert code == 1
+        assert assert_one_error_line(capsys) == f"error: {path}: {error}\n"
+        assert not out.exists()
+
 
 class TestFilter:
+    def test_fixture_output_bytes(self, tmp_path):
+        """The ingest outputs of the fixture corpus, pinned by sha256."""
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "filter_fixture.xml")
+        raw = tmp_path / "raw.jsonl"
+        assert main(["preprocess", "--corpus", fixture, "--out", str(raw)]) == 0
+        outputs = {"raw.jsonl": raw}
+        for mode in ("train", "test"):
+            kept, report = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}.report.json"
+            assert main(["filter", "--instances", str(raw), "--out", str(kept),
+                         "--report", str(report), "--mode", mode]) == 0
+            outputs.update({kept.name: kept, report.name: report})
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in outputs.items()}
+        assert digests == {
+            "raw.jsonl": "67bec17a1ad5dff3e4ec543585d35a6cfb069c93809b43b950528226006a16b5",
+            "train.jsonl": "1aa21e4ecb53addf3361c0a4f0190911d8fd93d45d76b6dc0dc7e6d120f03d23",
+            "train.report.json":
+                "b852795896015d944a592e994fd561b40d95def38168a0f5e850a3312ffca62c",
+            "test.jsonl": "1aa21e4ecb53addf3361c0a4f0190911d8fd93d45d76b6dc0dc7e6d120f03d23",
+            "test.report.json":
+                "edce76a64e0b8558848f47ece72510f8925f0262dfb5d337597f0f5d496db57a",
+        }
+
     def test_filter_writes_outputs(self, tmp_path):
         xml = tmp_path / "f.xml"
         fixture = os.path.join(os.path.dirname(__file__), "fixtures",
