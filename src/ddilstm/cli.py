@@ -84,13 +84,12 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_filter(args) -> int:
     instances = corpus.read_instances(args.instances)
-    config = filtering.FilterConfig()
-    for name in args.disable or []:
-        config.disable(name)
-    report = filtering.apply_filters(instances, mode=args.mode, config=config)
+    disabled = args.disable or []
+    report = filtering.apply_filters(instances, mode=args.mode, disabled=disabled)
     corpus.write_instances(args.out, report.kept)
     write_json(args.report, report.summary_dict())
-    _write_manifest(args.out, "filter", asdict(config),
+    _write_manifest(args.out, "filter",
+                    {name: name not in disabled for name in filtering.PATTERNS},
                     {"instances": args.instances},
                     {"filtered": args.out, "report": args.report})
     print(f"kept {len(report.kept)} of {report.n_input} "
@@ -137,6 +136,7 @@ def _cmd_train(args) -> int:
     vocab = build_vocab([i.tokens for i in instances], min_count=cfg["min_count"])
     pv = PositionVocab(cfg["radius"])
     parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
+    os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
     word_matrix = None
     if cfg["word_vectors"]:
         word_matrix = load_word_vectors(
@@ -149,7 +149,6 @@ def _cmd_train(args) -> int:
 
     result = training.train(params, feats, tcfg, mcfg)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
     log_path = os.path.join(args.out_dir, "train_log.jsonl")
     write_json_lines(log_path, map(asdict, result.log))
@@ -218,7 +217,7 @@ def _cmd_evaluate(args) -> int:
         extra["mcnemar"] = evaluation.compare(gold, pred_ids, other_ids)
     filtered = []
     if args.filter_report:
-        filtered = filtering.read_removed_labels(args.filter_report)
+        filtered = filtering.read_removed_labels(args.filter_report, len(gold))
     report = evaluation.evaluate(gold, pred_ids, filtered)
     write_json(args.out, {**vars(report), **extra})
     _write_manifest(args.out, "evaluate", {},

@@ -9,53 +9,34 @@ Three rule families, applied in order with first-match attribution:
      ("DRUG-A , DRUG-N , DRUG-B", optionally with and/or before the last
      conjunct).
 
-Rules 2 and 3 read only the tokens strictly between the targets, each
-coded as one character: `DRUG-N` as `N`, `and`/`or` as `&`, `such` as
-`s`, `as` as `a`, `,` and `(` as themselves. Each of their patterns is
-a regular expression (`_PATTERNS`) that must match the whole coded span;
-none matches a span holding any other token, so coding stops there.
-
-Every pattern can be switched off individually, so the exact pattern set
-in use is always auditable.
+`PATTERNS` is the one list of the six patterns, in attribution order, each
+name with its rule and, for rules 2 and 3, a regular expression over the
+tokens strictly between the targets, each coded as one character: `DRUG-N`
+as `N`, `and`/`or` as `&`, `such` as `s`, `as` as `a`, `,` and `(` as
+themselves. A regex must match the whole coded span; none matches a span
+holding any other token, so coding stops there. Any pattern can be
+switched off by its name, and each removal is attributed to one rule and
+pattern, so the exact pattern set in use is always auditable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Collection, Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
 from .files import check_fields, json_document
 from .labels import NEGATIVE_ID, label_id, label_name
 
 
-@dataclass
-class FilterConfig:
-    same_name: bool = True
-    apposition_paren: bool = True
-    such_as: bool = True
-    such_as_list: bool = True
-    coord_list: bool = True
-    coord_list_conj: bool = True
-
-    def disable(self, name: str) -> "FilterConfig":
-        names = [f.name for f in fields(self)]
-        if name not in names:
-            raise ValueError(f"unknown filter pattern {name!r}; pick one of {names}")
-        setattr(self, name, False)
-        return self
-
-
-def _normalized_name(text: str) -> str:
-    return " ".join(text.split()).lower()
-
-
 _TOKEN_CLASS = {DRUG_N: "N", ",": ",", "and": "&", "or": "&", "(": "(",
                 "such": "s", "as": "a"}
 
-# pattern name -> (rule, regex over the coded span), in attribution order
-_PATTERNS = {
+# pattern name -> (rule, regex over the coded span, or None for rule 1)
+PATTERNS = {
+    "same_name": ("rule1", None),
     # DRUG-A ( DRUG-B: immediately parenthesized, closing anywhere
     "apposition_paren": ("rule2", re.compile(r"\(")),
     # DRUG-A such as DRUG-B
@@ -85,8 +66,6 @@ class FilterReport:
     n_input: int
     kept: list[RawInstance]
     removed: list[Removal]
-    by_rule: dict[str, int] = field(default_factory=dict)
-    by_label: dict[str, int] = field(default_factory=dict)
 
     @property
     def n_removed(self) -> int:
@@ -103,59 +82,71 @@ class FilterReport:
             "n_kept": len(self.kept),
             "n_removed": self.n_removed,
             "n_removed_positive": self.n_removed_positive,
-            "by_rule": self.by_rule,
-            "by_label": self.by_label,
+            "by_rule": Counter(r.rule for r in self.removed),
+            "by_label": Counter(r.label for r in self.removed),
             "removed": [dict(vars(r)) for r in self.removed],
         }
 
 
-def match_rule(inst: RawInstance,
-               config: Optional[FilterConfig] = None) -> Optional[tuple[str, str]]:
-    """(rule name, pattern name) of the first matching rule, else None."""
-    cfg = config or FilterConfig()
-    if cfg.same_name and _normalized_name(inst.a_text) == _normalized_name(inst.b_text):
-        return "rule1", "same_name"
+def _coded_span(tokens: Sequence[str]) -> Optional[str]:
+    """The tokens coded one character each, or None at a token with no code."""
     coded = []
-    for token in inst.tokens[inst.drug_a + 1:inst.drug_b]:
+    for token in tokens:
         if token not in _TOKEN_CLASS:
             return None
         coded.append(_TOKEN_CLASS[token])
-    span = "".join(coded)
-    for name, (rule, regex) in _PATTERNS.items():
-        if getattr(cfg, name) and regex.fullmatch(span):
+    return "".join(coded)
+
+
+def match_rule(inst: RawInstance,
+               disabled: Collection[str] = frozenset()) -> Optional[tuple[str, str]]:
+    """(rule name, pattern name) of the first matching pattern not in
+    `disabled`, else None."""
+    span = _coded_span(inst.tokens[inst.drug_a + 1:inst.drug_b])
+    for name, (rule, regex) in PATTERNS.items():
+        if name in disabled:
+            continue
+        if regex is None:  # rule 1: the same name, up to case and whitespace
+            hit = inst.a_text.lower().split() == inst.b_text.lower().split()
+        else:
+            hit = span is not None and regex.fullmatch(span)
+        if hit:
             return rule, name
     return None
 
 
 def apply_filters(instances: Sequence[RawInstance], mode: str = "train",
-                  config: Optional[FilterConfig] = None) -> FilterReport:
-    """Partition instances into kept and removed, with rule attribution."""
+                  disabled: Collection[str] = frozenset()) -> FilterReport:
+    """Partition instances into kept and removed, with rule attribution;
+    the patterns named in `disabled` are switched off."""
     if mode not in ("train", "test"):
         raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
+    for name in disabled:
+        if name not in PATTERNS:
+            raise ValueError(f"unknown filter pattern {name!r}; "
+                             f"pick one of {list(PATTERNS)}")
     kept: list[RawInstance] = []
     removed: list[Removal] = []
-    by_rule: dict[str, int] = {}
-    by_label: dict[str, int] = {}
     for inst in instances:
-        hit = match_rule(inst, config)
+        hit = match_rule(inst, disabled)
         if hit is None:
             kept.append(inst)
-            continue
-        rule, pattern = hit
-        name = label_name(inst.label)
-        removed.append(Removal(inst.doc_id, inst.sent_id, inst.pair_id,
-                               name, rule, pattern))
-        by_rule[rule] = by_rule.get(rule, 0) + 1
-        by_label[name] = by_label.get(name, 0) + 1
-    return FilterReport(mode, len(instances), kept, removed, by_rule, by_label)
+        else:
+            removed.append(Removal(inst.doc_id, inst.sent_id, inst.pair_id,
+                                   label_name(inst.label), *hit))
+    return FilterReport(mode, len(instances), kept, removed)
 
 
-def read_removed_labels(path) -> list[int]:
-    """Label ids of the filtered-out instances, for evaluation reinsertion."""
+def read_removed_labels(path, n_kept: int) -> list[int]:
+    """Label ids of the removed instances of a report that kept `n_kept`."""
     report = json_document(path, {"removed": list})
     ids = []
     for k, entry in enumerate(report["removed"]):
         where = f"{path}: removed[{k}]"
         check_fields(entry, {"label": str}, where)
         ids.append(label_id(entry["label"], where))
+    check_fields(report, {"n_kept": int}, str(path))
+    if report["n_kept"] != n_kept:
+        raise ValueError(f"{path}: reports {report['n_kept']} kept instances, "
+                         f"but the gold file holds {n_kept}")
     return ids

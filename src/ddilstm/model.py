@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
@@ -299,10 +298,9 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
         (PARAMS_FILE, blob),
         (VOCAB_FILE, json.dumps(vocab_blob).encode("utf-8")),
     ):
-        fd, tmp = tempfile.mkstemp(dir=directory)
-        with os.fdopen(fd, "wb") as fh:
+        with open(os.path.join(directory, fname + ".tmp"), "wb") as fh:  # under the umask
             fh.write(payload)
-        os.replace(tmp, os.path.join(directory, fname))
+        os.replace(fh.name, os.path.join(directory, fname))
 
 
 class CheckpointError(ValueError):

@@ -1,5 +1,6 @@
 """Shared oracles: central finite differences against the tape gradients,
-the float64 switch they run under, and a synthetic corpus to train on."""
+the float64 switch they run under, and a synthetic corpus to train on.
+Every Hypothesis test draws the same examples on every run."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ddilstm import autodiff as ad
 from ddilstm.corpus import DRUG_A, DRUG_B, RawInstance
@@ -15,6 +17,9 @@ from ddilstm.labels import LABELS, label_id
 from ddilstm.model import output_layer
 from ddilstm.rng import named_stream
 from ddilstm.training import softmax_cross_entropy
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 EPS = 1e-4
 

@@ -188,6 +188,31 @@ class TestFilter:
                 "edce76a64e0b8558848f47ece72510f8925f0262dfb5d337597f0f5d496db57a",
         }
 
+    def test_fixture_output_bytes_with_patterns_disabled(self, tmp_path):
+        """Two patterns off: the outputs pinned by sha256, and the manifest's
+        config naming every pattern with whether it was on."""
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "filter_fixture.xml")
+        raw, kept = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl"
+        report = tmp_path / "report.json"
+        assert main(["preprocess", "--corpus", fixture, "--out", str(raw)]) == 0
+        assert main(["filter", "--instances", str(raw), "--out", str(kept),
+                     "--report", str(report), "--mode", "test",
+                     "--disable", "coord_list", "--disable", "same_name"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (kept, report)}
+        assert digests == {
+            "kept.jsonl": "9bd7c0358a85234f2d820dc1f546fe219dea5d34359b75492fe1c5357115a0b2",
+            "report.json": "9554c3683379286f7673d95b4c4f0550d655c437129286c7684a910e47c4734b",
+        }
+        manifest = json.loads((tmp_path / "kept.jsonl.manifest.json").read_text())
+        assert manifest["config"] == {
+            "same_name": False, "apposition_paren": True, "such_as": True,
+            "such_as_list": True, "coord_list": False, "coord_list_conj": True}
+        assert list(manifest["config"]) == ["same_name", "apposition_paren", "such_as",
+                                            "such_as_list", "coord_list",
+                                            "coord_list_conj"]
+
     def test_filter_writes_outputs(self, tmp_path):
         xml = tmp_path / "f.xml"
         fixture = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -489,6 +514,47 @@ class TestTrainPredictEvaluate:
                      "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
         assert f"{cfg}: malformed JSON" in assert_one_error_line(capsys)
+
+    def test_out_dir_refused_before_training(self, tmp_path, synthetic_file, capsys,
+                                             monkeypatch):
+        trained = []
+        monkeypatch.setattr("ddilstm.cli.training.train", trained.append)
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(out_dir), "--hidden", "4", "--epochs", "1"])
+        assert code == 1
+        assert str(out_dir) in assert_one_error_line(capsys)
+        assert trained == []
+
+    def test_checkpoint_files_take_the_umask(self, tmp_path, synthetic_file):
+        old = os.umask(0o022)
+        try:
+            ckpt = run_train(tmp_path, synthetic_file)
+        finally:
+            os.umask(old)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in ckpt.iterdir()}
+        assert modes == dict.fromkeys(["manifest", "params.bin", "vocab.json",
+                                       "run_manifest.json", "train_log.jsonl"], 0o644)
+
+    def test_evaluate_refuses_the_report_of_another_file(self, tmp_path, synthetic_file,
+                                                         capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "filter_fixture.xml")
+        raw, kept = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl"
+        report = tmp_path / "report.json"
+        assert main(["preprocess", "--corpus", fixture, "--out", str(raw)]) == 0
+        assert main(["filter", "--instances", str(raw), "--out", str(kept),
+                     "--report", str(report), "--mode", "test"]) == 0
+        for gold, code in ((kept, 0), (synthetic_file, 1)):
+            preds = tmp_path / "preds.jsonl"
+            _write_predictions(preds, gold)
+            capsys.readouterr()
+            assert main(["evaluate", "--predictions", str(preds), "--gold", str(gold),
+                         "--filter-report", str(report),
+                         "--out", str(tmp_path / "eval.json")]) == code
+        assert assert_one_error_line(capsys) == (
+            f"error: {report}: reports 12 kept instances, but the gold file holds 30\n")
 
 
 def _drop(blob, key):

@@ -534,7 +534,7 @@ class TestGeneratedDocuments:
         assert_tokens_as_if_cold(parse_corpus(FIXTURE))
 
     @given(ddi_documents(UNBLINDABLE_WORDS))
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_tokens_as_if_cold(self, documents):
         with tempfile.TemporaryDirectory() as tmp:
             assert_tokens_as_if_cold(parse_documents(documents, tmp))

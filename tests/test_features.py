@@ -44,7 +44,7 @@ class TestVocabulary:
         f = featurize_one(["<pad>", "a", "<pad>"], 0, 2, 4, vocab, PositionVocab(3))
         assert f.word_ids.tolist() == [1, UNK_ID, 1]
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>", "<pad>"]),
                              min_size=1, max_size=6), min_size=1, max_size=5),
            st.integers(1, 3))
@@ -160,7 +160,7 @@ class TestFeaturizeFile:
     @given(instance_files(), st.sets(st.sampled_from(WORDS)), st.integers(1, 60))
     @example([raw_instance(["w0"] * 150, 0, 149), raw_instance(["w11", "w1"], 0, 1)],
              {"w0"}, 1)
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_equals_per_token_reference(self, instances, known, radius):
         vocab = build_vocab([sorted(known)])
         pv = PositionVocab(radius)

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from ddilstm.corpus import RawInstance, generate_instances, parse_corpus
 from ddilstm.files import write_json
-from ddilstm.filtering import (
-    FilterConfig,
-    apply_filters,
-    match_rule,
-    read_removed_labels,
-)
+from ddilstm.filtering import apply_filters, match_rule, read_removed_labels
 from ddilstm.labels import label_id
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -107,8 +102,7 @@ class TestRules:
         kwargs = {"a_text": "x", "b_text": "x"} if pattern == "same_name" else {}
         inst = instance(tokens, a, b, **kwargs)
         assert match_rule(inst) is not None
-        off = FilterConfig().disable(pattern)
-        hit = match_rule(inst, off)
+        hit = match_rule(inst, {pattern})
         assert hit is None or hit[1] != pattern
 
     @pytest.mark.parametrize("span", [
@@ -122,7 +116,7 @@ class TestRules:
 
     def test_unknown_toggle_rejected(self):
         with pytest.raises(ValueError):
-            FilterConfig().disable("rule99")
+            apply_filters([], disabled={"rule99"})
 
 
 class TestApplyFilters:
@@ -137,8 +131,9 @@ class TestApplyFilters:
     def test_counts_are_consistent(self):
         report = apply_filters(fixture_instances(), mode="train")
         assert len(report.kept) + report.n_removed == report.n_input
-        assert sum(report.by_rule.values()) == report.n_removed
-        assert sum(report.by_label.values()) == report.n_removed
+        summary = report.summary_dict()
+        assert sum(summary["by_rule"].values()) == report.n_removed
+        assert sum(summary["by_label"].values()) == report.n_removed
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +154,6 @@ class TestApplyFilters:
         report = apply_filters(fixture_instances(), mode="test")
         path = tmp_path / "report.json"
         write_json(path, report.summary_dict())
-        labels = read_removed_labels(path)
+        labels = read_removed_labels(path, len(report.kept))
         assert len(labels) == report.n_removed
         assert labels == [label_id(r.label) for r in report.removed]
