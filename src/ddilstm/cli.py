@@ -5,7 +5,9 @@ filter, train, predict (optionally with attention weights), evaluate,
 analyze. Every run writes a manifest next to its outputs recording the
 resolved configuration, seed and paths; identical inputs and seed
 reproduce every output byte for byte (timestamps live only in the
-manifest).
+manifest). Before it reads anything, a command refuses an output that is
+the same file as one of its inputs, another of its outputs or its manifest,
+or that it could not create.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
-from .files import check_fields, json_document, json_lines, write_json, write_json_lines
+from .files import (check_fields, json_document, json_lines, write_json, write_json_lines,
+                    write_lines)
 from .labels import label_id, label_name
 from .model import (
     VARIANTS,
@@ -33,13 +36,16 @@ from .model import (
 from .training import TrainConfig, TrainingDiverged
 
 
+def _manifest_path(anchor: str) -> str:
+    """run_manifest.json in an `anchor` directory, else `anchor`.manifest.json."""
+    return (os.path.join(anchor, "run_manifest.json") if os.path.isdir(anchor)
+            else anchor + ".manifest.json")
+
+
 def _write_manifest(anchor: str, command: str, config: dict,
                     inputs: dict, outputs: dict, seed=None) -> None:
-    """Write the run manifest: run_manifest.json in an `anchor` directory,
-    else `anchor`.manifest.json."""
-    path = (os.path.join(anchor, "run_manifest.json") if os.path.isdir(anchor)
-            else anchor + ".manifest.json")
-    write_json(path, {
+    """Write the run manifest at `_manifest_path(anchor)`."""
+    write_json(_manifest_path(anchor), {
         "command": command,
         "version": __version__,
         "seed": seed,
@@ -48,6 +54,29 @@ def _write_manifest(anchor: str, command: str, config: dict,
         "outputs": outputs,
         "created_unix": time.time(),
     })
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse, before anything is read, an output (`args.outputs`, each an
+    option name) that is the same file as an input (`args.inputs`), an
+    earlier output or the manifest of the first, that is a directory, or
+    whose directory does not exist. An option not given is skipped."""
+    def given(names):
+        return [("--" + name.replace("_", "-"), getattr(args, name)) for name in names
+                if getattr(args, name) is not None]
+
+    outputs = given(args.outputs)
+    outputs.insert(1, (f"the manifest of {outputs[0][0]}", _manifest_path(outputs[0][1])))
+    owner = {os.path.realpath(path): flag for flag, path in reversed(given(args.inputs))}
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in owner:
+            raise ValueError(f"{owner[real]} and {flag} name the same file: {path}")
+        if os.path.isdir(real):
+            raise ValueError(f"{flag}: {path} is a directory")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{flag}: directory {os.path.dirname(path)} does not exist")
+        owner[real] = flag
 
 
 def _resolve(options: dict, config_path, args: argparse.Namespace) -> dict:
@@ -83,10 +112,11 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    instances = corpus.read_instances(args.instances)
+    texts, instances = corpus.read_instance_lines(args.instances)  # every line checked
     disabled = args.disable or []
     report = filtering.apply_filters(instances, mode=args.mode, disabled=disabled)
-    corpus.write_instances(args.out, report.kept)
+    kept = set(map(id, report.kept))  # apply_filters keeps the objects it was given
+    write_lines(args.out, (text for text, inst in zip(texts, instances) if id(inst) in kept))
     write_json(args.report, report.summary_dict())
     _write_manifest(args.out, "filter",
                     {name: name not in disabled for name in filtering.PATTERNS},
@@ -171,7 +201,7 @@ def _cmd_train(args) -> int:
 def _read_predictions(path, gold_instances) -> list[int]:
     """The label ids of a predictions file naming `gold_instances`' pairs."""
     labels, gold = [], iter(gold_instances)
-    for where, rec in json_lines(path, "prediction", {"label": str, "pair_id": str}):
+    for where, _, rec in json_lines(path, "prediction", {"label": str, "pair_id": str}):
         gold_pair = getattr(next(gold, None), "pair_id", None)
         if rec["pair_id"] != gold_pair:
             raise ValueError(f"{where}: prediction for pair {rec['pair_id']!r} does not "
@@ -256,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="XML corpus -> instance file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_preprocess)
+    p.set_defaults(fn=_cmd_preprocess, inputs=("corpus",), outputs=("out",))
 
     p = sub.add_parser("filter", help="drop trivially non-interacting pairs")
     p.add_argument("--instances", required=True)
@@ -265,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("train", "test"), default="train")
     p.add_argument("--disable", action="append", metavar="PATTERN",
                    help="switch off one filter pattern (repeatable)")
-    p.set_defaults(fn=_cmd_filter)
+    p.set_defaults(fn=_cmd_filter, inputs=("instances",), outputs=("out", "report"))
 
     p = sub.add_parser("train", help="train one variant on an instance file")
     p.add_argument("--instances", required=True)
@@ -281,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--attention", help="also export attention weights here")
-    p.set_defaults(fn=_cmd_predict)
+    p.set_defaults(fn=_cmd_predict, inputs=("checkpoint", "instances"),
+                   outputs=("out", "attention"))
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--predictions", required=True)
@@ -290,24 +321,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", metavar="OTHER_PREDICTIONS",
                    help="also run McNemar's test against these predictions")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_evaluate)
+    p.set_defaults(fn=_cmd_evaluate, inputs=("predictions", "gold", "filter_report", "against"),
+                   outputs=("out",))
 
     p = sub.add_parser("analyze", help="length/separation stats by outcome")
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_analyze)
+    p.set_defaults(fn=_cmd_analyze, inputs=("predictions", "gold"), outputs=("out",))
 
     return parser
+
+
+# each character that str.splitlines breaks at, as its escape sequence
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "outputs"):  # train writes fixed names inside --out-dir
+            _check_paths(args)
         return args.fn(args)
     except (TrainingDiverged, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever text of an input file the message quotes
+        print("error: " + str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)
         return 1
 
 

@@ -6,6 +6,11 @@ elements, with inclusive character offsets that may be discontinuous
 pair: the two targets become DRUG-A / DRUG-B (in textual order), every
 other drug mention becomes DRUG-N, digits collapse to the DG token and
 everything else is lowercased and split on punctuation.
+
+An instance file holds one JSON record per line (`write_instances`).
+`read_instances` decodes and checks every line; `read_instance_lines` also
+gives each record's line text, stripped, which `filter` writes back for the
+records it keeps, so no kept record is encoded a second time.
 """
 
 from __future__ import annotations
@@ -311,15 +316,24 @@ def write_instances(path, instances: Sequence[RawInstance]) -> None:
 _RECORD_TYPES = {**get_type_hints(RawInstance), "label": str}
 
 
-def read_instances(path) -> list[RawInstance]:
-    """The records of an instance file; CorpusError names a malformed line."""
-    out = []
+def read_instance_lines(path) -> tuple[list[str], list[RawInstance]]:
+    """(texts, records) of an instance file: the text of each record's line
+    stripped of surrounding whitespace, and the record checked from it;
+    CorpusError names a malformed line."""
+    texts, out = [], []
     try:
-        for where, rec in json_lines(path, "instance record", _RECORD_TYPES, closed=True):
+        for where, text, rec in json_lines(path, "instance record", _RECORD_TYPES,
+                                           closed=True):
             if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
                 raise ValueError(f"{where}: drug indices out of order or outside the sentence")
             rec["label"] = label_id(rec["label"], where)
+            texts.append(text)
             out.append(RawInstance(**rec))
     except ValueError as exc:
         raise CorpusError(str(exc)) from None
-    return out
+    return texts, out
+
+
+def read_instances(path) -> list[RawInstance]:
+    """The records of an instance file; CorpusError names a malformed line."""
+    return read_instance_lines(path)[1]

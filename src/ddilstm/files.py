@@ -1,7 +1,8 @@
 """The file boundary. Every text and JSON file the pipeline reads is decoded
 and type-checked here, and each error is one ValueError naming the file;
-every JSON file it writes, but the checkpoint (`model.save_checkpoint`),
-is encoded here."""
+every file it writes, but the checkpoint (`model.save_checkpoint`), is
+written here: JSON through the two JSON writers, and the kept records of
+`filter` as the text of their already checked input lines (`write_lines`)."""
 
 import json
 import reprlib
@@ -23,19 +24,20 @@ def text_lines(path):
 
 
 def json_lines(path, what: str, schema: dict, closed: bool = False):
-    """(where, record) for each non-blank line of a JSON-lines file, each
-    record an object of `schema` (check_fields), where `where` is
-    "path:line: bad <what>", the start of that line's errors."""
+    """(where, text, record) for each non-blank line of a JSON-lines file,
+    each record an object of `schema` (check_fields), where `where` is
+    "path:line: bad <what>", the start of that line's errors, and `text` is
+    the line stripped of surrounding whitespace: one JSON document."""
     for lineno, line in text_lines(path):
         where, text = f"{path}:{lineno}: bad {what}", line.strip(" \t\n\r")
         try:
             value, end = _decode(text)
             if end < len(text):
                 raise json.JSONDecodeError("Extra data", text, end)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, an int too long
             raise ValueError(f"{where}: malformed JSON ({exc})") from None
         check_fields(value, schema, where, closed)
-        yield where, value
+        yield where, text, value
 
 
 def json_document(path, schema: dict) -> dict:
@@ -43,7 +45,7 @@ def json_document(path, schema: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             value = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an int too long
         raise ValueError(f"{path}: malformed JSON ({exc})") from None
     check_fields(value, schema, str(path))
     return value
@@ -73,11 +75,16 @@ def check_fields(obj, schema: dict, where: str, closed: bool = False) -> None:
         raise ValueError(f"{where}: {next(k for k in obj if k not in schema)}: unknown key")
 
 
+def write_lines(path, lines) -> None:
+    """Each string as one line, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def write_json_lines(path, records) -> None:
     """One compact JSON line per record, each ending in a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    write_lines(path, map(json.dumps, records))
 
 
 def write_json(path, value) -> None:

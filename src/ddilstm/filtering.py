@@ -17,6 +17,10 @@ themselves. A regex must match the whole coded span; none matches a span
 holding any other token, so coding stops there. Any pattern can be
 switched off by its name, and each removal is attributed to one rule and
 pattern, so the exact pattern set in use is always auditable.
+
+`apply_filters` keeps the input's own instance objects, in input order; the
+`filter` command writes each one kept as the line it was read from
+(`corpus.read_instance_lines`), so a kept record's bytes pass through as given.
 """
 
 from __future__ import annotations

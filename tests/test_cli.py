@@ -1,22 +1,32 @@
 """End-to-end pipeline runs through the command-line driver."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
 import sys
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_xml, make_synthetic_instances
 from ddilstm.cli import main
-from ddilstm.corpus import read_instances, write_instances
+from ddilstm.corpus import generate_instances, parse_corpus, read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
-from ddilstm.labels import label_name
+from ddilstm.filtering import apply_filters
+from ddilstm.labels import label_id, label_name
 from ddilstm.model import (MAX_PARAMS, ModelConfig, build_model, default_config,
                            save_checkpoint)
 from ddilstm.training import TrainConfig
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "filter_fixture.xml")
 
 THREE_DRUGS = [(
     "d9.s0",
@@ -259,6 +269,198 @@ class TestFilter:
                      *[arg for name in names for arg in ("--disable", name)]])
         assert code == 1
         assert repr(names[0]) in assert_one_error_line(capsys)
+
+    def test_kept_lines_are_copied_as_written(self, tmp_path):
+        """A hand-edited instance file: each kept record is written as its
+        input line stripped, with its own key order, spacing and label
+        spelling, and reads back as the kept instance."""
+        lines = []
+        for inst in generate_instances(parse_corpus(FIXTURE)):
+            rec = {**vars(inst), "label": label_name(inst.label),
+                   "tokens": inst.tokens + ["β-blockers"]}  # past DRUG-B: no rule sees it
+            if inst.label == label_id("advice"):
+                rec["label"] = " Advise"
+            rec = dict(reversed(rec.items()))
+            lines.append("  " + json.dumps(rec, ensure_ascii=False, separators=(" , ", ":  ")))
+        src = tmp_path / "edited.jsonl"
+        src.write_bytes(("\r\n \t\r\n".join(lines)).encode("utf-8"))  # no final newline
+        out = tmp_path / "kept.jsonl"
+        assert main(["filter", "--instances", str(src), "--out", str(out),
+                     "--report", str(tmp_path / "report.json"), "--mode", "test"]) == 0
+        report = apply_filters(read_instances(src), mode="test")
+        kept = {inst.pair_id for inst in report.kept}
+        expected = [line.strip() + "\n" for line, inst in zip(lines, read_instances(src))
+                    if inst.pair_id in kept]
+        assert 0 < len(expected) < len(lines)
+        assert any('"label":  " Advise"' in line for line in expected)
+        assert out.read_bytes() == "".join(expected).encode("utf-8")
+        assert read_instances(out) == report.kept
+
+
+@functools.cache
+def _fixture_instance_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "raw.jsonl")
+        write_instances(path, generate_instances(parse_corpus(FIXTURE)))
+        return path.read_bytes()
+
+
+# edits of an instance file; each position is taken modulo its range. A
+# mask of 1 or 2 often keeps a digit a digit, and 32 a letter a letter; a
+# splice at 0 and 0 copies line j over line i.
+_AT = st.integers(0, 1 << 16)
+FILE_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), _AT),
+    st.tuples(st.just("flip"), _AT, st.sampled_from([1, 2, 32]) | st.integers(1, 255)),
+    st.tuples(st.just("splice"), _AT, _AT, st.just(0) | _AT, st.just(0) | _AT))
+
+
+def _edited(data: bytes, edits) -> bytes:
+    """`data` cut at a byte, with one byte XORed, or with line i's head
+    joined to line j's tail, per edit."""
+    for kind, *at in edits:
+        if kind == "truncate":
+            data = data[:at[0] % (len(data) + 1)]
+        elif kind == "flip" and data:
+            k = at[0] % len(data)
+            data = data[:k] + bytes([data[k] ^ at[1]]) + data[k + 1:]
+        elif kind == "splice":
+            lines = data.split(b"\n")
+            i, j = at[0] % len(lines), at[1] % len(lines)
+            lines[i] = (lines[i][:at[2] % (len(lines[i]) + 1)]
+                        + lines[j][at[3] % (len(lines[j]) + 1):])
+            data = b"\n".join(lines)
+    return data
+
+
+class TestFilterFuzz:
+    @given(st.lists(FILE_EDITS, min_size=1, max_size=3), st.sampled_from(["train", "test"]))
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_instance_file(self, edits, mode):
+        """A damaged file is filtered and reads back, or is refused with one
+        `error:` line and no output; nothing raises."""
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out, report = (Path(tmp, name) for name in ("raw.jsonl", "kept.jsonl",
+                                                              "report.json"))
+            src.write_bytes(_edited(_fixture_instance_bytes(), edits))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["filter", "--instances", str(src), "--out", str(out),
+                             "--report", str(report), "--mode", mode])
+            if code == 0:
+                kept = apply_filters(read_instances(src), mode=mode).kept
+                assert read_instances(out) == kept
+                assert json.loads(report.read_text())["n_kept"] == len(kept)
+            else:
+                assert code == 1
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert not out.exists() and not report.exists()
+
+
+@pytest.fixture
+def pipeline_files(tmp_path, synthetic_file):
+    """An input of each kind, by name: a corpus, instances, an ab-lstm
+    checkpoint, predictions, a filter report, and a link to tmp_path."""
+    files = {"instances": synthetic_file, "corpus": tmp_path / "corpus.xml",
+             "ckpt": tmp_path / "ckpt", "preds": tmp_path / "preds.jsonl",
+             "report": tmp_path / "report.json", "link": tmp_path / "link"}
+    files["corpus"].write_text(corpus_xml("d9", THREE_DRUGS))
+    instances = read_instances(synthetic_file)
+    vocab, pv = build_vocab([i.tokens for i in instances]), PositionVocab(8)
+    cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=6, pos_dim=2)
+    save_checkpoint(files["ckpt"], build_model(cfg, len(vocab), len(pv)), cfg, vocab, pv)
+    _write_predictions(files["preds"], synthetic_file)
+    files["report"].write_text(json.dumps({"removed": [], "n_kept": len(instances)}))
+    files["link"].symlink_to(tmp_path, target_is_directory=True)
+    (tmp_path / "held.jsonl.manifest.json").write_bytes(synthetic_file.read_bytes())
+    return {name: str(path) for name, path in files.items()}
+
+
+def _tree(root):
+    """Every file under `root` and its bytes."""
+    return {path: path.read_bytes() for path in sorted(Path(root).rglob("*"))
+            if path.is_file() and not path.is_symlink()}
+
+
+# argv with {name} for pipeline_files and {tmp} for tmp_path, and the two
+# flags that the error names
+CLASHES = {
+    "predict-out-is-attention": (
+        "predict --checkpoint {ckpt} --instances {instances} --out {tmp}/x "
+        "--attention {tmp}/x", "--out and --attention"),
+    "predict-attention-is-manifest": (
+        "predict --checkpoint {ckpt} --instances {instances} --out {tmp}/x "
+        "--attention {tmp}/x.manifest.json", "the manifest of --out and --attention"),
+    "predict-out-is-instances": (
+        "predict --checkpoint {ckpt} --instances {instances} --out {instances}",
+        "--instances and --out"),
+    "filter-out-is-report": (
+        "filter --instances {instances} --out {tmp}/k --report {tmp}/k",
+        "--out and --report"),
+    "filter-report-through-link": (
+        "filter --instances {instances} --out {tmp}/k --report {link}/k",
+        "--out and --report"),
+    "filter-in-place": (
+        "filter --instances {instances} --out {instances} --report {tmp}/r",
+        "--instances and --out"),
+    "filter-manifest-is-input": (
+        "filter --instances {tmp}/held.jsonl.manifest.json --out {tmp}/held.jsonl "
+        "--report {tmp}/r", "--instances and the manifest of --out"),
+    "evaluate-out-is-predictions": (
+        "evaluate --predictions {preds} --gold {instances} --out {preds}",
+        "--predictions and --out"),
+    "evaluate-out-is-filter-report": (
+        "evaluate --predictions {preds} --gold {instances} --filter-report {report} "
+        "--out {report}", "--filter-report and --out"),
+    "analyze-out-is-gold": (
+        "analyze --predictions {preds} --gold {instances} --out {instances}",
+        "--gold and --out"),
+    "preprocess-out-is-corpus": (
+        "preprocess --corpus {corpus} --out {corpus}", "--corpus and --out"),
+}
+
+# an output that cannot be written, and what the error says of it
+UNWRITABLE = {
+    "filter-report": ("filter --instances {instances} --out {tmp}/k "
+                      "--report {tmp}/nodir/r.json", "--report: directory "),
+    "filter-out": ("filter --instances {instances} --out {tmp}/nodir/k.jsonl "
+                   "--report {tmp}/r.json", "--out: directory "),
+    "predict-attention": ("predict --checkpoint {ckpt} --instances {instances} "
+                          "--out {tmp}/p.jsonl --attention {tmp}/nodir/a.jsonl",
+                          "--attention: directory "),
+    "evaluate-out": ("evaluate --predictions {preds} --gold {instances} "
+                     "--out {tmp}/nodir/e.json", "--out: directory "),
+    "preprocess-out": ("preprocess --corpus {corpus} --out {tmp}/nodir/raw.jsonl",
+                       "--out: directory "),
+    "filter-report-is-a-directory": ("filter --instances {instances} --out {tmp}/k "
+                                     "--report {ckpt}", "--report: "),
+}
+
+
+class TestOutputPaths:
+    """Each command that names its outputs refuses, before it reads
+    anything, an output it cannot write or that would overwrite another of
+    its files."""
+
+    @pytest.mark.parametrize("case", sorted(CLASHES))
+    def test_output_clash_is_refused(self, tmp_path, pipeline_files, capsys, case):
+        argv, flags = CLASHES[case]
+        before = _tree(tmp_path)
+        assert main(argv.format(tmp=tmp_path, **pipeline_files).split()) == 1
+        assert f"{flags} name the same file" in assert_one_error_line(capsys)
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE))
+    def test_unwritable_output_is_refused(self, tmp_path, pipeline_files, capsys,
+                                          case):
+        argv, said = UNWRITABLE[case]
+        before = _tree(tmp_path)
+        assert main(argv.format(tmp=tmp_path, **pipeline_files).split()) == 1
+        err = assert_one_error_line(capsys)
+        assert err.startswith(f"error: {said}") and (
+            "nodir does not exist" in err or err.endswith(" is a directory\n")), err
+        assert _tree(tmp_path) == before
 
 
 class TestTrainPredictEvaluate:
@@ -719,9 +921,11 @@ class TestRecordBoundary:
         {"label": 3}, {"drug_a": "0"},
         {"tokens": "abcdef", "drug_a": 0, "drug_b": 2},
         {"drug_a": 0, "drug_b": 2.0}, {"drug_b": 99},
-        {"tokens": ["DRUG-A", 7, "DRUG-B"], "drug_a": 0, "drug_b": 2}],
+        {"tokens": ["DRUG-A", 7, "DRUG-B"], "drug_a": 0, "drug_b": 2},
+        {"x\ny\u2028z": 1}],
         ids=["label-as-int", "index-as-string", "tokens-as-string",
-             "index-as-float", "index-past-sentence", "token-as-int"])
+             "index-as-float", "index-past-sentence", "token-as-int",
+             "unknown-key-with-line-breaks"])
     def test_bad_instance_field(self, tmp_path, synthetic_file, capsys, change):
         _rewrite_first_line(synthetic_file, lambda rec: {**rec, **change})
         code = main(["filter", "--instances", str(synthetic_file),

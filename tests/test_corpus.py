@@ -1,6 +1,8 @@
 """XML parsing, entity blinding, tokenization, instance generation."""
 
+import contextlib
 import copy
+import io
 import os
 import tempfile
 import xml.etree.ElementTree as ET
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_xml
+from ddilstm.cli import main
 from ddilstm.corpus import (
     DRUG_A,
     DRUG_B,
@@ -23,6 +26,7 @@ from ddilstm.corpus import (
     tokenize_normalize,
     write_instances,
 )
+from ddilstm.filtering import apply_filters
 from ddilstm.labels import label_id, label_name
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -553,3 +557,21 @@ class TestGeneratedDocuments:
             assert instances == written
             assert all(type(inst.label) is int for inst in instances)
             assert read_instances(jsonl) == instances
+
+    @given(ddi_documents(), st.sampled_from(["train", "test"]))
+    @settings(max_examples=40, deadline=None)
+    def test_filter_writes_what_write_instances_writes(self, documents, mode):
+        """On `preprocess` output, `filter`'s copied lines are the bytes of
+        the path it replaced: decode each record, then encode the kept ones."""
+        with tempfile.TemporaryDirectory() as tmp:
+            parse_documents(documents, tmp)
+            raw, kept, reference = (os.path.join(tmp, name) for name in (
+                "raw.jsonl", "kept.jsonl", "reference.jsonl"))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["preprocess", "--corpus", os.path.join(tmp, "corpus.xml"),
+                             "--out", raw]) == 0
+                assert main(["filter", "--instances", raw, "--out", kept, "--report",
+                             os.path.join(tmp, "report.json"), "--mode", mode]) == 0
+            write_instances(reference, apply_filters(read_instances(raw), mode=mode).kept)
+            with open(kept, "rb") as copied, open(reference, "rb") as encoded:
+                assert copied.read() == encoded.read()

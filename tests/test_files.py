@@ -1,6 +1,6 @@
 """The file boundary: exact JSON types, named files and lines, the exact
-bytes of the two JSON writers, and one module that decodes every input
-file and encodes every output file but the checkpoint."""
+bytes of the line writer and the two JSON writers, and one module that
+decodes every input file and encodes every output file but the checkpoint."""
 
 import ast
 import pathlib
@@ -14,6 +14,7 @@ from ddilstm.files import (
     text_lines,
     write_json,
     write_json_lines,
+    write_lines,
 )
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ddilstm"
@@ -63,7 +64,8 @@ class TestFiles:
         path = tmp_path / "r.jsonl"
         path.write_text('{"name": "a"}\n\n  {"name": "b"}  \r\n')
         assert list(json_lines(path, "row", {"name": str})) == [
-            (f"{path}:1: bad row", {"name": "a"}), (f"{path}:3: bad row", {"name": "b"})]
+            (f"{path}:1: bad row", '{"name": "a"}', {"name": "a"}),
+            (f"{path}:3: bad row", '{"name": "b"}', {"name": "b"})]
 
     @pytest.mark.parametrize("line", ['{"name": "a"} x', "{bad", '{"name": 1}', "[1]"])
     def test_json_lines_name_the_line(self, tmp_path, line):
@@ -88,6 +90,14 @@ class TestFiles:
         with pytest.raises(ValueError, match=rf"^{path}: malformed JSON \("):
             json_document(path, {})
 
+    def test_int_past_the_digit_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"n": ' + "7" * 5000 + "}\n")
+        with pytest.raises(ValueError, match=rf"^{path}:1: bad row: malformed JSON \("):
+            list(json_lines(path, "row", {}))
+        with pytest.raises(ValueError, match=rf"^{path}: malformed JSON \("):
+            json_document(path, {})
+
     def test_json_document_checks_its_schema(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"name": "a", "more": 1}')
@@ -102,6 +112,7 @@ WRITTEN = {
     "json-lines": (write_json_lines, [{"b": "é", "a": [1, 2.5]}, {"z": None, "y": True}],
                    b'{"b": "\\u00e9", "a": [1, 2.5]}\n{"z": null, "y": true}\n'),
     "json-lines-empty": (write_json_lines, [], b""),
+    "lines": (write_lines, ['{"b": "é"}', "", " x "], b'{"b": "\xc3\xa9"}\n\n x \n'),
     "json": (write_json, {"b": "é", "a": [1, {"c": 2.5}], "e": {}},
              b'{\n "b": "\\u00e9",\n "a": [\n  1,\n  {\n   "c": 2.5\n  }\n ],\n "e": {}\n}\n'),
 }
@@ -111,7 +122,7 @@ WRITTEN = {
 def test_writer_bytes(tmp_path, case):
     write, value, expected = WRITTEN[case]
     path = tmp_path / "out"
-    write(path, iter(value) if write is write_json_lines else value)  # lines stream
+    write(path, value if write is write_json else iter(value))  # lines stream
     assert path.read_bytes() == expected
 
 
