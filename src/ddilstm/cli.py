@@ -7,7 +7,9 @@ resolved configuration, seed and paths; identical inputs and seed
 reproduce every output byte for byte (timestamps live only in the
 manifest). Before it reads anything, a command refuses an output that is
 the same file as one of its inputs, another of its outputs or its manifest,
-or that it could not create.
+or that it could not create. Each subcommand names its file options once,
+in its parser's `set_defaults(inputs=..., outputs=...)`; the check and the
+manifest both read that.
 """
 
 from __future__ import annotations
@@ -23,58 +25,63 @@ from .features import PositionVocab, build_vocab, featurize, load_word_vectors
 from .files import (check_fields, json_document, json_lines, write_json, write_json_lines,
                     write_lines)
 from .labels import label_id, label_name
-from .model import (
-    VARIANTS,
-    ModelConfig,
-    build_model,
-    default_config,
-    load_checkpoint,
-    parameter_count,
-    predict,
-    save_checkpoint,
-)
+from .model import (MANIFEST_FILE, PARAMS_FILE, VARIANTS, VOCAB_FILE, ModelConfig, build_model,
+                    default_config, load_checkpoint, parameter_count, predict, save_checkpoint)
 from .training import TrainConfig, TrainingDiverged
 
 
-def _manifest_path(anchor: str) -> str:
-    """run_manifest.json in an `anchor` directory, else `anchor`.manifest.json."""
-    return (os.path.join(anchor, "run_manifest.json") if os.path.isdir(anchor)
-            else anchor + ".manifest.json")
+# the files train writes in --out-dir: the checkpoint's three, its log and
+# the run manifest
+_LOG_FILE, _RUN_MANIFEST = "train_log.jsonl", "run_manifest.json"
+_OUT_DIR_FILES = (MANIFEST_FILE, PARAMS_FILE, VOCAB_FILE, _LOG_FILE, _RUN_MANIFEST)
 
 
-def _write_manifest(anchor: str, command: str, config: dict,
-                    inputs: dict, outputs: dict, seed=None) -> None:
-    """Write the run manifest at `_manifest_path(anchor)`."""
-    write_json(_manifest_path(anchor), {
-        "command": command,
+def _manifest_path(args: argparse.Namespace) -> str:
+    """run_manifest.json in --out-dir, else the first output + .manifest.json."""
+    if "out_dir" in args.outputs:
+        return os.path.join(args.out_dir, _RUN_MANIFEST)
+    return getattr(args, next(iter(args.outputs))) + ".manifest.json"
+
+
+def _write_manifest(args: argparse.Namespace, config: dict, seed=None) -> None:
+    """Write the run manifest at `_manifest_path(args)`: every declared
+    input by option name (None when not given) and each output given, under
+    its key."""
+    write_json(_manifest_path(args), {
+        "command": args.command,
         "version": __version__,
         "seed": seed,
         "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {name: getattr(args, name) for name in args.inputs},
+        "outputs": {key: getattr(args, name) for name, key in args.outputs.items()
+                    if getattr(args, name) is not None},
         "created_unix": time.time(),
     })
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    """Refuse, before anything is read, an output (`args.outputs`, each an
-    option name) that is the same file as an input (`args.inputs`), an
-    earlier output or the manifest of the first, that is a directory, or
-    whose directory does not exist. An option not given is skipped."""
+    """Refuse, before anything is read, an output file that is the same file
+    as an input (`args.inputs`, each an option name), an earlier output file
+    or the run manifest, that is a directory, or whose directory does not
+    exist. An option not given is skipped. --out-dir stands for the files
+    train writes in it; train creates the directory."""
     def given(names):
         return [("--" + name.replace("_", "-"), getattr(args, name)) for name in names
                 if getattr(args, name) is not None]
 
-    outputs = given(args.outputs)
-    outputs.insert(1, (f"the manifest of {outputs[0][0]}", _manifest_path(outputs[0][1])))
     owner = {os.path.realpath(path): flag for flag, path in reversed(given(args.inputs))}
+    if "out_dir" in args.outputs:
+        outputs = [("--out-dir", os.path.join(args.out_dir, name)) for name in _OUT_DIR_FILES]
+    else:
+        outputs = given(args.outputs)
+        outputs.insert(1, (f"the manifest of {outputs[0][0]}", _manifest_path(args)))
     for flag, path in outputs:
         real = os.path.realpath(path)
         if real in owner:
             raise ValueError(f"{owner[real]} and {flag} name the same file: {path}")
         if os.path.isdir(real):
             raise ValueError(f"{flag}: {path} is a directory")
-        if not os.path.isdir(os.path.dirname(real)):
+        if flag != "--out-dir" and not os.path.isdir(os.path.dirname(real)):
             raise ValueError(f"{flag}: directory {os.path.dirname(path)} does not exist")
         owner[real] = flag
 
@@ -105,8 +112,7 @@ def _cmd_preprocess(args) -> int:
     records = corpus.parse_corpus(args.corpus)
     instances = corpus.generate_instances(records)
     corpus.write_instances(args.out, instances)
-    _write_manifest(args.out, "preprocess", {},
-                    {"corpus": args.corpus}, {"instances": args.out})
+    _write_manifest(args, {})
     print(f"wrote {len(instances)} instances from {len(records)} sentences")
     return 0
 
@@ -118,10 +124,7 @@ def _cmd_filter(args) -> int:
     kept = set(map(id, report.kept))  # apply_filters keeps the objects it was given
     write_lines(args.out, (text for text, inst in zip(texts, instances) if id(inst) in kept))
     write_json(args.report, report.summary_dict())
-    _write_manifest(args.out, "filter",
-                    {name: name not in disabled for name in filtering.PATTERNS},
-                    {"instances": args.instances},
-                    {"filtered": args.out, "report": args.report})
+    _write_manifest(args, {name: name not in disabled for name in filtering.PATTERNS})
     print(f"kept {len(report.kept)} of {report.n_input} "
           f"({report.n_removed} removed, {report.n_removed_positive} positive)")
     return 0
@@ -180,17 +183,10 @@ def _cmd_train(args) -> int:
     result = training.train(params, feats, tcfg, mcfg)
 
     save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
-    log_path = os.path.join(args.out_dir, "train_log.jsonl")
-    write_json_lines(log_path, map(asdict, result.log))
-    _write_manifest(
-        args.out_dir, "train",
-        {"model": asdict(mcfg), "train": asdict(tcfg),
-         "min_count": cfg["min_count"], "radius": cfg["radius"],
-         "word_vectors": cfg["word_vectors"]},
-        {"instances": args.instances},
-        {"checkpoint": args.out_dir, "log": log_path},
-        seed=seed,
-    )
+    write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
+    _write_manifest(args, {"model": asdict(mcfg), "train": asdict(tcfg),
+                           "min_count": cfg["min_count"], "radius": cfg["radius"],
+                           "word_vectors": cfg["word_vectors"]}, seed=seed)
     best = result.log[result.best_epoch]
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
                else "no held-out split")
@@ -225,14 +221,10 @@ def _cmd_predict(args) -> int:
         "pair_id": inst.pair_id,
         "label": label_name(pred),
     } for inst, pred in zip(instances, preds)))
-    outputs = {"predictions": args.out}
     if args.attention is not None:
         evaluation.write_attention_records(
             args.attention, list(zip(instances, alphas)))
-        outputs["attention"] = args.attention
-    _write_manifest(args.out, "predict", {"variant": mcfg.variant},
-                    {"checkpoint": args.checkpoint, "instances": args.instances},
-                    outputs)
+    _write_manifest(args, {"variant": mcfg.variant})
     print(f"predicted {len(preds)} instances")
     return 0
 
@@ -250,10 +242,7 @@ def _cmd_evaluate(args) -> int:
         filtered = filtering.read_removed_labels(args.filter_report, len(gold))
     report = evaluation.evaluate(gold, pred_ids, filtered)
     write_json(args.out, {**vars(report), **extra})
-    _write_manifest(args.out, "evaluate", {},
-                    {"predictions": args.predictions, "gold": args.gold,
-                     "filter_report": args.filter_report, "against": args.against},
-                    {"report": args.out})
+    _write_manifest(args, {})
     print(f"micro P {report.micro_p:.4f} R {report.micro_r:.4f} "
           f"F1 {report.micro_f1:.4f} MAVG {report.mavg:.4f}")
     if extra:
@@ -269,9 +258,7 @@ def _cmd_analyze(args) -> int:
     flags = evaluation.correctness([inst.label for inst in gold_instances], pred_ids)
     stats = evaluation.length_stats(gold_instances, flags)
     write_json(args.out, stats)
-    _write_manifest(args.out, "analyze", {},
-                    {"predictions": args.predictions, "gold": args.gold},
-                    {"stats": args.out})
+    _write_manifest(args, {})
     print(f"wrote length statistics for {len(flags)} instances")
     return 0
 
@@ -286,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="XML corpus -> instance file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_preprocess, inputs=("corpus",), outputs=("out",))
+    p.set_defaults(fn=_cmd_preprocess, inputs=("corpus",), outputs={"out": "instances"})
 
     p = sub.add_parser("filter", help="drop trivially non-interacting pairs")
     p.add_argument("--instances", required=True)
@@ -295,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("train", "test"), default="train")
     p.add_argument("--disable", action="append", metavar="PATTERN",
                    help="switch off one filter pattern (repeatable)")
-    p.set_defaults(fn=_cmd_filter, inputs=("instances",), outputs=("out", "report"))
+    p.set_defaults(fn=_cmd_filter, inputs=("instances",),
+                   outputs={"out": "filtered", "report": "report"})
 
     p = sub.add_parser("train", help="train one variant on an instance file")
     p.add_argument("--instances", required=True)
@@ -304,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, (kind, _) in _TRAIN_OPTIONS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind,
                        choices=VARIANTS if key == "variant" else None)
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn=_cmd_train, inputs=("instances", "config", "word_vectors"),
+                   outputs={"out_dir": "checkpoint"})
 
     p = sub.add_parser("predict", help="label an instance file with a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -312,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--attention", help="also export attention weights here")
     p.set_defaults(fn=_cmd_predict, inputs=("checkpoint", "instances"),
-                   outputs=("out", "attention"))
+                   outputs={"out": "predictions", "attention": "attention"})
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--predictions", required=True)
@@ -322,13 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also run McNemar's test against these predictions")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_evaluate, inputs=("predictions", "gold", "filter_report", "against"),
-                   outputs=("out",))
+                   outputs={"out": "report"})
 
     p = sub.add_parser("analyze", help="length/separation stats by outcome")
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_analyze, inputs=("predictions", "gold"), outputs=("out",))
+    p.set_defaults(fn=_cmd_analyze, inputs=("predictions", "gold"), outputs={"out": "stats"})
 
     return parser
 
@@ -341,8 +330,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "outputs"):  # train writes fixed names inside --out-dir
-            _check_paths(args)
+        _check_paths(args)
         return args.fn(args)
     except (TrainingDiverged, ValueError, OSError) as exc:
         # one line, whatever text of an input file the message quotes

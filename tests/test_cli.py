@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_xml, make_synthetic_instances
-from ddilstm.cli import main
+from ddilstm.cli import _build_parser, main
 from ddilstm.corpus import generate_instances, parse_corpus, read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.filtering import apply_filters
@@ -315,15 +315,29 @@ FILE_EDITS = st.one_of(
     st.tuples(st.just("splice"), _AT, _AT, st.just(0) | _AT, st.just(0) | _AT))
 
 
+# and of any file: bytes put in at a position, or up to n bytes taken out
+BYTE_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), _AT),
+    st.tuples(st.just("flip"), _AT, st.sampled_from([1, 2, 32]) | st.integers(1, 255)),
+    st.tuples(st.just("insert"), _AT, st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("delete"), _AT, st.integers(1, 4)))
+
+
 def _edited(data: bytes, edits) -> bytes:
-    """`data` cut at a byte, with one byte XORed, or with line i's head
-    joined to line j's tail, per edit."""
+    """`data` cut at a byte, with one byte XORed, with bytes inserted or
+    deleted, or with line i's head joined to line j's tail, per edit."""
     for kind, *at in edits:
         if kind == "truncate":
             data = data[:at[0] % (len(data) + 1)]
         elif kind == "flip" and data:
             k = at[0] % len(data)
             data = data[:k] + bytes([data[k] ^ at[1]]) + data[k + 1:]
+        elif kind == "insert":
+            k = at[0] % (len(data) + 1)
+            data = data[:k] + at[1] + data[k:]
+        elif kind == "delete" and data:
+            k = at[0] % len(data)
+            data = data[:k] + data[k + at[1]:]
         elif kind == "splice":
             lines = data.split(b"\n")
             i, j = at[0] % len(lines), at[1] % len(lines)
@@ -438,10 +452,16 @@ UNWRITABLE = {
 }
 
 
+# an --instances file in --out-dir: each file train writes there, once
+# through a linked directory, and once in an --out-dir not yet made
+OUT_DIR_CLASHES = [(name, "direct") for name in ("manifest", "params.bin", "vocab.json",
+                                                 "train_log.jsonl", "run_manifest.json")]
+OUT_DIR_CLASHES += [("train_log.jsonl", "link"), ("params.bin", "missing")]
+
+
 class TestOutputPaths:
-    """Each command that names its outputs refuses, before it reads
-    anything, an output it cannot write or that would overwrite another of
-    its files."""
+    """Each command refuses, before it reads anything, an output it cannot
+    write or that would overwrite another of its files."""
 
     @pytest.mark.parametrize("case", sorted(CLASHES))
     def test_output_clash_is_refused(self, tmp_path, pipeline_files, capsys, case):
@@ -461,6 +481,78 @@ class TestOutputPaths:
         assert err.startswith(f"error: {said}") and (
             "nodir does not exist" in err or err.endswith(" is a directory\n")), err
         assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("name,how", OUT_DIR_CLASHES,
+                             ids=[f"{how}-{name}" for name, how in OUT_DIR_CLASHES])
+    def test_train_input_in_out_dir_is_refused(self, tmp_path, synthetic_file, capsys,
+                                               name, how):
+        out_dir = tmp_path / "ckpt"
+        if how != "missing":
+            out_dir.mkdir()
+            (out_dir / name).write_bytes(synthetic_file.read_bytes())
+        (tmp_path / "link").symlink_to(out_dir, target_is_directory=True)
+        instances = (tmp_path / "link" if how == "link" else out_dir) / name
+        before = _tree(tmp_path)
+        code = main(["train", "--instances", str(instances), "--out-dir", str(out_dir),
+                     "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1"])
+        assert code == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: --instances and --out-dir name the same file: {out_dir / name}\n")
+        assert _tree(tmp_path) == before
+        assert out_dir.exists() == (how != "missing")
+
+
+def _subparsers() -> dict:
+    """Each command's parser, by name."""
+    [action] = [a for a in _build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestManifests:
+    def test_every_command_declares_its_files(self):
+        parsers = _subparsers()
+        assert set(parsers) == {"preprocess", "filter", "train", "predict", "evaluate",
+                                "analyze"}
+        for command, parser in parsers.items():
+            inputs, outputs = parser.get_default("inputs"), parser.get_default("outputs")
+            assert isinstance(inputs, tuple) and isinstance(outputs, dict), command
+            options = {action.dest for action in parser._actions}
+            assert set(inputs) | set(outputs) <= options, command
+
+    def test_manifests_name_the_declared_files(self, tmp_path):
+        """Each command's run manifest: its declared inputs by option name,
+        None when not given, and the outputs given, under their keys."""
+        raw, kept, report = (str(tmp_path / n) for n in ("raw.jsonl", "kept.jsonl", "r.json"))
+        ckpt, preds, att = (str(tmp_path / n) for n in ("ckpt", "preds.jsonl", "att.jsonl"))
+        ev, stats = str(tmp_path / "eval.json"), str(tmp_path / "stats.json")
+        runs = [  # argv, the manifest, its inputs and its outputs
+            (["preprocess", "--corpus", FIXTURE, "--out", raw], raw + ".manifest.json",
+             {"corpus": FIXTURE}, {"instances": raw}),
+            (["filter", "--instances", raw, "--out", kept, "--report", report, "--mode",
+              "test"], kept + ".manifest.json",
+             {"instances": raw}, {"filtered": kept, "report": report}),
+            (["train", "--instances", raw, "--out-dir", ckpt, "--variant", "ab-lstm",
+              "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1"],
+             os.path.join(ckpt, "run_manifest.json"),
+             {"instances": raw, "config": None, "word_vectors": None}, {"checkpoint": ckpt}),
+            (["predict", "--checkpoint", ckpt, "--instances", kept, "--out", preds,
+              "--attention", att], preds + ".manifest.json",
+             {"checkpoint": ckpt, "instances": kept}, {"predictions": preds, "attention": att}),
+            (["evaluate", "--predictions", preds, "--gold", kept, "--filter-report", report,
+              "--against", preds, "--out", ev], ev + ".manifest.json",
+             {"predictions": preds, "gold": kept, "filter_report": report, "against": preds},
+             {"report": ev}),
+            (["analyze", "--predictions", preds, "--gold", kept, "--out", stats],
+             stats + ".manifest.json", {"predictions": preds, "gold": kept}, {"stats": stats}),
+        ]
+        parsers = _subparsers()
+        assert [argv[0] for argv, *_ in runs] == list(parsers)
+        for argv, path, inputs, outputs in runs:
+            assert main(argv) == 0, argv[0]
+            manifest = json.loads(Path(path).read_text())
+            assert manifest["command"] == argv[0]
+            assert list(manifest["inputs"]) == list(parsers[argv[0]].get_default("inputs"))
+            assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs), argv[0]
 
 
 class TestTrainPredictEvaluate:
@@ -910,6 +1002,49 @@ def _write_predictions(path, gold_path):
     path.write_text("".join(
         json.dumps({"pair_id": i.pair_id, "label": "negative"}) + "\n"
         for i in read_instances(gold_path)))
+
+
+@functools.cache
+def _checkpoint_and_instances() -> tuple[dict, bytes]:
+    """The files of a small ab-lstm checkpoint, by name, and the bytes of
+    the instance file it was built for."""
+    instances = make_synthetic_instances(30, seed=1)
+    vocab, pv = build_vocab([i.tokens for i in instances]), PositionVocab(8)
+    cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=6, pos_dim=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(tmp, build_model(cfg, len(vocab), len(pv)), cfg, vocab, pv)
+        write_instances(Path(tmp, "instances.jsonl"), instances)
+        files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    return files, files.pop("instances.jsonl")
+
+
+class TestCheckpointFuzz:
+    @given(st.sampled_from(["manifest", "vocab.json", "params.bin"]), BYTE_EDITS)
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_checkpoint(self, fname, edit):
+        """predict with one checkpoint file damaged succeeds only if the
+        blob is intact, or is refused with one `error:` line and no output;
+        nothing raises."""
+        files, instance_bytes = _checkpoint_and_instances()
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp, "ckpt")
+            ckpt.mkdir()
+            for name, data in files.items():
+                (ckpt / name).write_bytes(_edited(data, [edit]) if name == fname else data)
+            src, out, att = (Path(tmp, name) for name in ("raw.jsonl", "preds.jsonl",
+                                                           "att.jsonl"))
+            src.write_bytes(instance_bytes)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["predict", "--checkpoint", str(ckpt), "--instances", str(src),
+                             "--out", str(out), "--attention", str(att)])
+            if code == 0:
+                assert (ckpt / "params.bin").read_bytes() == files["params.bin"]
+            else:
+                assert code == 1
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert not out.exists() and not att.exists()
 
 
 class TestRecordBoundary:
