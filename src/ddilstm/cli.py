@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 
+import numpy as np
+
 from . import __version__, corpus, evaluation, filtering, rng as rng_mod, training
 from .features import PositionVocab, build_vocab, featurize, load_word_vectors
 from .files import (check_fields, json_document, json_lines, write_json, write_json_lines,
@@ -27,7 +29,7 @@ from .files import (check_fields, json_document, json_lines, write_json, write_j
 from .labels import label_id, label_name
 from .model import (MANIFEST_FILE, PARAMS_FILE, VARIANTS, VOCAB_FILE, ModelConfig, build_model,
                     default_config, load_checkpoint, parameter_count, predict, save_checkpoint)
-from .training import TrainConfig, TrainingDiverged
+from .training import TrainConfig
 
 
 # the files train writes in --out-dir: the checkpoint's three, its log and
@@ -331,8 +333,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_paths(args)
-        return args.fn(args)
-    except (TrainingDiverged, ValueError, OSError) as exc:
+        with np.errstate(all="ignore"):  # the finiteness checks report overflow
+            return args.fn(args)
+    except (ValueError, OSError) as exc:
         # one line, whatever text of an input file the message quotes
         print("error: " + str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)
         return 1

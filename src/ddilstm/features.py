@@ -182,17 +182,20 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                       rng: np.random.Generator) -> Parameter:
     """Read whitespace-separated text vectors into the `embed.word` table.
 
-    In-vocabulary rows are copied from the file and must be finite in
-    the table's dtype; everything else (UNK included) keeps the
+    In-vocabulary rows are copied from the file, once each, and must be
+    finite in the table's dtype; everything else (UNK included) keeps the
     small uniform noise of `random_table`. The table is trainable either
     way.
     """
     table = random_table(len(vocab), dim, rng, "embed.word")
+    first = {}  # the line of each in-vocabulary token read
     for lineno, line in text_lines(path):
         token, *values = line.split()
         if len(values) != dim:
             raise ValueError(f"{path}:{lineno}: expected {dim} floats, got {len(values)}")
         if token in vocab:
+            if first.setdefault(token, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: {token!r} repeats line {first[token]}")
             row = table.data[vocab.lookup(token)]
             try:
                 # an overflow is reported below, as an infinity

@@ -321,9 +321,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
     """Rebuild a model bit-exactly from a checkpoint directory.
 
     Any malformed manifest, vocabulary or blob raises CheckpointError
-    naming its file, as does a blob whose sha256 is not the manifest's or a
-    checkpoint of an older layout; a missing or unreadable file raises
-    OSError.
+    naming its file, as does a blob whose sha256 is not the manifest's, one
+    holding NaN or Inf, or a checkpoint of an older layout; a missing or
+    unreadable file raises OSError.
     """
     manifest_path, vocab_path, params_path = (
         os.path.join(directory, name) for name in (MANIFEST_FILE, VOCAB_FILE, PARAMS_FILE))
@@ -366,6 +366,8 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
             raise ValueError(
                 f"{params_path}: holds {raw.size} floats, the manifest expects {expected}"
             )
+        if not np.isfinite(raw).all():
+            raise ValueError(f"{params_path}: holds non-finite floats")
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     ends = np.cumsum([p.data.size for _, p in entries])[:-1]

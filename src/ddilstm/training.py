@@ -7,6 +7,7 @@ scores by one fused softmax-cross-entropy op, averaged over the batch,
 and one Adam step follows (L2 enters as a gradient term on weight
 matrices only). A small held-out slice is scored after every epoch and
 the parameters of the best held-out epoch are what the caller gets back.
+A NaN or Inf met in any step or held-out scoring raises TrainingDiverged.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import evaluation, rng as rng_mod
-from .autodiff import Parameter, ShapeMismatch, Tape, Tensor, record_op
+from .autodiff import (NonFiniteError, Parameter, ShapeMismatch, Tape, Tensor, _check_finite,
+                       record_op)
 from .features import InstanceFeatures, collate
 from .model import ModelConfig, ModelParams, predict, scores
 
@@ -27,8 +29,8 @@ from .model import ModelConfig, ModelParams, predict, scores
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries the epoch/batch where it happened."""
+class TrainingDiverged(NonFiniteError):
+    """A NonFiniteError in training, after `epoch E, batch at S: ` or `epoch E, held-out: `."""
 
 
 @dataclass
@@ -91,16 +93,13 @@ class AdamState:
 
 def adam_step(state: AdamState, named_params: Sequence[tuple[str, Parameter]],
               cfg: TrainConfig, l2: float = 0.0) -> None:
-    """One update over every parameter that received a gradient."""
+    """One update over every parameter that received a gradient; each must stay finite."""
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
-    stepped = False
-    for name, p in named_params:
-        if p.grad is None:
-            continue
-        stepped = True
+    bc1, bc2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    stepped = [(name, p) for name, p in named_params if p.grad is not None]
+    if not stepped:
+        raise ValueError("adam_step called with no gradients populated")
+    for name, p in stepped:
         # float64 in place: each operation, and their order, as in the plain update
         g = p.grad.astype(np.float64)
         if l2 and p.weight_decay:
@@ -118,8 +117,7 @@ def adam_step(state: AdamState, named_params: Sequence[tuple[str, Parameter]],
         v += EPS
         m /= v
         p.data -= m.astype(p.data.dtype)
-    if not stepped:
-        raise ValueError("adam_step called with no gradients populated")
+        _check_finite(p.data, f"parameter {name}")
 
 
 @dataclass
@@ -160,8 +158,6 @@ def _batch_loss(params: ModelParams, mcfg: ModelConfig,
 
 def _heldout_metrics(params: ModelParams, mcfg: ModelConfig,
                      heldout: Sequence[InstanceFeatures]) -> tuple[float, float, float]:
-    if not heldout:
-        return 0.0, 0.0, 0.0
     preds, _ = predict(params, mcfg, heldout)
     report = evaluation.evaluate([f.label for f in heldout], preds)
     return report.micro_p, report.micro_r, report.micro_f1
@@ -182,38 +178,36 @@ def train(params: ModelParams, data: Sequence[InstanceFeatures],
 
     order = split_rng.permutation(len(data))
     n_held = int(round(len(data) * cfg.val_fraction))
-    held_idx = order[:n_held]
-    train_idx = order[n_held:]
-    if len(train_idx) == 0:
+    if n_held == len(data):
         raise ValueError("val_fraction leaves no training data")
-    heldout = [data[i] for i in held_idx]
-    train_set = [data[i] for i in train_idx]
+    heldout = [data[i] for i in order[:n_held]]
+    train_set = [data[i] for i in order[n_held:]]
 
     state = AdamState(params.named_parameters())
     log: list[EpochRecord] = []
     best_state = None
 
-    for epoch in range(cfg.max_epochs):
-        perm = shuffle_rng.permutation(len(train_set))
-        epoch_losses = []
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = [train_set[i] for i in perm[start:start + cfg.batch_size]]
-            params.zero_grads()
-            with Tape() as tape:
-                loss = _batch_loss(params, mcfg, batch, dropout_rng)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"epoch {epoch}, batch at {start}: loss is {value}"
-                )
-            tape.backward(loss)
-            adam_step(state, params.named_parameters(), cfg, l2=mcfg.l2)
-            epoch_losses.append(value)
+    try:
+        for epoch in range(cfg.max_epochs):
+            perm = shuffle_rng.permutation(len(train_set))
+            epoch_losses = []
+            for start in range(0, len(perm), cfg.batch_size):
+                where = f"epoch {epoch}, batch at {start}"
+                batch = [train_set[i] for i in perm[start:start + cfg.batch_size]]
+                params.zero_grads()
+                with Tape() as tape:
+                    loss = _batch_loss(params, mcfg, batch, dropout_rng)
+                tape.backward(loss)
+                adam_step(state, params.named_parameters(), cfg, l2=mcfg.l2)
+                epoch_losses.append(loss.item())
 
-        p, r, f1 = _heldout_metrics(params, mcfg, heldout)
-        log.append(EpochRecord(epoch, float(np.mean(epoch_losses)), p, r, f1))
-        if heldout and select_epoch(log) == epoch:
-            best_state = params.state_copy()
+            where = f"epoch {epoch}, held-out"
+            p, r, f1 = _heldout_metrics(params, mcfg, heldout)
+            log.append(EpochRecord(epoch, float(np.mean(epoch_losses)), p, r, f1))
+            if heldout and select_epoch(log) == epoch:
+                best_state = params.state_copy()
+    except NonFiniteError as exc:
+        raise TrainingDiverged(f"{where}: {exc}") from exc
 
     if not heldout:
         return TrainResult(params, log, len(log) - 1, 0)

@@ -267,6 +267,13 @@ class TestTape:
         with pytest.raises(ad.NonFiniteError):
             ad.Tensor([np.inf])
 
+    def test_large_finite_values_pass_without_a_warning(self):
+        """Their float32 sum overflows; the check takes no sum."""
+        big = np.full(4, 3e38, dtype=np.float32)
+        assert ad.Tensor(big).data is not None
+        with pytest.raises(ad.NonFiniteError, match="^non-finite values in tensor constructor$"):
+            ad.Tensor(np.append(big, np.nan))
+
 
 class TestDtypeControl:
     def test_default_is_float32(self):

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1047,6 +1048,36 @@ class TestCheckpointFuzz:
                 assert not out.exists() and not att.exists()
 
 
+class TestNonFiniteCheckpoint:
+    def test_predict_refuses_it_naming_the_blob(self, tmp_path):
+        """The intact checkpoint predicts. With the `<unk>` row's first float
+        (the blob's first) set to inf, and the manifest's sha256 to match,
+        it is refused in one line naming params.bin, and nothing is written."""
+        files, instance_bytes = _checkpoint_and_instances()
+        ckpt, src = tmp_path / "ckpt", tmp_path / "raw.jsonl"
+        ckpt.mkdir()
+        for name, data in files.items():
+            (ckpt / name).write_bytes(data)
+        src.write_bytes(instance_bytes)
+
+        def predict(out, att):
+            return main(["predict", "--checkpoint", str(ckpt), "--instances", str(src),
+                         "--out", str(out), "--attention", str(att)])
+
+        assert predict(tmp_path / "intact.jsonl", tmp_path / "intact-att.jsonl") == 0
+        blob = np.frombuffer(files["params.bin"], "<f4").copy()
+        blob[0] = np.inf
+        (ckpt / "params.bin").write_bytes(blob.tobytes())
+        _edit_json("manifest", lambda m: m.update(
+            params_sha256=hashlib.sha256(blob.tobytes()).hexdigest()))(ckpt)
+        out, att, err = tmp_path / "preds.jsonl", tmp_path / "att.jsonl", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = predict(out, att)
+        assert code == 1
+        assert err.getvalue() == f"error: {ckpt / 'params.bin'}: holds non-finite floats\n"
+        assert not out.exists() and not att.exists()
+
+
 class TestRecordBoundary:
     """A malformed record in any input file is one `error:` line."""
 
@@ -1147,3 +1178,135 @@ class TestRecordBoundary:
         code = main([command, *(str(arg) for pair in given.items() for arg in pair)])
         assert code == 1
         assert str(bad) in assert_one_error_line(capsys)
+
+
+@functools.cache
+def _fixture_training_instances() -> list:
+    """The fixture's 12 instances after `filter` in train mode."""
+    return apply_filters(generate_instances(parse_corpus(FIXTURE))).kept
+
+
+@functools.cache
+def _fixture_training_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "kept.jsonl")
+        write_instances(path, _fixture_training_instances())
+        return path.read_bytes()
+
+
+def _train_on_fixture(tmp, *flags) -> tuple[int, str, Path]:
+    """train at tiny sizes on the filtered fixture: exit code, stderr and
+    --out-dir."""
+    src, out, err = Path(tmp, "kept.jsonl"), Path(tmp, "ckpt"), io.StringIO()
+    src.write_bytes(_fixture_training_bytes())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--instances", str(src), "--out-dir", str(out), "--hidden", "4",
+                     "--word-dim", "5", "--pos-dim", "2", *flags])
+    return code, err.getvalue(), out
+
+
+def _assert_finite_checkpoint_or_one_line(code, err, out, start):
+    """Exit 0 quietly with every stored float finite, or exit 1 with one
+    line that starts `start` and no file in --out-dir."""
+    if code == 0:
+        assert err == ""
+        assert np.isfinite(np.frombuffer((out / "params.bin").read_bytes(), "<f4")).all()
+    else:
+        assert code == 1
+        assert err.startswith(start) and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("flags,start", [
+        (("--epochs", "5", "--batch-size", "2", "--lr", "1e30", "--val-fraction", "0"),
+         "error: epoch 0, batch at 2: non-finite values in bilstm_forward\n"),
+        (("--epochs", "1", "--batch-size", "50", "--lr", "1e300", "--val-fraction", "0"),
+         "error: epoch 0, batch at 0: non-finite values in parameter embed.word\n"),
+        (("--epochs", "3", "--batch-size", "50", "--lr", "1e36", "--val-fraction", "0.3"),
+         "error: epoch 0, held-out: non-finite values in bilstm_forward\n"),
+    ])
+    def test_diverging_run_says_where_and_writes_nothing(self, tmp_path, flags, start):
+        code, err, out = _train_on_fixture(tmp_path, *flags)
+        assert code == 1 and err == start
+        assert list(out.iterdir()) == []
+
+    # lr and l2 log-uniform; lr's second range, where float32 first
+    # overflows, is drawn as often as the whole
+    @given((st.floats(-4, 300) | st.floats(25, 39)).map(lambda e: 10.0 ** e),
+           st.floats(0.05, 1), st.just(0.0) | st.floats(-6, 3).map(lambda e: 10.0 ** e),
+           st.integers(1, 13), st.integers(1, 3), st.sampled_from(["0", "0.3"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_learning_rate(self, lr, keep_prob, l2, batch_size, epochs, val):
+        """lr from 1e-4 to 1e300: a run stores finite weights, or ends in
+        one line naming its epoch, and stores nothing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            result = _train_on_fixture(
+                tmp, "--lr", repr(lr), "--keep-prob", repr(keep_prob), "--l2", repr(l2),
+                "--batch-size", str(batch_size), "--epochs", str(epochs), "--val-fraction", val)
+            _assert_finite_checkpoint_or_one_line(*result, "error: epoch ")
+
+    @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm"])
+    def test_predict_with_overflowing_weights_is_one_line(self, tmp_path, variant):
+        """lr 1e38 leaves finite weights near float32's largest; scoring with
+        them overflows, and predict says so in one line, writing nothing."""
+        code, err, ckpt = _train_on_fixture(
+            tmp_path, "--variant", variant, "--lr", "1e38", "--epochs", "1",
+            "--batch-size", "50", "--val-fraction", "0")
+        assert code == 0 and err == ""
+        out, att, err = tmp_path / "preds.jsonl", tmp_path / "att.jsonl", io.StringIO()
+        attention = ["--attention", str(att)] if variant == "ab-lstm" else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["predict", "--checkpoint", str(ckpt), "--instances",
+                         str(tmp_path / "kept.jsonl"), "--out", str(out), *attention])
+        assert code == 1
+        assert err.getvalue() == "error: non-finite values in bilstm_forward\n"
+        assert not out.exists() and not att.exists()
+
+
+# a word-vector file: rows of three floats for vocabulary words or not, then
+# edits that make a row ragged, put a bad value in it, or repeat its token
+_VECTOR_ROWS = st.lists(st.tuples(
+    st.integers(0, 8), st.lists(st.floats(-10, 10).map(repr), min_size=3, max_size=3),
+    st.sampled_from([" ", "\t"])), min_size=1, max_size=6)
+_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e39", "-3.5e38", "oops", "1,5",
+                               "--"]) | st.floats().map(repr)
+_VECTOR_EDITS = st.lists(st.tuples(st.sampled_from(["ragged", "value", "repeat"]),
+                                   st.integers(0, 99), _BAD_VALUES), max_size=2)
+
+
+def _vector_lines(rows, edits) -> list[tuple[str, list[str], str]]:
+    """(token, values, separator) per line: the rows' word ids name the first
+    8 words of the training vocabulary, `<unk>` among them, or "unseen"."""
+    vocab = build_vocab([i.tokens for i in _fixture_training_instances()])
+    words = [*vocab.tokens()[:8], "unseen"]
+    lines = [(words[w], values, sep) for w, values, sep in rows]
+    for kind, at, value in edits:
+        token, values, sep = lines[at % len(lines)]
+        if kind == "ragged":
+            values = values[:-1] if at % 2 else [*values, value]
+        elif kind == "value":
+            values = [*values[:at % 3], value, *values[at % 3 + 1:]]
+        else:
+            lines.insert(at % (len(lines) + 1), (token, values[::-1], sep))
+            continue
+        lines[at % len(lines)] = (token, values, sep)
+    return lines
+
+
+class TestWordVectorFuzz:
+    @given(_VECTOR_ROWS, _VECTOR_EDITS)
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_vector_file(self, rows, edits):
+        """A vector file trains, or is refused with one line naming it; one
+        that gives a vocabulary word two rows is refused."""
+        lines = _vector_lines(rows, edits)
+        words = [token for token, _, _ in lines if token != "unseen"]
+        with tempfile.TemporaryDirectory() as tmp:
+            vectors = Path(tmp, "vectors.txt")
+            vectors.write_text("".join(sep.join([token, *values]) + "\n"
+                                       for token, values, sep in lines))
+            code, err, out = _train_on_fixture(tmp, "--word-dim", "3", "--epochs", "1",
+                                               "--word-vectors", str(vectors))
+            _assert_finite_checkpoint_or_one_line(code, err, out, f"error: {vectors}:")
+            assert code == 1 or len(set(words)) == len(words)

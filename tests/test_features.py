@@ -270,6 +270,20 @@ class TestWordVectors:
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite float"):
             load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
+    def test_repeated_vocabulary_token_names_both_lines(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("aspirin 1 2\ndose 3 4\naspirin 5 6\n")
+        vocab = build_vocab([["aspirin", "dose"]])
+        with pytest.raises(ValueError, match=r"^\S*vecs\.txt:3: 'aspirin' repeats line 1$"):
+            load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+
+    def test_repeated_token_outside_the_vocabulary_is_skipped(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("rare 1 2\ndrug 3 4\nrare 5 6\n")
+        vocab = build_vocab([["drug"]])
+        emb = load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(emb.data[vocab.lookup("drug")], [3, 4])
+
 
 class TestFrozenEmbeddings:
     def test_frozen_matrix_gets_no_gradient(self):

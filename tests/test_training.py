@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -137,6 +138,14 @@ class TestAdam:
         state = AdamState([("theta", p)])
         adam_step(state, [("theta", p)], cfg, l2=0.0)
         assert float(p.data) == 1.5
+
+    def test_non_finite_update_names_the_parameter(self):
+        p = self._scalar_param(3e38)
+        p.grad = np.asarray(-1.0, dtype=np.float32)
+        state = AdamState([("theta", p)])
+        with np.errstate(over="ignore"), pytest.raises(
+                ad.NonFiniteError, match=r"^non-finite values in parameter theta$"):
+            adam_step(state, [("theta", p)], TrainConfig(lr=1e38))
 
     def test_missing_grads_rejected(self):
         cfg = TrainConfig()
@@ -396,18 +405,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, [], TrainConfig(), mcfg)
 
-    def test_nonfinite_loss_aborts_with_location(self, monkeypatch):
+    def test_nonfinite_loss_aborts_with_location(self):
+        """A real divergence: the first Adam step at lr 1e300 overflows
+        float32, and the run ends naming the epoch, the batch and the
+        parameter."""
         _, vocab, pv, feats = featurized_synthetic(4)
         mcfg, params = small_model(vocab, pv)
-
-        class FakeLoss:
-            def item(self):
-                return float("nan")
-
-        monkeypatch.setattr(tr, "_batch_loss", lambda *a, **k: FakeLoss())
-        with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(params, feats, TrainConfig(max_epochs=1, val_fraction=0.0),
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as caught:
+            train(params, feats, TrainConfig(lr=1e300, max_epochs=1, val_fraction=0.0),
                   mcfg)
+        assert re.match(r"epoch 0, batch at 0: non-finite values in parameter embed\.word$",
+                        str(caught.value)), caught.value
+        assert isinstance(caught.value, ad.NonFiniteError)
 
     def test_log_roundtrip(self, tmp_path):
         log = [EpochRecord(0, 1.25, 0.5, 0.25, 0.333),
