@@ -9,7 +9,8 @@ backward returns a fresh array per input, so no gradient is copied.
 `softmax` is a plain float64 helper that records nothing.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
-`_check_finite` finds NaN/Inf in training and inference, as :class:`NonFiniteError`.
+`record_op` checks each op's output for NaN/Inf, taped or not, and
+raises :class:`NonFiniteError` naming the op; a `Tensor` checks nothing.
 Storage defaults to float32 (`_DTYPE`); the tests' gradient checks
 switch it to float64.
 """
@@ -43,9 +44,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DTYPE)
-        _check_finite(arr, "tensor constructor")
-        self.data = arr
+        self.data = np.asarray(data, dtype=dtype if dtype is not None else _DTYPE)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -180,14 +179,18 @@ def segment_starts(lengths, packed: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn: _BackwardFn) -> Tensor:
-    """Attach `out` to the active tape when any input needs gradients.
+def record_op(name: str, out: Tensor, inputs: Sequence[Tensor],
+              backward_fn: _BackwardFn) -> Tensor:
+    """Refuse a NaN or Inf in `out`, the output of the op `name`, on every
+    call, taped or not; attach `out` to the active tape when any input
+    needs gradients.
 
     `backward_fn` maps the output gradient to one gradient per input, in
     order, and each must be a fresh array: neither the output gradient
     nor a view into another returned gradient, since `accumulate` adopts
     it and adds later gradients into it.
     """
+    _check_finite(out.data, name)
     if _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPES[-1]._records.append(_Record(out, tuple(inputs), backward_fn))

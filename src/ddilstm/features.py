@@ -182,10 +182,10 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                       rng: np.random.Generator) -> Parameter:
     """Read whitespace-separated text vectors into the `embed.word` table.
 
-    In-vocabulary rows are copied from the file, once each, and must be
-    finite in the table's dtype; everything else (UNK included) keeps the
-    small uniform noise of `random_table`. The table is trainable either
-    way.
+    In-vocabulary rows, `<unk>`'s row 0 included, are copied from the
+    file, once each, and must be finite in the table's dtype; every row
+    the file lacks keeps the small uniform noise of `random_table`. The
+    table is trainable either way.
     """
     table = random_table(len(vocab), dim, rng, "embed.word")
     first = {}  # the line of each in-vocabulary token read
@@ -224,4 +224,4 @@ def embed(batch: Batch, word: Parameter, p1: Parameter, p2: Parameter) -> Tensor
             np.add.at(d, ids, part)
         return grads
 
-    return record_op(Tensor(out), (word, p1, p2), grad_fn)
+    return record_op("embed", Tensor(out), (word, p1, p2), grad_fn)

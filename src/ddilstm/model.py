@@ -207,7 +207,8 @@ def output_layer(pooled: Sequence[Tensor], drop: Optional[np.ndarray],
         parts = np.split(d, np.cumsum([s[1] for s in shapes])[:-1], axis=1)
         return (*[part.copy() for part in parts], h3.T @ g, g.sum(axis=0))
 
-    return record_op(Tensor(h3 @ W_o.data + b_o.data), (*pooled, W_o, b_o), grad_fn)
+    return record_op("output_layer", Tensor(h3 @ W_o.data + b_o.data), (*pooled, W_o, b_o),
+                     grad_fn)
 
 
 def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
@@ -271,33 +272,27 @@ def predict(params: ModelParams, cfg: ModelConfig,
 
 def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
                     vocab: Vocabulary, pv: PositionVocab) -> None:
-    """Write manifest + flat little-endian float32 parameter blob.
+    """Write a flat little-endian float32 parameter blob, the vocabulary,
+    and last the manifest.
 
     The manifest lists each parameter's name and shape in blob order and
-    holds the blob's sha256.
+    holds the sha256 of the blob and of the vocabulary file.
 
-    The write is staged through temp files and renamed so a crash never
-    leaves a half-written checkpoint behind.
+    Each file is staged through a temp file and renamed into place.
     """
     os.makedirs(directory, exist_ok=True)
-    blob = b"".join(
-        np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        for _, p in params.named_parameters()
-    )
+    named = params.named_parameters()
+    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for _, p in named)
+    vocab_bytes = json.dumps({"words": vocab.tokens(),
+                              "position_radius": pv.radius}).encode("utf-8")
     manifest = {
         "config": asdict(cfg),
-        "params": [
-            {"name": name, "shape": list(p.data.shape)}
-            for name, p in params.named_parameters()
-        ],
+        "params": [{"name": name, "shape": list(p.data.shape)} for name, p in named],
         "params_sha256": hashlib.sha256(blob).hexdigest(),
+        "vocab_sha256": hashlib.sha256(vocab_bytes).hexdigest(),
     }
-    vocab_blob = {"words": vocab.tokens(), "position_radius": pv.radius}
-    for fname, payload in (
-        (MANIFEST_FILE, json.dumps(manifest, indent=1).encode("utf-8")),
-        (PARAMS_FILE, blob),
-        (VOCAB_FILE, json.dumps(vocab_blob).encode("utf-8")),
-    ):
+    for fname, payload in ((PARAMS_FILE, blob), (VOCAB_FILE, vocab_bytes),
+                           (MANIFEST_FILE, json.dumps(manifest, indent=1).encode("utf-8"))):
         with open(os.path.join(directory, fname + ".tmp"), "wb") as fh:  # under the umask
             fh.write(payload)
         os.replace(fh.name, os.path.join(directory, fname))
@@ -321,9 +316,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
     """Rebuild a model bit-exactly from a checkpoint directory.
 
     Any malformed manifest, vocabulary or blob raises CheckpointError
-    naming its file, as does a blob whose sha256 is not the manifest's, one
-    holding NaN or Inf, or a checkpoint of an older layout; a missing or
-    unreadable file raises OSError.
+    naming its file, as does a vocabulary or blob whose sha256 is not the
+    manifest's, a blob holding NaN or Inf, or a checkpoint of an older
+    layout; a missing or unreadable file raises OSError.
     """
     manifest_path, vocab_path, params_path = (
         os.path.join(directory, name) for name in (MANIFEST_FILE, VOCAB_FILE, PARAMS_FILE))
@@ -346,6 +341,12 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                              "a checkpoint with a <pad> row must be retrained")
         with _naming(f"{vocab_path}: position_radius"):
             pv = PositionVocab(vocab_blob["position_radius"])
+        if "vocab_sha256" not in manifest:
+            raise ValueError(f"{manifest_path}: vocab_sha256: missing; a checkpoint "
+                             "saved without it must be retrained")
+        with open(vocab_path, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != manifest["vocab_sha256"]:
+                raise ValueError(f"{vocab_path}: does not match the manifest's vocab_sha256")
 
         # the blob overwrites every parameter, so nothing is drawn
         no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))

@@ -35,7 +35,7 @@ def max_pool(Z: Tensor, lengths) -> Tensor:
         dz[winners, np.arange(z.shape[1])] = g
         return (dz,)
 
-    return record_op(Tensor(peak), (Z,), grad_fn)
+    return record_op("max_pool", Tensor(peak), (Z,), grad_fn)
 
 
 def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
@@ -70,4 +70,4 @@ def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
         g_rows += squashed
         return g_rows, d_w
 
-    return record_op(pooled, (Z, w_a), grad_fn), Tensor(alpha)
+    return record_op("attentive_pool", pooled, (Z, w_a), grad_fn), Tensor(alpha)

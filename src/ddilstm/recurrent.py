@@ -23,14 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    _check_finite,
-    _sigmoid,
-    record_op,
-    segment_starts,
-)
+from .autodiff import Parameter, Tensor, _sigmoid, record_op, segment_starts
 
 
 class LstmParams:
@@ -117,7 +110,8 @@ def _run(p: LstmParams, x: np.ndarray, flat, steps, states: np.ndarray):
         act[s] += h[:s.stop - s.start] @ w_t
         c, h = _cell(act[s], c[:s.stop - s.start])
         cs[s], hs[s] = c, h
-    _check_finite(cs, "bilstm_forward")
+    # with finite weights |c_t| <= |c_{t-1}| + 1: c goes non-finite only as
+    # NaN, which reaches h, so the op's output check covers the cell states
     states[flat] = hs
     return act, cs
 
@@ -172,4 +166,4 @@ def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
         return grads
 
     inputs = [t for cell in (stack.bwd, stack.fwd) for t in (X, *cell.parameters())]
-    return record_op(Tensor(out), inputs, grad_fn)
+    return record_op("bilstm_forward", Tensor(out), inputs, grad_fn)

@@ -79,7 +79,7 @@ def softmax_cross_entropy(scores: Tensor, labels) -> Tensor:
         d *= float(g) / y.size
         return (d.astype(g.dtype),)
 
-    return record_op(out, (scores,), grad_fn)
+    return record_op("softmax_cross_entropy", out, (scores,), grad_fn)
 
 
 class AdamState:

@@ -1,10 +1,14 @@
 """Shared oracles: central finite differences against the tape gradients,
-the float64 switch they run under, and a synthetic corpus to train on.
-Every Hypothesis test draws the same examples on every run."""
+the float64 switch they run under, the names of the tape ops, and a
+synthetic corpus to train on. Every Hypothesis test draws the same
+examples on every run."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,10 +81,29 @@ def check_grads(build_loss, tensors, tol=1e-3, eps=EPS):
     return worst
 
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddilstm"
+
+
+@functools.cache
+def op_names() -> tuple[str, ...]:
+    """The name of each tape op, in call order per module: the string
+    literal that every `record_op(...)` call in the package passes first.
+    It is the name a NaN or Inf in the op's output is reported under."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "record_op":
+                name = node.args[0] if node.args else None
+                assert isinstance(name, ast.Constant) and isinstance(name.value, str), (
+                    f"{path.name}:{node.lineno}: record_op's first argument is no string literal")
+                names.append(name.value)
+    return tuple(names)
+
+
 def weighted_sum(t, weights):
     """sum(t * weights) as one tape op: a smooth read-out of every entry."""
     out = ad.Tensor(np.asarray((t.data * weights).sum()))
-    return ad.record_op(out, (t,), lambda g: (g * weights,))
+    return ad.record_op("weighted_sum", out, (t,), lambda g: (g * weights,))
 
 
 def head(x, labels):

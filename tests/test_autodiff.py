@@ -5,6 +5,8 @@ op after pooling: its product with W_o, the bias, the tanh squash, the
 dropout scale and the join of the pooled inputs.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from ddilstm.training import softmax_cross_entropy
 
 def mul(a, b):
     """a * b elementwise as one tape op, for graphs with fan-out."""
-    return ad.record_op(ad.Tensor(a.data * b.data), (a, b),
+    return ad.record_op("mul", ad.Tensor(a.data * b.data), (a, b),
                         lambda g: (g * b.data, g * a.data))
 
 
@@ -95,6 +97,20 @@ class TestAffine:
         with pytest.raises(ad.ShapeMismatch):  # a broadcastable bias is refused
             output_layer([ad.Tensor(np.ones((1, 2)))], None, ad.Tensor(np.ones((2, 4))),
                          ad.Tensor(np.ones(1)))
+
+    def test_row_alone_matches_its_batch_row(self):
+        """Each row of a two-input batch scores as it does alone, with its
+        own row of the dropout scale; a 1-row product may take GEMV, so the
+        match is to float32 rounding."""
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+        drop = rng.choice([0.0, 2.0], size=(4, 5)).astype(np.float32)
+        w, bias = ad.Tensor(rng.normal(size=(5, 4))), ad.Tensor(rng.normal(size=4))
+        batch = output_layer([ad.Tensor(a), ad.Tensor(b)], drop, w, bias).data
+        for r in range(4):
+            alone = output_layer([ad.Tensor(a[r:r + 1]), ad.Tensor(b[r:r + 1])],
+                                 drop[r:r + 1], w, bias).data
+            np.testing.assert_allclose(batch[r:r + 1], alone, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 3)])
     def test_gradients(self, float64_mode, shape):
@@ -264,15 +280,25 @@ class TestTape:
         assert out.requires_grad is False and out.grad is None
 
     def test_nonfinite_detected(self):
-        with pytest.raises(ad.NonFiniteError):
-            ad.Tensor([np.inf])
+        """An op's NaN or Inf output is refused, naming the op, with an
+        active tape and with none (as in inference)."""
+        for bad in (np.inf, -np.inf, np.nan):
+            for taped in (False, True):
+                w = ad.Tensor([1.0, bad], requires_grad=taped)
+                with ad.Tape() if taped else contextlib.nullcontext():
+                    with pytest.raises(ad.NonFiniteError, match="^non-finite values in mul$"):
+                        mul(w, ad.Tensor(np.ones(2)))
 
     def test_large_finite_values_pass_without_a_warning(self):
         """Their float32 sum overflows; the check takes no sum."""
-        big = np.full(4, 3e38, dtype=np.float32)
-        assert ad.Tensor(big).data is not None
-        with pytest.raises(ad.NonFiniteError, match="^non-finite values in tensor constructor$"):
-            ad.Tensor(np.append(big, np.nan))
+        big = ad.Tensor(np.full(4, 3e38, dtype=np.float32))
+        assert mul(big, ad.Tensor(np.ones(4))).data is not None
+        with pytest.raises(ad.NonFiniteError, match="^non-finite values in mul$"):
+            mul(big, ad.Tensor([1.0, 1.0, 1.0, np.nan]))
+
+    def test_a_tensor_holds_what_it_is_given(self):
+        """Only ops are checked: a Tensor is a plain container."""
+        assert np.isnan(ad.Tensor([np.nan]).data[0])
 
 
 class TestDtypeControl:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_xml, make_synthetic_instances
+from conftest import corpus_xml, make_synthetic_instances, op_names
 from ddilstm.cli import _build_parser, main
 from ddilstm.corpus import generate_instances, parse_corpus, read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
@@ -856,6 +856,10 @@ def _drop(blob, key):
     del blob[key]
 
 
+def _swap(words, i, j):
+    words[i], words[j] = words[j], words[i]
+
+
 def _edit_json(fname, change):
     def edit(ckpt):
         blob = json.loads((ckpt / fname).read_text())
@@ -914,6 +918,9 @@ CHECKPOINT_EDITS = {
         shape=[float(n) for n in m["params"][0]["shape"]])),
     # past what len() of the position vocabulary can count
     "huge-radius": _edit_json("vocab.json", lambda v: v.update(position_radius=10**30)),
+    # a well-formed vocabulary, but not the one the manifest vouches for
+    "swapped-words": _edit_json("vocab.json", lambda v: _swap(v["words"], 3, 7)),
+    "no-vocab-digest": _edit_json("manifest", lambda m: _drop(m, "vocab_sha256")),
 }
 
 
@@ -933,6 +940,7 @@ NAMED_EDITS = {
         "vocab.json", lambda v: v.update(words={w: i for i, w in enumerate(v["words"])}))),
     "manifest-not-utf8": ("manifest", None, _flip_a_manifest_byte),
     "huge-radius": ("vocab.json", "position_radius", CHECKPOINT_EDITS["huge-radius"]),
+    "swapped-words": ("vocab.json", None, CHECKPOINT_EDITS["swapped-words"]),
 }
 
 
@@ -975,6 +983,17 @@ class TestCheckpointBoundary:
         assert err.count(str(ckpt)) == 1, err
         assert re.search(rf"{re.escape(str(ckpt))}/(manifest|vocab\.json|params\.bin): ",
                          err), err
+
+    def test_checkpoint_without_a_vocabulary_digest_must_be_retrained(
+            self, tmp_path, synthetic_file, capsys):
+        ckpt = tmp_path / "ckpt"
+        _small_checkpoint(ckpt, synthetic_file)
+        CHECKPOINT_EDITS["no-vocab-digest"](ckpt)
+        assert main(["predict", "--checkpoint", str(ckpt), "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "preds.jsonl")]) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: {ckpt / 'manifest'}: vocab_sha256: missing; a checkpoint saved "
+            "without it must be retrained\n")
 
     @pytest.mark.parametrize("edit", sorted(NAMED_EDITS))
     def test_error_names_the_file_and_the_key(self, tmp_path, synthetic_file, capsys,
@@ -1019,33 +1038,66 @@ def _checkpoint_and_instances() -> tuple[dict, bytes]:
     return files, files.pop("instances.jsonl")
 
 
+def _predict_with(files: dict, instance_bytes: bytes) -> tuple[int, str, bool]:
+    """predict --attention from a checkpoint of `files`: the exit code,
+    stderr, and whether either output exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp, "ckpt")
+        ckpt.mkdir()
+        for name, data in files.items():
+            (ckpt / name).write_bytes(data)
+        src, out, att = (Path(tmp, name) for name in ("raw.jsonl", "preds.jsonl", "att.jsonl"))
+        src.write_bytes(instance_bytes)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["predict", "--checkpoint", str(ckpt), "--instances", str(src),
+                         "--out", str(out), "--attention", str(att)])
+        return code, err.getvalue(), out.exists() or att.exists()
+
+
+def _assert_refused(code, err, written, naming=""):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert naming in err, err
+    assert not written
+
+
 class TestCheckpointFuzz:
     @given(st.sampled_from(["manifest", "vocab.json", "params.bin"]), BYTE_EDITS)
     @settings(max_examples=300, deadline=None)
     def test_damaged_checkpoint(self, fname, edit):
-        """predict with one checkpoint file damaged succeeds only if the
-        blob is intact, or is refused with one `error:` line and no output;
-        nothing raises."""
+        """predict with one checkpoint file damaged succeeds only if all
+        three files are intact, the manifest up to JSON whitespace, or is
+        refused with one `error:` line and no output; nothing raises."""
         files, instance_bytes = _checkpoint_and_instances()
-        with tempfile.TemporaryDirectory() as tmp:
-            ckpt = Path(tmp, "ckpt")
-            ckpt.mkdir()
-            for name, data in files.items():
-                (ckpt / name).write_bytes(_edited(data, [edit]) if name == fname else data)
-            src, out, att = (Path(tmp, name) for name in ("raw.jsonl", "preds.jsonl",
-                                                           "att.jsonl"))
-            src.write_bytes(instance_bytes)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["predict", "--checkpoint", str(ckpt), "--instances", str(src),
-                             "--out", str(out), "--attention", str(att)])
-            if code == 0:
-                assert (ckpt / "params.bin").read_bytes() == files["params.bin"]
-            else:
-                assert code == 1
-                assert err.getvalue().startswith("error: ")
-                assert err.getvalue().count("\n") == 1, err.getvalue()
-                assert not out.exists() and not att.exists()
+        damaged = {**files, fname: _edited(files[fname], [edit])}
+        code, err, written = _predict_with(damaged, instance_bytes)
+        if code == 0:
+            assert json.loads(damaged["manifest"]) == json.loads(files["manifest"])
+            assert {**damaged, "manifest": files["manifest"]} == files
+        else:
+            _assert_refused(code, err, written)
+
+    @given(st.integers(0, 99), st.integers(0, 99), st.none() | st.text(min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_edited_vocabulary(self, i, j, renamed):
+        """A well-formed vocabulary.json that is not the checkpoint's, with
+        words i and j swapped or word i renamed, is refused in one line
+        naming vocab.json; only an edit that changes nothing predicts."""
+        files, instance_bytes = _checkpoint_and_instances()
+        vocab = json.loads(files["vocab.json"])
+        words = vocab["words"]
+        i, j = i % len(words), j % len(words)
+        if renamed is None:
+            _swap(words, i, j)
+        else:
+            words[i] = renamed
+        edited = {**files, "vocab.json": json.dumps(vocab).encode("utf-8")}
+        code, err, written = _predict_with(edited, instance_bytes)
+        if code == 0:
+            assert edited == files
+        else:
+            _assert_refused(code, err, written, naming="vocab.json: ")
 
 
 class TestNonFiniteCheckpoint:
@@ -1239,12 +1291,16 @@ class TestDivergence:
     @settings(max_examples=150, deadline=None)
     def test_any_learning_rate(self, lr, keep_prob, l2, batch_size, epochs, val):
         """lr from 1e-4 to 1e300: a run stores finite weights, or ends in
-        one line naming its epoch, and stores nothing."""
+        one line naming its epoch and the op or parameter that went
+        non-finite, and stores nothing."""
         with tempfile.TemporaryDirectory() as tmp:
             result = _train_on_fixture(
                 tmp, "--lr", repr(lr), "--keep-prob", repr(keep_prob), "--l2", repr(l2),
                 "--batch-size", str(batch_size), "--epochs", str(epochs), "--val-fraction", val)
             _assert_finite_checkpoint_or_one_line(*result, "error: epoch ")
+        code, err, _ = result
+        assert code == 0 or re.search(
+            rf": non-finite values in ({'|'.join(op_names())}|parameter [\w.]+)\n$", err), err
 
     @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm"])
     def test_predict_with_overflowing_weights_is_one_line(self, tmp_path, variant):

@@ -277,6 +277,17 @@ class TestWordVectors:
         with pytest.raises(ValueError, match=r"^\S*vecs\.txt:3: 'aspirin' repeats line 1$"):
             load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
+    def test_unk_row_is_read_like_a_word(self, tmp_path):
+        """A file's `<unk>` row fills row 0; a second one is refused."""
+        path = tmp_path / "vecs.txt"
+        path.write_text("<unk> 1 2\n")
+        vocab = build_vocab([["drug"]])
+        emb = load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(emb.data[UNK_ID], [1, 2])
+        path.write_text("<unk> 1 2\ndrug 3 4\n<unk> 5 6\n")
+        with pytest.raises(ValueError, match=r"^\S*vecs\.txt:3: '<unk>' repeats line 1$"):
+            load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+
     def test_repeated_token_outside_the_vocabulary_is_skipped(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("rare 1 2\ndrug 3 4\nrare 5 6\n")
@@ -355,6 +366,19 @@ class TestEmbed:
         with pytest.raises(ValueError,
                            match=rf"^embed\.{table}: id out of range \[0, {size}\)$"):
             embed(batch, mw, mp1, mp2)
+
+    def test_instance_alone_matches_its_batch_rows(self):
+        """An instance's rows are the same alone as packed among others."""
+        vocab, pv, mw, mp1, mp2 = self._setup()
+        feats = [featurize_one(tokens, 0, len(tokens) - 1, 0, vocab, pv)
+                 for tokens in (["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"])]
+        batch = embed(collate(feats), mw, mp1, mp2).data
+        start = 0
+        for f in feats:
+            alone = embed(collate([f]), mw, mp1, mp2).data
+            np.testing.assert_array_equal(batch[start:start + f.length], alone)
+            start += f.length
+        assert start == len(batch)
 
     def test_gradient_hits_only_looked_up_rows(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
