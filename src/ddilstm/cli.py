@@ -2,14 +2,15 @@
 
 Subcommands mirror the pipeline stages: preprocess (XML to instances),
 filter, train, predict (optionally with attention weights), evaluate,
-analyze. Every run writes a manifest next to its outputs recording the
-resolved configuration, seed and paths; identical inputs and seed
-reproduce every output byte for byte (timestamps live only in the
-manifest). Before it reads anything, a command refuses an output that is
-the same file as one of its inputs, another of its outputs or its manifest,
-or that it could not create. Each subcommand names its file options once,
-in its parser's `set_defaults(inputs=..., outputs=...)`; the check and the
-manifest both read that.
+analyze. Each command returns its resolved configuration and seed, and
+`main` writes them and the paths into a run manifest next to the outputs,
+after the last of them; identical inputs and seed reproduce every output
+byte for byte (timestamps live only in the manifest). Before it reads
+anything, a command refuses an output that is the same file as one of its
+inputs, another of its outputs or its manifest, or that it could not create.
+Each subcommand names its file options once, in its parser's
+`set_defaults(inputs=..., outputs=...)`; the check and the manifest both
+read that.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -45,10 +47,10 @@ def _manifest_path(args: argparse.Namespace) -> str:
     return getattr(args, next(iter(args.outputs))) + ".manifest.json"
 
 
-def _write_manifest(args: argparse.Namespace, config: dict, seed=None) -> None:
-    """Write the run manifest at `_manifest_path(args)`: every declared
-    input by option name (None when not given) and each output given, under
-    its key."""
+def _write_manifest(args: argparse.Namespace, config: dict, seed) -> None:
+    """Write the run manifest at `_manifest_path(args)`: the command's
+    config and seed, every declared input by option name (None when not
+    given) and each output given, under its key."""
     write_json(_manifest_path(args), {
         "command": args.command,
         "version": __version__,
@@ -98,10 +100,8 @@ def _resolve(options: dict, config_path, args: argparse.Namespace) -> dict:
         check_fields(file_cfg, {key: options[key][0] for key in file_cfg if key in options},
                      str(config_path), closed=True)
         resolved.update(file_cfg)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+    resolved.update({key: getattr(args, key) for key in resolved
+                     if getattr(args, key) is not None})  # each key is a flag
     return resolved
 
 
@@ -110,57 +110,50 @@ def _featurize_all(instances, vocab, pv):
     return featurize(instances, vocab, pv)
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args):
     records = corpus.parse_corpus(args.corpus)
     instances = corpus.generate_instances(records)
     corpus.write_instances(args.out, instances)
-    _write_manifest(args, {})
     print(f"wrote {len(instances)} instances from {len(records)} sentences")
-    return 0
+    return {}, None
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args):
     texts, instances = corpus.read_instance_lines(args.instances)  # every line checked
     disabled = args.disable or []
     report = filtering.apply_filters(instances, mode=args.mode, disabled=disabled)
     kept = set(map(id, report.kept))  # apply_filters keeps the objects it was given
     write_lines(args.out, (text for text, inst in zip(texts, instances) if id(inst) in kept))
     write_json(args.report, report.summary_dict())
-    _write_manifest(args, {name: name not in disabled for name in filtering.PATTERNS})
     print(f"kept {len(report.kept)} of {report.n_input} "
           f"({report.n_removed} removed, {report.n_removed_positive} positive)")
-    return 0
+    return {name: name not in disabled for name in filtering.PATTERNS}, None
 
 
-# each train option's flag type and default; None leaves the field to
-# default_config(variant) or TrainConfig, or for word_vectors, no vectors
+# the train options named otherwise than their config field
+_OPTION_NAMES = {"max_epochs": "epochs"}
+
+# each train option's flag type and default: a field of ModelConfig or
+# TrainConfig, None leaving it to default_config(variant) or TrainConfig,
+# then the options train owns (word_vectors None: no vectors)
 _TRAIN_OPTIONS = {
-    "variant": (str, "b-lstm"),
-    "hidden": (int, None),
-    "word_dim": (int, None),
-    "pos_dim": (int, None),
+    **{_OPTION_NAMES.get(name, name): (kind, None)
+       for cls in (ModelConfig, TrainConfig) for name, kind in get_type_hints(cls).items()},
+    "variant": (str, ModelConfig.variant),
     "radius": (int, 50),
     "min_count": (int, 1),
-    "keep_prob": (float, None),
-    "l2": (float, None),
-    "lr": (float, None),
-    "batch_size": (int, None),
-    "epochs": (int, None),
-    "val_fraction": (float, None),
     "word_vectors": (str, None),
-    "seed": (int, None),
 }
 
 
 def _given_fields(cls, options: dict) -> dict:
-    """The options that were set and name a field of dataclass `cls`."""
-    names = {f.name for f in fields(cls)}
-    return {k: v for k, v in options.items() if k in names and v is not None}
+    """The fields of dataclass `cls` whose options were set, by field name."""
+    return {f.name: value for f in fields(cls)
+            if (value := options[_OPTION_NAMES.get(f.name, f.name)]) is not None}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     cfg = _resolve(_TRAIN_OPTIONS, args.config, args)
-    cfg["max_epochs"] = cfg.pop("epochs")
     mcfg = replace(default_config(cfg["variant"]), **_given_fields(ModelConfig, cfg))
     tcfg = TrainConfig(**_given_fields(TrainConfig, cfg))
     seed = tcfg.seed
@@ -172,28 +165,22 @@ def _cmd_train(args) -> int:
     pv = PositionVocab(cfg["radius"])
     parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
     os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
-    word_matrix = None
-    if cfg["word_vectors"]:
-        word_matrix = load_word_vectors(
-            cfg["word_vectors"], vocab, mcfg.word_dim,
-            rng_mod.named_stream(seed, "word-vectors"),
-        )
-    params = build_model(mcfg, len(vocab), len(pv), seed=seed,
-                         word_matrix=word_matrix)
+    word_matrix = (load_word_vectors(cfg["word_vectors"], vocab, mcfg.word_dim,
+                                     rng_mod.named_stream(seed, "word-vectors"))
+                   if cfg["word_vectors"] else None)
+    params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
     feats = featurize(instances, vocab, pv)
 
     result = training.train(params, feats, tcfg, mcfg)
 
     save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
     write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
-    _write_manifest(args, {"model": asdict(mcfg), "train": asdict(tcfg),
-                           "min_count": cfg["min_count"], "radius": cfg["radius"],
-                           "word_vectors": cfg["word_vectors"]}, seed=seed)
     best = result.log[result.best_epoch]
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
                else "no held-out split")
     print(f"best epoch {best.epoch}: {heldout} (train loss {best.train_loss:.4f})")
-    return 0
+    return {"model": asdict(mcfg), "train": asdict(tcfg), "min_count": cfg["min_count"],
+            "radius": cfg["radius"], "word_vectors": cfg["word_vectors"]}, seed
 
 
 def _read_predictions(path, gold_instances) -> list[int]:
@@ -211,10 +198,10 @@ def _read_predictions(path, gold_instances) -> list[int]:
     return labels
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args):
     params, mcfg, vocab, pv = load_checkpoint(args.checkpoint)
-    if args.attention is not None and mcfg.variant == "b-lstm":
-        raise ValueError("variant 'b-lstm' has no attention weights")
+    if args.attention is not None and "attentive" not in mcfg.poolings:
+        raise ValueError(f"variant {mcfg.variant!r} has no attention weights")
     instances = corpus.read_instances(args.instances)
     preds, alphas = predict(params, mcfg, featurize(instances, vocab, pv))
     write_json_lines(args.out, ({
@@ -226,12 +213,11 @@ def _cmd_predict(args) -> int:
     if args.attention is not None:
         evaluation.write_attention_records(
             args.attention, list(zip(instances, alphas)))
-    _write_manifest(args, {"variant": mcfg.variant})
     print(f"predicted {len(preds)} instances")
-    return 0
+    return {"variant": mcfg.variant}, None
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     gold_instances = corpus.read_instances(args.gold)
     pred_ids = _read_predictions(args.predictions, gold_instances)
     gold = [inst.label for inst in gold_instances]
@@ -244,25 +230,23 @@ def _cmd_evaluate(args) -> int:
         filtered = filtering.read_removed_labels(args.filter_report, len(gold))
     report = evaluation.evaluate(gold, pred_ids, filtered)
     write_json(args.out, {**vars(report), **extra})
-    _write_manifest(args, {})
     print(f"micro P {report.micro_p:.4f} R {report.micro_r:.4f} "
           f"F1 {report.micro_f1:.4f} MAVG {report.mavg:.4f}")
     if extra:
         test = extra["mcnemar"]
         print(f"McNemar against {args.against}: b {test['b']} c {test['c']}, "
               f"{test['significance'] or 'no discordant predictions'}")
-    return 0
+    return {}, None
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     gold_instances = corpus.read_instances(args.gold)
     pred_ids = _read_predictions(args.predictions, gold_instances)
     flags = evaluation.correctness([inst.label for inst in gold_instances], pred_ids)
     stats = evaluation.length_stats(gold_instances, flags)
     write_json(args.out, stats)
-    _write_manifest(args, {})
     print(f"wrote length statistics for {len(flags)} instances")
-    return 0
+    return {}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,7 +318,9 @@ def main(argv=None) -> int:
     try:
         _check_paths(args)
         with np.errstate(all="ignore"):  # the finiteness checks report overflow
-            return args.fn(args)
+            config, seed = args.fn(args)
+        _write_manifest(args, config, seed)  # after every output
+        return 0
     except (ValueError, OSError) as exc:
         # one line, whatever text of an input file the message quotes
         print("error: " + str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)

@@ -4,6 +4,7 @@ every file it writes, but the checkpoint (`model.save_checkpoint`), is
 written here: JSON through the two JSON writers, and the kept records of
 `filter` as the text of their already checked input lines (`write_lines`)."""
 
+import hashlib
 import json
 import reprlib
 from types import GenericAlias
@@ -85,6 +86,11 @@ def write_lines(path, lines) -> None:
 def write_json_lines(path, records) -> None:
     """One compact JSON line per record, each ending in a newline."""
     write_lines(path, map(json.dumps, records))
+
+
+def json_sha256(value) -> str:
+    """The sha256 of `json.dumps(value)`, however a file lays `value` out."""
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
 
 
 def write_json(path, value) -> None:

@@ -4,11 +4,9 @@ A collated, padding-free batch is scored in one tape record per layer:
 `embed`, one `bilstm_forward` per stack, the pooling, and `output_layer`,
 which joins the pooled features into h2, drops out when training,
 squashes (h3 = tanh(h2)) and scores h3 W_o + b_o. Training records the
-loss as one more op: 5 records per step, 7 for joint.
-
-    b-lstm   one stack, max pooling           h2 width 2N
-    ab-lstm  one stack, attentive pooling     h2 width 2N
-    joint    two stacks, max + attentive      h2 width 4N
+loss as one more op: 5 records per step, 7 for joint. `VARIANTS` says
+what sets the variants apart: their poolings, one BiLSTM stack each,
+whose 2N-wide outputs h2 joins in that order, and their defaults.
 """
 
 from __future__ import annotations
@@ -25,21 +23,18 @@ import numpy as np
 
 from . import rng as rng_mod
 from .autodiff import Parameter, ShapeMismatch, Tensor, record_op, softmax
-from .features import (
-    Batch,
-    InstanceFeatures,
-    PositionVocab,
-    Vocabulary,
-    collate,
-    embed,
-    random_table,
-)
-from .files import check_fields, json_document
+from .features import (Batch, InstanceFeatures, PositionVocab, Vocabulary, collate, embed,
+                       random_table)
+from .files import check_fields, json_document, json_sha256
 from .labels import NUM_CLASSES
 from .pooling import attentive_pool, max_pool
 from .recurrent import BiLstmStack, bilstm_forward
 
-VARIANTS = ("b-lstm", "ab-lstm", "joint")
+# each variant's poolings, in pooled order, and its defaults where they
+# differ from ModelConfig's
+VARIANTS = {"b-lstm": (("max",), {}),
+            "ab-lstm": (("attentive",), {"l2": 0.0001}),
+            "joint": (("max", "attentive"), {"hidden": 150, "keep_prob": 1.0, "l2": 0.0001})}
 
 MANIFEST_FILE = "manifest"
 PARAMS_FILE = "params.bin"
@@ -66,7 +61,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"pick one of {tuple(VARIANTS)}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if min(self.hidden, self.word_dim, self.pos_dim) < 1:
@@ -79,19 +75,19 @@ class ModelConfig:
         return self.word_dim + 2 * self.pos_dim
 
     @property
+    def poolings(self) -> tuple[str, ...]:
+        return VARIANTS[self.variant][0]
+
+    @property
     def pooled_width(self) -> int:
-        return 4 * self.hidden if self.variant == "joint" else 2 * self.hidden
+        return 2 * self.hidden * len(self.poolings)
 
 
 def default_config(variant: str) -> ModelConfig:
-    """Per-variant defaults: hidden size and regularization strengths."""
-    if variant == "b-lstm":
-        return ModelConfig(variant=variant, hidden=200, keep_prob=0.7, l2=0.001)
-    if variant == "ab-lstm":
-        return ModelConfig(variant=variant, hidden=200, keep_prob=0.7, l2=0.0001)
-    if variant == "joint":
-        return ModelConfig(variant=variant, hidden=150, keep_prob=1.0, l2=0.0001)
-    raise ValueError(f"unknown variant {variant!r}")
+    """ModelConfig with the variant's defaults (`VARIANTS`)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return ModelConfig(variant=variant, **VARIANTS[variant][1])
 
 
 def _uniform(rng: np.random.Generator, shape, name: str) -> Parameter:
@@ -104,8 +100,8 @@ def _uniform(rng: np.random.Generator, shape, name: str) -> Parameter:
 class ModelParams:
     """Every learnable tensor of one model instance.
 
-    `w_a` is the attention scoring vector (None for b-lstm); W_o and b_o
-    map the pooled feature to class scores.
+    `w_a` is the attention scoring vector (None without attentive
+    pooling); W_o and b_o map the pooled feature to class scores.
     """
 
     word_emb: Parameter
@@ -148,10 +144,10 @@ def build_model(cfg: ModelConfig, vocab_size: int, position_size: int,
 
 def parameter_count(cfg: ModelConfig, vocab_size: int, position_size: int) -> int:
     """How many floats `_assemble` allocates; ValueError above MAX_PARAMS."""
-    h, stacks = cfg.hidden, 2 if cfg.variant == "joint" else 1
+    h = cfg.hidden
     count = (vocab_size * cfg.word_dim + 2 * position_size * cfg.pos_dim
-             + stacks * 2 * (4 * h * (cfg.input_dim + h + 1) + 2 * h)
-             + 2 * h * (cfg.variant != "b-lstm") + (cfg.pooled_width + 1) * NUM_CLASSES)
+             + len(cfg.poolings) * 2 * (4 * h * (cfg.input_dim + h + 1) + 2 * h)
+             + 2 * h * ("attentive" in cfg.poolings) + (cfg.pooled_width + 1) * NUM_CLASSES)
     if count > MAX_PARAMS:
         raise ValueError(f"model has {count} parameters, above the bound {MAX_PARAMS}")
     return count
@@ -163,18 +159,15 @@ def _assemble(cfg, vocab_size, position_size, stream, word_matrix=None) -> Model
     word = word_matrix if word_matrix is not None else random_table(
         vocab_size, cfg.word_dim, stream, "embed.word")
     if word.data.shape != (vocab_size, cfg.word_dim):
-        raise ValueError(
-            f"word matrix shape {word.data.shape} vs ({vocab_size}, {cfg.word_dim})"
-        )
+        raise ValueError(f"word matrix shape {word.data.shape} vs "
+                         f"({vocab_size}, {cfg.word_dim})")
     p1 = random_table(position_size, cfg.pos_dim, stream, "embed.p1")
     p2 = random_table(position_size, cfg.pos_dim, stream, "embed.p2")
 
-    n_stacks = 2 if cfg.variant == "joint" else 1
     stacks = [BiLstmStack(cfg.hidden, cfg.input_dim, stream, name=f"stack{i}")
-              for i in range(n_stacks)]
-    w_a = None
-    if cfg.variant in ("ab-lstm", "joint"):
-        w_a = _uniform(stream, (2 * cfg.hidden,), "attention.w_a")
+              for i in range(len(cfg.poolings))]
+    w_a = (_uniform(stream, (2 * cfg.hidden,), "attention.w_a")
+           if "attentive" in cfg.poolings else None)
     W_o = _uniform(stream, (cfg.pooled_width, NUM_CLASSES), "output.W_o")
     b_o = Parameter(np.zeros(NUM_CLASSES), name="output.b_o", weight_decay=False)
     return ModelParams(word, p1, p2, stacks, w_a, W_o, b_o)
@@ -226,12 +219,13 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
     X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
 
     alpha, pooled = None, []
-    if cfg.variant != "ab-lstm":
-        pooled.append(max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths))
-    if cfg.variant != "b-lstm":
-        z_att, alpha = attentive_pool(bilstm_forward(params.stacks[-1], X, lengths),
-                                      params.w_a, lengths)
-        pooled.append(z_att)
+    for stack, pooling in zip(params.stacks, cfg.poolings):
+        h = bilstm_forward(stack, X, lengths)
+        if pooling == "max":
+            pooled.append(max_pool(h, lengths))
+        else:
+            z_att, alpha = attentive_pool(h, params.w_a, lengths)
+            pooled.append(z_att)
 
     drop = None
     if training and cfg.keep_prob < 1.0:
@@ -276,7 +270,8 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
     and last the manifest.
 
     The manifest lists each parameter's name and shape in blob order and
-    holds the sha256 of the blob and of the vocabulary file.
+    holds the sha256 of the blob, of the vocabulary file and of its config
+    (`files.json_sha256`).
 
     Each file is staged through a temp file and renamed into place.
     """
@@ -285,11 +280,13 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
     blob = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for _, p in named)
     vocab_bytes = json.dumps({"words": vocab.tokens(),
                               "position_radius": pv.radius}).encode("utf-8")
+    config = asdict(cfg)
     manifest = {
-        "config": asdict(cfg),
+        "config": config,
         "params": [{"name": name, "shape": list(p.data.shape)} for name, p in named],
         "params_sha256": hashlib.sha256(blob).hexdigest(),
         "vocab_sha256": hashlib.sha256(vocab_bytes).hexdigest(),
+        "config_sha256": json_sha256(config),
     }
     for fname, payload in ((PARAMS_FILE, blob), (VOCAB_FILE, vocab_bytes),
                            (MANIFEST_FILE, json.dumps(manifest, indent=1).encode("utf-8"))):
@@ -300,6 +297,15 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
 
 class CheckpointError(ValueError):
     """A checkpoint whose manifest, vocabulary or parameter blob is malformed."""
+
+
+def _check_digest(manifest: dict, key: str, manifest_path, digest: str, named) -> None:
+    """Refuse `named` unless `digest` is the manifest's `key`, present."""
+    if key not in manifest:
+        raise ValueError(f"{manifest_path}: {key}: missing; a checkpoint saved "
+                         "without it must be retrained")
+    if digest != manifest[key]:
+        raise ValueError(f"{named}: does not match the manifest's {key}")
 
 
 @contextmanager
@@ -316,9 +322,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
     """Rebuild a model bit-exactly from a checkpoint directory.
 
     Any malformed manifest, vocabulary or blob raises CheckpointError
-    naming its file, as does a vocabulary or blob whose sha256 is not the
-    manifest's, a blob holding NaN or Inf, or a checkpoint of an older
-    layout; a missing or unreadable file raises OSError.
+    naming its file, as does a vocabulary, blob or config whose sha256 is
+    not the manifest's, a blob holding NaN or Inf, or a checkpoint of an
+    older layout; a missing or unreadable file raises OSError.
     """
     manifest_path, vocab_path, params_path = (
         os.path.join(directory, name) for name in (MANIFEST_FILE, VOCAB_FILE, PARAMS_FILE))
@@ -341,12 +347,9 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                              "a checkpoint with a <pad> row must be retrained")
         with _naming(f"{vocab_path}: position_radius"):
             pv = PositionVocab(vocab_blob["position_radius"])
-        if "vocab_sha256" not in manifest:
-            raise ValueError(f"{manifest_path}: vocab_sha256: missing; a checkpoint "
-                             "saved without it must be retrained")
         with open(vocab_path, "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() != manifest["vocab_sha256"]:
-                raise ValueError(f"{vocab_path}: does not match the manifest's vocab_sha256")
+            _check_digest(manifest, "vocab_sha256", manifest_path,
+                          hashlib.sha256(fh.read()).hexdigest(), vocab_path)
 
         # the blob overwrites every parameter, so nothing is drawn
         no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))
@@ -364,11 +367,12 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
         raw = np.frombuffer(blob, dtype="<f4")
         expected = sum(p.data.size for _, p in entries)
         if raw.size != expected:
-            raise ValueError(
-                f"{params_path}: holds {raw.size} floats, the manifest expects {expected}"
-            )
+            raise ValueError(f"{params_path}: holds {raw.size} floats, "
+                             f"the manifest expects {expected}")
         if not np.isfinite(raw).all():
             raise ValueError(f"{params_path}: holds non-finite floats")
+        _check_digest(manifest, "config_sha256", manifest_path,
+                      json_sha256(manifest["config"]), f"{manifest_path}: config")
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     ends = np.cumsum([p.data.size for _, p in entries])[:-1]

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command-line driver."""
 
+import ast
 import contextlib
 import functools
 import hashlib
@@ -9,22 +10,24 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_xml, make_synthetic_instances, op_names
-from ddilstm.cli import _build_parser, main
+from ddilstm import cli
+from ddilstm.cli import _TRAIN_OPTIONS, _build_parser, main
 from ddilstm.corpus import generate_instances, parse_corpus, read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.filtering import apply_filters
 from ddilstm.labels import label_id, label_name
-from ddilstm.model import (MAX_PARAMS, ModelConfig, build_model, default_config,
-                           save_checkpoint)
+from ddilstm.model import (MAX_PARAMS, VARIANTS, ModelConfig, build_model, default_config,
+                           load_checkpoint, save_checkpoint)
 from ddilstm.training import TrainConfig
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "filter_fixture.xml")
@@ -509,7 +512,56 @@ def _subparsers() -> dict:
     return action.choices
 
 
+def _pipeline_runs(tmp_path) -> list:
+    """Each command once, in pipeline order, on the fixture: its argv, its
+    run manifest, and the manifest's inputs and outputs."""
+    raw, kept, report = (str(tmp_path / n) for n in ("raw.jsonl", "kept.jsonl", "r.json"))
+    ckpt, preds, att = (str(tmp_path / n) for n in ("ckpt", "preds.jsonl", "att.jsonl"))
+    ev, stats = str(tmp_path / "eval.json"), str(tmp_path / "stats.json")
+    return [
+        (["preprocess", "--corpus", FIXTURE, "--out", raw], raw + ".manifest.json",
+         {"corpus": FIXTURE}, {"instances": raw}),
+        (["filter", "--instances", raw, "--out", kept, "--report", report, "--mode",
+          "test"], kept + ".manifest.json",
+         {"instances": raw}, {"filtered": kept, "report": report}),
+        (["train", "--instances", raw, "--out-dir", ckpt, "--variant", "ab-lstm",
+          "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1"],
+         os.path.join(ckpt, "run_manifest.json"),
+         {"instances": raw, "config": None, "word_vectors": None}, {"checkpoint": ckpt}),
+        (["predict", "--checkpoint", ckpt, "--instances", kept, "--out", preds,
+          "--attention", att], preds + ".manifest.json",
+         {"checkpoint": ckpt, "instances": kept}, {"predictions": preds, "attention": att}),
+        (["evaluate", "--predictions", preds, "--gold", kept, "--filter-report", report,
+          "--against", preds, "--out", ev], ev + ".manifest.json",
+         {"predictions": preds, "gold": kept, "filter_report": report, "against": preds},
+         {"report": ev}),
+        (["analyze", "--predictions", preds, "--gold", kept, "--out", stats],
+         stats + ".manifest.json", {"predictions": preds, "gold": kept}, {"stats": stats}),
+    ]
+
+
 class TestManifests:
+    def test_each_command_writes_one_run_manifest_last(self, tmp_path, monkeypatch):
+        """One call of _write_manifest per command, once every output the
+        manifest names exists; and one call site, in main."""
+        calls = []
+
+        def spy(args, config, seed):
+            outputs = [getattr(args, name) for name in args.outputs]
+            calls.append((args.command, all(map(os.path.exists, filter(None, outputs)))))
+            write_manifest(args, config, seed)
+
+        write_manifest = cli._write_manifest
+        monkeypatch.setattr(cli, "_write_manifest", spy)
+        for argv, path, _, _ in _pipeline_runs(tmp_path):
+            calls.clear()
+            assert main(argv) == 0, argv[0]
+            assert calls == [(argv[0], True)] and os.path.exists(path), argv[0]
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_write_manifest"]
+        assert len(sites) == 1
+
     def test_every_command_declares_its_files(self):
         parsers = _subparsers()
         assert set(parsers) == {"preprocess", "filter", "train", "predict", "evaluate",
@@ -523,29 +575,7 @@ class TestManifests:
     def test_manifests_name_the_declared_files(self, tmp_path):
         """Each command's run manifest: its declared inputs by option name,
         None when not given, and the outputs given, under their keys."""
-        raw, kept, report = (str(tmp_path / n) for n in ("raw.jsonl", "kept.jsonl", "r.json"))
-        ckpt, preds, att = (str(tmp_path / n) for n in ("ckpt", "preds.jsonl", "att.jsonl"))
-        ev, stats = str(tmp_path / "eval.json"), str(tmp_path / "stats.json")
-        runs = [  # argv, the manifest, its inputs and its outputs
-            (["preprocess", "--corpus", FIXTURE, "--out", raw], raw + ".manifest.json",
-             {"corpus": FIXTURE}, {"instances": raw}),
-            (["filter", "--instances", raw, "--out", kept, "--report", report, "--mode",
-              "test"], kept + ".manifest.json",
-             {"instances": raw}, {"filtered": kept, "report": report}),
-            (["train", "--instances", raw, "--out-dir", ckpt, "--variant", "ab-lstm",
-              "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1"],
-             os.path.join(ckpt, "run_manifest.json"),
-             {"instances": raw, "config": None, "word_vectors": None}, {"checkpoint": ckpt}),
-            (["predict", "--checkpoint", ckpt, "--instances", kept, "--out", preds,
-              "--attention", att], preds + ".manifest.json",
-             {"checkpoint": ckpt, "instances": kept}, {"predictions": preds, "attention": att}),
-            (["evaluate", "--predictions", preds, "--gold", kept, "--filter-report", report,
-              "--against", preds, "--out", ev], ev + ".manifest.json",
-             {"predictions": preds, "gold": kept, "filter_report": report, "against": preds},
-             {"report": ev}),
-            (["analyze", "--predictions", preds, "--gold", kept, "--out", stats],
-             stats + ".manifest.json", {"predictions": preds, "gold": kept}, {"stats": stats}),
-        ]
+        runs = _pipeline_runs(tmp_path)
         parsers = _subparsers()
         assert [argv[0] for argv, *_ in runs] == list(parsers)
         for argv, path, inputs, outputs in runs:
@@ -554,6 +584,77 @@ class TestManifests:
             assert manifest["command"] == argv[0]
             assert list(manifest["inputs"]) == list(parsers[argv[0]].get_default("inputs"))
             assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs), argv[0]
+
+
+def _option_name(field: str) -> str:
+    """The train option that sets a field of ModelConfig or TrainConfig."""
+    return "epochs" if field == "max_epochs" else field
+
+
+class TestTrainOptions:
+    def test_flags_and_config_keys_are_the_config_fields(self):
+        """train's config keys are the config fields and the three options
+        train owns, each of its field's type; its flags are those, --config
+        and its two file options."""
+        keys = {_option_name(f.name) for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+        keys |= {"radius", "min_count", "word_vectors"}
+        assert set(_TRAIN_OPTIONS) == keys
+        flags = {action.dest for action in _subparsers()["train"]._actions}
+        assert flags == keys | {"config", "instances", "out_dir", "help"}
+        for cls in (ModelConfig, TrainConfig):
+            for name, kind in get_type_hints(cls).items():
+                assert _TRAIN_OPTIONS[_option_name(name)][0] is kind
+
+    def test_every_config_key_reaches_the_run(self, tmp_path, synthetic_file):
+        """A config file giving every key a value other than its default
+        trains, and the run manifest records each value."""
+        vectors, cfg, out_dir = tmp_path / "vectors.txt", tmp_path / "c.json", tmp_path / "ck"
+        vectors.write_text("the 0.1 0.2 0.3 0.4\n")
+        config = {"variant": "joint", "hidden": 3, "word_dim": 4, "pos_dim": 2,
+                  "keep_prob": 0.5, "l2": 0.01, "lr": 0.002, "batch_size": 7, "epochs": 2,
+                  "seed": 5, "val_fraction": 0.2, "radius": 6, "min_count": 2,
+                  "word_vectors": str(vectors)}
+        assert set(config) == set(_TRAIN_OPTIONS)
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--instances", str(synthetic_file), "--out-dir", str(out_dir),
+                     "--config", str(cfg)]) == 0
+        run = json.loads((out_dir / "run_manifest.json").read_text())
+        recorded = {**run["config"].pop("model"), **run["config"].pop("train"), **run["config"]}
+        recorded["epochs"] = recorded.pop("max_epochs")
+        assert recorded == config and run["seed"] == 5
+        assert json.loads((out_dir / "vocab.json").read_text())["position_radius"] == 6
+
+
+def _readme_rows(first: str) -> list[list[str]]:
+    """The cells of each README table row whose first cell matches `first`."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    return [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines
+            if re.match(rf"\| `({first})` \|", line)]
+
+
+class TestTrainReadme:
+    def test_option_table_lists_each_option_once_with_its_default(self):
+        rows = _readme_rows("--[a-z0-9-]+")
+        flags = ["--" + key.replace("_", "-") for key in _TRAIN_OPTIONS]
+        assert sorted(row[0].strip("`") for row in rows) == sorted(flags)
+        defaults = {key: default for key, (_, default) in _TRAIN_OPTIONS.items()}
+        defaults.update({_option_name(f.name): f.default
+                         for cls in (ModelConfig, TrainConfig) for f in fields(cls)})
+        varied = {key for _, changed in VARIANTS.values() for key in changed}
+        for flag, default, _ in rows:
+            key = flag.strip("`-").replace("-", "_")
+            expected = ("per variant" if key in varied else "none" if defaults[key] is None
+                        else f"`{defaults[key]}`" if key == "variant" else str(defaults[key]))
+            assert default == expected, flag
+
+    def test_variant_table_is_the_model_table(self):
+        rows = _readme_rows("|".join(map(re.escape, VARIANTS)))
+        assert [row[0].strip("`") for row in rows] == list(VARIANTS)
+        for name, poolings, width, hidden, keep_prob, l2 in rows:
+            cfg = default_config(name.strip("`"))
+            assert poolings == ", ".join(cfg.poolings)
+            assert width == f"{cfg.pooled_width // cfg.hidden}N"
+            assert [hidden, keep_prob, l2] == [str(cfg.hidden), str(cfg.keep_prob), str(cfg.l2)]
 
 
 class TestTrainPredictEvaluate:
@@ -921,6 +1022,9 @@ CHECKPOINT_EDITS = {
     # a well-formed vocabulary, but not the one the manifest vouches for
     "swapped-words": _edit_json("vocab.json", lambda v: _swap(v["words"], 3, 7)),
     "no-vocab-digest": _edit_json("manifest", lambda m: _drop(m, "vocab_sha256")),
+    # a legal config, but not the one the manifest vouches for
+    "edited-config": _edit_json("manifest", lambda m: m["config"].update(keep_prob=0.5, l2=0.9)),
+    "no-config-digest": _edit_json("manifest", lambda m: _drop(m, "config_sha256")),
 }
 
 
@@ -941,6 +1045,7 @@ NAMED_EDITS = {
     "manifest-not-utf8": ("manifest", None, _flip_a_manifest_byte),
     "huge-radius": ("vocab.json", "position_radius", CHECKPOINT_EDITS["huge-radius"]),
     "swapped-words": ("vocab.json", None, CHECKPOINT_EDITS["swapped-words"]),
+    "edited-config": ("manifest", "config", CHECKPOINT_EDITS["edited-config"]),
 }
 
 
@@ -994,6 +1099,37 @@ class TestCheckpointBoundary:
         assert assert_one_error_line(capsys) == (
             f"error: {ckpt / 'manifest'}: vocab_sha256: missing; a checkpoint saved "
             "without it must be retrained\n")
+
+    def test_checkpoint_without_a_config_digest_must_be_retrained(
+            self, tmp_path, synthetic_file, capsys):
+        ckpt = tmp_path / "ckpt"
+        _small_checkpoint(ckpt, synthetic_file)
+        CHECKPOINT_EDITS["no-config-digest"](ckpt)
+        assert main(["predict", "--checkpoint", str(ckpt), "--instances", str(synthetic_file),
+                     "--out", str(tmp_path / "preds.jsonl")]) == 1
+        assert assert_one_error_line(capsys) == (
+            f"error: {ckpt / 'manifest'}: config_sha256: missing; a checkpoint saved "
+            "without it must be retrained\n")
+
+    def test_trained_checkpoint_with_an_edited_config_is_refused(self, tmp_path):
+        """An ab-lstm checkpoint trained on the fixture predicts; with its
+        manifest's keep_prob and l2 edited, which do not change inference,
+        predict --attention is refused in one line naming the manifest and
+        writes nothing."""
+        code, err, ckpt = _train_on_fixture(tmp_path, "--variant", "ab-lstm", "--epochs", "1")
+        assert code == 0 and err == ""
+        out, att, err = tmp_path / "preds.jsonl", tmp_path / "att.jsonl", io.StringIO()
+        argv = ["predict", "--checkpoint", str(ckpt), "--instances", str(tmp_path / "kept.jsonl"),
+                "--out", str(out), "--attention", str(att)]
+        assert main(argv) == 0
+        out.unlink()
+        att.unlink()
+        CHECKPOINT_EDITS["edited-config"](ckpt)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        assert err.getvalue() == (f"error: {ckpt / 'manifest'}: config: does not match the "
+                                  "manifest's config_sha256\n")
+        assert not out.exists() and not att.exists()
 
     @pytest.mark.parametrize("edit", sorted(NAMED_EDITS))
     def test_error_names_the_file_and_the_key(self, tmp_path, synthetic_file, capsys,
@@ -1062,6 +1198,19 @@ def _assert_refused(code, err, written, naming=""):
     assert not written
 
 
+# another legal value for each config field of a checkpoint, and for its
+# position radius
+_LEGAL_EDITS = {
+    "variant": st.sampled_from(list(VARIANTS)),
+    "hidden": st.integers(1, 64),
+    "word_dim": st.integers(1, 64),
+    "pos_dim": st.integers(1, 64),
+    "keep_prob": st.floats(0, 1, exclude_min=True),
+    "l2": st.floats(0, 10),
+    "position_radius": st.integers(1, 10**6),
+}
+
+
 class TestCheckpointFuzz:
     @given(st.sampled_from(["manifest", "vocab.json", "params.bin"]), BYTE_EDITS)
     @settings(max_examples=300, deadline=None)
@@ -1098,6 +1247,23 @@ class TestCheckpointFuzz:
             assert edited == files
         else:
             _assert_refused(code, err, written, naming="vocab.json: ")
+
+    @given(st.sampled_from(sorted(_LEGAL_EDITS)).flatmap(
+        lambda key: st.tuples(st.just(key), _LEGAL_EDITS[key])))
+    @settings(max_examples=100, deadline=None)
+    def test_legal_edit(self, edit):
+        """A config field or the position radius set to another legal value
+        is refused in one line naming its file."""
+        key, value = edit
+        assert set(_LEGAL_EDITS) == {f.name for f in fields(ModelConfig)} | {"position_radius"}
+        files, instance_bytes = _checkpoint_and_instances()
+        fname = "vocab.json" if key == "position_radius" else "manifest"
+        doc = json.loads(files[fname])
+        held = doc if key == "position_radius" else doc["config"]
+        assume(held[key] != value)
+        held[key] = value
+        edited = {**files, fname: json.dumps(doc, indent=1).encode("utf-8")}
+        _assert_refused(*_predict_with(edited, instance_bytes), naming=f"/{fname}: ")
 
 
 class TestNonFiniteCheckpoint:
@@ -1366,3 +1532,71 @@ class TestWordVectorFuzz:
                                                "--word-vectors", str(vectors))
             _assert_finite_checkpoint_or_one_line(code, err, out, f"error: {vectors}:")
             assert code == 1 or len(set(words)) == len(words)
+
+
+# a train config whose run takes milliseconds; drawn entries replace its values
+_TINY_CONFIG = {"hidden": 2, "word_dim": 3, "pos_dim": 2, "radius": 4, "epochs": 1,
+                "batch_size": 16}
+# values at and past the ranges of each JSON type's options. Sizes past
+# MAX_PARAMS are refused by the parameter count (or a radius by PositionVocab);
+# every count of epochs is legal, so epochs draws no large value.
+_EDGE_VALUES = {
+    int: st.sampled_from([-1, 0, 1, 2]),
+    float: st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 0.05, 0.5, 1.0, 1.5, 1e300,
+                            float("nan"), float("inf"), -float("inf")]),
+}
+_PAST_MAX_PARAMS = st.sampled_from([2**30, 2**62, 10**19])
+_STRING_VALUES = {"variant": st.sampled_from([*VARIANTS, "cnn", ""]),
+                  "word_vectors": st.sampled_from(["", "<vectors>", "missing.txt"])}
+_WRONG_TYPES = st.sampled_from(["1", True, None, [], {}, 1.5, 2, "b-lstm"])
+
+
+def _is_json_type(value, kind) -> bool:
+    return type(value) is kind or kind is float and type(value) is int
+
+
+def _option_value(key: str):
+    """A value of the option's type at or past its range, or one time in
+    four, of another JSON type."""
+    kind = _TRAIN_OPTIONS[key][0]
+    typed = _STRING_VALUES[key] if kind is str else _EDGE_VALUES[kind]
+    if kind is int and key != "epochs":
+        typed |= _PAST_MAX_PARAMS
+    wrong = _WRONG_TYPES.filter(lambda value: not _is_json_type(value, kind))
+    return st.integers(0, 3).flatmap(lambda i: typed if i else wrong)
+
+
+_KNOWN_ENTRY = st.sampled_from(sorted(_TRAIN_OPTIONS)).flatmap(
+    lambda key: st.tuples(st.just(key), _option_value(key)))
+_UNKNOWN_ENTRY = st.tuples(st.sampled_from(["max_epochs", "config", "instances", "hidden_units"]),
+                           st.integers(1, 2))
+# a config file's (key, value) entries, one in eight with a key that is no option
+_CONFIG_ENTRIES = st.lists(
+    st.integers(0, 7).flatmap(lambda i: _KNOWN_ENTRY if i else _UNKNOWN_ENTRY),
+    min_size=1, max_size=2)
+
+
+class TestConfigFuzz:
+    @given(_CONFIG_ENTRIES)
+    @settings(max_examples=500, deadline=None)
+    def test_drawn_config(self, entries):
+        """train --config with drawn keys and values exits 0 with a checkpoint
+        that loads, or exits 1 with one `error:` line and no checkpoint."""
+        with tempfile.TemporaryDirectory() as tmp:
+            vectors, cfg = Path(tmp, "vectors.txt"), Path(tmp, "config.json")
+            vectors.write_text("the 0.5 -0.5 0.25\n")
+            config = {**_TINY_CONFIG, **{key: str(vectors) if value == "<vectors>" else value
+                                         for key, value in entries}}
+            cfg.write_text(json.dumps(config))
+            src, out, err = Path(tmp, "kept.jsonl"), Path(tmp, "ckpt"), io.StringIO()
+            src.write_bytes(_fixture_training_bytes())
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["train", "--instances", str(src), "--out-dir", str(out),
+                             "--config", str(cfg)])
+            if code == 0:
+                assert err.getvalue() == ""
+                load_checkpoint(out)
+            else:
+                assert code == 1
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert not out.exists() or list(out.iterdir()) == []

@@ -1,5 +1,9 @@
 """Variant assembly, dropout placement, parameter counts, checkpoints."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from ddilstm.features import (
 )
 from ddilstm.model import (
     MAX_PARAMS,
+    VARIANTS,
     ModelConfig,
     build_model,
     default_config,
@@ -66,6 +71,15 @@ class TestConfig:
     def test_pooled_width(self):
         assert ModelConfig(variant="b-lstm", hidden=8).pooled_width == 16
         assert ModelConfig(variant="joint", hidden=8).pooled_width == 32
+
+    def test_variants_are_told_apart_by_the_table_alone(self):
+        """No module of the package compares a variant's name; each reads
+        its poolings and defaults from VARIANTS."""
+        for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+            assert not re.search(r"variant (==|!=|in \()", path.read_text(encoding="utf-8")), path
+        for poolings, defaults in VARIANTS.values():
+            assert set(poolings) <= {"max", "attentive"} and poolings.count("attentive") <= 1
+            assert set(defaults) <= {f.name for f in fields(ModelConfig)} - {"variant"}
 
 
 class TestForward:
