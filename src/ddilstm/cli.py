@@ -167,7 +167,7 @@ def _cmd_train(args):
     os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
     word_matrix = (load_word_vectors(cfg["word_vectors"], vocab, mcfg.word_dim,
                                      rng_mod.named_stream(seed, "word-vectors"))
-                   if cfg["word_vectors"] else None)
+                   if cfg["word_vectors"] is not None else None)
     params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
     feats = featurize(instances, vocab, pv)
 

@@ -174,26 +174,19 @@ def _normalize_word(word: str) -> str:
     return re.sub(r"[0-9]+", "DG", word.lower())
 
 
-def tokenize_normalize(text: str, memo: Optional[dict] = None) -> list[str]:
+def tokenize_normalize(text: str) -> list[str]:
     """Lowercase, split punctuation, collapse digit runs to DG.
 
     Blinding placeholders survive verbatim as single tokens, and the
     function is a fixed point on its own output (already-normalized words
     such as "DG" or "pgfDGalpha" pass through untouched).
-
-    `memo` maps each text part between placeholders to its tokens;
-    `generate_instances` shares one per sentence. The result is always a
-    new list.
     """
-    memo = {} if memo is None else memo
     tokens: list[str] = []
     for part in _PLACEHOLDER_SPLIT.split(text):
-        if part not in memo:
-            memo[part] = [part] if _PLACEHOLDER_SPLIT.fullmatch(part) else [
-                word if word.islower() and word.isalpha() and word.isascii()  # [a-z]+
-                else _normalize_word(word) if word[0].isalnum() else word
-                for word in _CHUNKS.findall(part)]
-        tokens.extend(memo[part])
+        tokens += [part] if _PLACEHOLDER_SPLIT.fullmatch(part) else [
+            word if word.islower() and word.isalpha() and word.isascii()  # [a-z]+
+            else _normalize_word(word) if word[0].isalnum() else word
+            for word in _CHUNKS.findall(part)]
     return tokens
 
 
@@ -224,7 +217,7 @@ def _pair_label(pair: PairAnnotation) -> int:
     return label_id(pair.type)
 
 
-def _layout(text: str, spans: list, placed: frozenset, memo: dict) -> tuple:
+def _layout(text: str, spans: list, placed: frozenset) -> tuple:
     """The tokens of `text` with DRUG-N on each mention in `placed` (on its
     first span; its later spans deleted), and the index of each DRUG-N."""
     tokens: list[str] = []
@@ -235,11 +228,11 @@ def _layout(text: str, spans: list, placed: frozenset, memo: dict) -> tuple:
             run += text[pos:start]
             pos = end + 1
             if lead:
-                tokens += tokenize_normalize(run, memo)
+                tokens += tokenize_normalize(run)
                 where[eid] = len(tokens)
                 tokens.append(DRUG_N)
                 run = ""
-    tokens += tokenize_normalize(run + text[pos:], memo)
+    tokens += tokenize_normalize(run + text[pos:])
     return tokens, where
 
 
@@ -263,7 +256,6 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
         # every span in text order, flagged when it carries its mention's placeholder
         spans = sorted((start, end, e.id, k == 0)
                        for e in s.entities for k, (start, end) in enumerate(e.spans))
-        memo: dict[str, list[str]] = {}
         layouts: dict[frozenset, tuple] = {}
         for pair in s.pairs:
             first, second = by_id[pair.e1], by_id[pair.e2]
@@ -279,7 +271,7 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
                     placed.add(e.id)
             placed = frozenset(placed)
             if placed not in layouts:
-                layouts[placed] = _layout(s.text, spans, placed, memo)
+                layouts[placed] = _layout(s.text, spans, placed)
                 # the sentence's own DRUG-A or DRUG-B text would pass for a target
                 if DRUG_A in layouts[placed][0] or DRUG_B in layouts[placed][0]:
                     raise CorpusError(f"{s.path}: pair {pair.id}: target placeholders "

@@ -1,11 +1,12 @@
 """The file boundary. Every text and JSON file the pipeline reads is decoded
 and type-checked here, and each error is one ValueError naming the file;
-every file it writes, but the checkpoint (`model.save_checkpoint`), is
-written here: JSON through the two JSON writers, and the kept records of
-`filter` as the text of their already checked input lines (`write_lines`)."""
+every file it writes is written here, whole or not at all (`write_file`):
+JSON through the two JSON writers, and the kept records of `filter` as the
+text of their already checked input lines (`write_lines`)."""
 
 import hashlib
 import json
+import os
 import reprlib
 from types import GenericAlias
 
@@ -76,11 +77,24 @@ def check_fields(obj, schema: dict, where: str, closed: bool = False) -> None:
         raise ValueError(f"{where}: {next(k for k in obj if k not in schema)}: unknown key")
 
 
+def write_file(path, chunks) -> None:
+    """Write byte chunks to `path` whole or not at all: to a new file named
+    for this process beside its real path (so through a symlink), renamed
+    into place at the end and removed on any exception. No fsync."""
+    real = os.path.realpath(path)
+    fh = open(f"{real}.{os.getpid()}.tmp", "xb")  # never truncates a file; under the umask
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(fh.name, real)
+    except BaseException:
+        os.remove(fh.name)
+        raise
+
+
 def write_lines(path, lines) -> None:
     """Each string as one line, ending in a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    write_file(path, ((line + "\n").encode() for line in lines))
 
 
 def write_json_lines(path, records) -> None:
@@ -95,6 +109,4 @@ def json_sha256(value) -> str:
 
 def write_json(path, value) -> None:
     """One JSON document indented by one space, and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(value, fh, indent=1)
-        fh.write("\n")
+    write_lines(path, [json.dumps(value, indent=1)])

@@ -25,7 +25,7 @@ from . import rng as rng_mod
 from .autodiff import Parameter, ShapeMismatch, Tensor, record_op, softmax
 from .features import (Batch, InstanceFeatures, PositionVocab, Vocabulary, collate, embed,
                        random_table)
-from .files import check_fields, json_document, json_sha256
+from .files import check_fields, json_document, json_sha256, write_file
 from .labels import NUM_CLASSES
 from .pooling import attentive_pool, max_pool
 from .recurrent import BiLstmStack, bilstm_forward
@@ -267,13 +267,11 @@ def predict(params: ModelParams, cfg: ModelConfig,
 def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
                     vocab: Vocabulary, pv: PositionVocab) -> None:
     """Write a flat little-endian float32 parameter blob, the vocabulary,
-    and last the manifest.
+    and last the manifest, each whole or not at all (`files.write_file`).
 
     The manifest lists each parameter's name and shape in blob order and
     holds the sha256 of the blob, of the vocabulary file and of its config
     (`files.json_sha256`).
-
-    Each file is staged through a temp file and renamed into place.
     """
     os.makedirs(directory, exist_ok=True)
     named = params.named_parameters()
@@ -290,9 +288,7 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
     }
     for fname, payload in ((PARAMS_FILE, blob), (VOCAB_FILE, vocab_bytes),
                            (MANIFEST_FILE, json.dumps(manifest, indent=1).encode("utf-8"))):
-        with open(os.path.join(directory, fname + ".tmp"), "wb") as fh:  # under the umask
-            fh.write(payload)
-        os.replace(fh.name, os.path.join(directory, fname))
+        write_file(os.path.join(directory, fname), [payload])
 
 
 class CheckpointError(ValueError):

@@ -506,6 +506,45 @@ class TestOutputPaths:
         assert out_dir.exists() == (how != "missing")
 
 
+class TestWholeOrAbsent:
+    """A command's outputs are whole or absent after an error part-way."""
+
+    @pytest.mark.parametrize("before", [None, b"old attention\n"], ids=["new", "existing"])
+    def test_failing_attention_rows_leave_the_file_as_it_was(
+            self, tmp_path, pipeline_files, capsys, monkeypatch, before):
+        real_predict = cli.predict
+
+        def predict(*args):  # the third instance's weights one short
+            preds, alphas = real_predict(*args)
+            alphas[2] = alphas[2][:-1]
+            return preds, alphas
+
+        monkeypatch.setattr(cli, "predict", predict)
+        att = tmp_path / "att.jsonl"
+        if before is not None:
+            att.write_bytes(before)
+        code = main(["predict", "--checkpoint", pipeline_files["ckpt"],
+                     "--instances", pipeline_files["instances"],
+                     "--out", str(tmp_path / "p.jsonl"), "--attention", str(att)])
+        assert code == 1
+        assert "weights for" in assert_one_error_line(capsys)
+        assert (att.read_bytes() if att.exists() else None) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "p.jsonl.manifest.json").exists()
+
+    def test_instances_named_like_a_staging_file_stay_intact(self, tmp_path,
+                                                             synthetic_file):
+        """train --instances D/params.bin.tmp --out-dir D reads its input,
+        and leaves it as it was."""
+        (tmp_path / "ckpt").mkdir()
+        instances = tmp_path / "ckpt" / "params.bin.tmp"
+        instances.write_bytes(synthetic_file.read_bytes())
+        ckpt = run_train(tmp_path, instances)
+        assert instances.read_bytes() == synthetic_file.read_bytes()
+        load_checkpoint(ckpt)
+        assert [p.name for p in ckpt.glob("*.tmp")] == ["params.bin.tmp"]
+
+
 def _subparsers() -> dict:
     """Each command's parser, by name."""
     [action] = [a for a in _build_parser()._actions if a.dest == "command"]
@@ -814,6 +853,20 @@ class TestTrainPredictEvaluate:
                      "--epochs", "1", "--word-vectors", str(vectors)])
         assert code == 1
         assert f"{vectors}:1: non-finite float" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_word_vectors_path_is_refused(self, tmp_path, synthetic_file, capsys,
+                                                via):
+        """"" names no file: only an unset path means no word vectors."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"word_vectors": ""}))
+        out_dir = tmp_path / "ckpt"
+        code = main(["train", "--instances", str(synthetic_file), "--out-dir", str(out_dir),
+                     "--hidden", "4", "--epochs", "1",
+                     *(["--word-vectors", ""] if via == "flag" else ["--config", str(cfg)])])
+        assert code == 1
+        assert_one_error_line(capsys)
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_no_heldout_split_is_named(self, tmp_path, synthetic_file, capsys):
         run_train(tmp_path, synthetic_file, extra=("--val-fraction", "0"))

@@ -1,8 +1,10 @@
 """The file boundary: exact JSON types, named files and lines, the exact
-bytes of the line writer and the two JSON writers, and one module that
-decodes every input file and encodes every output file but the checkpoint."""
+bytes of the line writer and the two JSON writers, outputs written whole
+or not at all, and one module that decodes every input file and writes
+every output file."""
 
 import ast
+import os
 import pathlib
 
 import pytest
@@ -12,6 +14,7 @@ from ddilstm.files import (
     json_document,
     json_lines,
     text_lines,
+    write_file,
     write_json,
     write_json_lines,
     write_lines,
@@ -126,6 +129,55 @@ def test_writer_bytes(tmp_path, case):
     assert path.read_bytes() == expected
 
 
+def _failing(items, exc):
+    """The items, then `exc` raised in place of the last."""
+    yield from items[:-1]
+    raise exc
+
+
+# each streaming writer and three items for it
+STREAMED = {"lines": (write_lines, ["a", "b", "c"]),
+            "json-lines": (write_json_lines, [{"a": 1}, {"b": 2}, {"c": 3}]),
+            "bytes": (write_file, [b"a\n", b"b\n", b"c\n"])}
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad record"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+@pytest.mark.parametrize("before", [None, b"old\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("case", sorted(STREAMED))
+def test_failing_source_leaves_the_output_as_it_was(tmp_path, case, before, exc):
+    """A source that raises part-way leaves no file under the output name,
+    or the one there byte for byte, and no staging file."""
+    write, items = STREAMED[case]
+    path = tmp_path / "out"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(type(exc)):
+        write(path, _failing(items, exc))
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["out"])
+
+
+def test_a_taken_staging_name_is_refused_untouched(tmp_path):
+    """The staging file is created exclusively: a file already under its
+    name is neither truncated nor renamed into place."""
+    path, taken = tmp_path / "out", tmp_path / f"out.{os.getpid()}.tmp"
+    taken.write_bytes(b"not ours\n")
+    with pytest.raises(FileExistsError):
+        write_lines(path, ["x"])
+    assert taken.read_bytes() == b"not ours\n" and not path.exists()
+
+
+def test_a_symlinked_output_is_written_through(tmp_path):
+    """The link stays a link; its target gets the bytes, staged beside it."""
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "out.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json(link, {"a": 1})
+    assert link.is_symlink() and target.read_bytes() == b'{\n "a": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.json", "out.json", "real"]
+
+
 FORBIDDEN = {"json.load", "json.loads", "UnicodeDecodeError", "JSONDecodeError"}
 
 
@@ -152,12 +204,13 @@ def test_only_the_input_module_decodes_files():
     assert not found, f"decodes input outside files.py: {found}"
 
 
-# the checkpoint is staged through temp files and renamed as one unit
-WRITERS_ALLOWED = {("model", "save_checkpoint")}
+# the checkpoint's vocabulary and manifest digests are of the bytes it
+# encodes
+ENCODERS_ALLOWED = {"model.save_checkpoint"}
 
 
 def _writer_use(node):
-    """The JSON encode or open-for-writing that `node` is, else None."""
+    """The JSON encode, open-for-writing or rename that `node` is, else None."""
     if isinstance(node, ast.ImportFrom) and node.module == "json":
         return next((f"json.{a.name}" for a in node.names if a.name in ("dump", "dumps")),
                     None)
@@ -165,8 +218,10 @@ def _writer_use(node):
         return None
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-    if name in ("dump", "dumps") and getattr(func.value, "id", "") == "json":
-        return f"json.{name}"
+    owner = getattr(getattr(func, "value", None), "id", "")
+    if (owner, name) in {("json", "dump"), ("json", "dumps"), ("os", "replace"),
+                         ("os", "rename")}:
+        return f"{owner}.{name}"
     if name in ("write_text", "write_bytes"):
         return name
     if name in ("open", "fdopen"):
@@ -178,23 +233,32 @@ def _writer_use(node):
     return None
 
 
-def _writer_uses(tree):
-    """(top-level definition, use) for each JSON encode and each file
-    opened for writing in a module."""
-    for top in tree.body:
-        for node in ast.walk(top):
-            if use := _writer_use(node):
-                yield getattr(top, "name", "<module>"), use
-
-
-def test_only_the_file_module_encodes_outputs():
-    """No module but files.py encodes JSON or opens a file for writing,
-    except model.save_checkpoint, so every output goes through its two
-    writers."""
+def _writer_uses_outside_files_py():
+    """{"module.definition": uses}: each JSON encode, file opened for
+    writing and rename in a top-level definition of a module but files.py."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "files.py":
-            for owner, use in _writer_uses(ast.parse(path.read_text(encoding="utf-8"))):
-                if (path.stem, owner) not in WRITERS_ALLOWED:
-                    found.setdefault(f"{path.stem}.{owner}", set()).add(use)
-    assert not found, f"writes output outside files.py: {found}"
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if use := _writer_use(node):
+                        owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                        found.setdefault(owner, set()).add(use)
+    return found
+
+
+def test_only_the_file_module_encodes_outputs():
+    """No module but files.py encodes JSON, except model.save_checkpoint,
+    so every JSON output goes through its two writers."""
+    found = {owner: encodes for owner, uses in _writer_uses_outside_files_py().items()
+             if owner not in ENCODERS_ALLOWED
+             and (encodes := {use for use in uses if use.startswith("json.")})}
+    assert not found, f"encodes output outside files.py: {found}"
+
+
+def test_only_the_file_module_writes_files():
+    """No module but files.py opens a file for writing or renames one, so
+    every output is written whole or not at all (write_file)."""
+    found = {owner: writes for owner, uses in _writer_uses_outside_files_py().items()
+             if (writes := {use for use in uses if not use.startswith("json.")})}
+    assert not found, f"writes or renames a file outside files.py: {found}"
