@@ -197,11 +197,6 @@ def record_op(name: str, out: Tensor, inputs: Sequence[Tensor],
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # (1 + tanh(x / 2)) / 2: one ufunc pass, and no exp to overflow
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable float64 softmax along `axis`, outside the tape; entries of
     -inf come out exactly 0."""

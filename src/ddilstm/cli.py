@@ -64,15 +64,19 @@ def _write_manifest(args: argparse.Namespace, config: dict, seed) -> None:
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    """Refuse, before anything is read, an output file that is the same file
-    as an input (`args.inputs`, each an option name), an earlier output file
-    or the run manifest, that is a directory, or whose directory does not
-    exist. An option not given is skipped. --out-dir stands for the files
-    train writes in it; train creates the directory."""
+    """Refuse, before anything is read, an empty path to any file option,
+    and an output file that is the same file as an input (`args.inputs`,
+    each an option name), an earlier output file or the run manifest, that
+    is a directory, or whose directory does not exist. An option not given
+    is skipped. --out-dir stands for the files train writes in it; train
+    creates the directory."""
     def given(names):
         return [("--" + name.replace("_", "-"), getattr(args, name)) for name in names
                 if getattr(args, name) is not None]
 
+    for flag, path in given((*args.inputs, *args.outputs)):
+        if not path:
+            raise ValueError(f"{flag}: empty path")
     owner = {os.path.realpath(path): flag for flag, path in reversed(given(args.inputs))}
     if "out_dir" in args.outputs:
         outputs = [("--out-dir", os.path.join(args.out_dir, name)) for name in _OUT_DIR_FILES]

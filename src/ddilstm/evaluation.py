@@ -180,7 +180,8 @@ def correctness(gold: Sequence[int], predictions: Sequence[int]) -> list[bool]:
 def write_attention_records(path, records) -> None:
     """Per-instance attention rows for external heatmap rendering.
 
-    Each record is (instance, weights) with weights aligned to tokens.
+    Each record is (instance, weights), the weights a list of floats
+    aligned to tokens, as `model.predict` returns them.
     """
     def rows():
         for inst, weights in records:
@@ -194,7 +195,7 @@ def write_attention_records(path, records) -> None:
                 "sent_id": inst.sent_id,
                 "pair_id": inst.pair_id,
                 "tokens": inst.tokens,
-                "weights": [float(w) for w in weights],
+                "weights": weights,
             }
 
     write_json_lines(path, rows())

@@ -1,12 +1,12 @@
 """Collapse per-token encoder outputs into one fixed-length feature.
 
 Both poolings read a packed (T, k) batch, the B sentences' rows one
-sentence after another, and reduce each sentence's segment to one row
-of a (B, k) result in one tape op, with `np.maximum.reduceat` and
-`np.add.reduceat`. Max pooling keeps the per-dimension maximum;
-attentive pooling computes softmax weights from tanh-squashed features
-and returns the weighted sum together with the weights themselves (kept
-around for heatmap export).
+sentence after another, and reduce each sentence's own rows to one row
+of a (B, k) result in one tape op. Max pooling keeps the per-dimension
+maximum (`np.maximum.reduce`); attentive pooling computes softmax
+weights from tanh-squashed features and returns the weighted sum (one
+product `alpha @ z` per sentence) together with the weights themselves
+(kept around for heatmap export).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def max_pool(Z: Tensor, lengths) -> Tensor:
     """
     z = Z.data
     starts = segment_starts(lengths, z)
-    peak = np.maximum.reduceat(z, starts, axis=0)
+    peak = np.stack([np.maximum.reduce(z[a:e]) for a, e in zip(starts, starts + lengths)])
 
     def grad_fn(g):
         # each sentence's first winning row of each dimension
@@ -53,7 +53,7 @@ def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), lengths))
     alpha64 = e / np.repeat(np.add.reduceat(e, starts), lengths)
     alpha = alpha64.astype(z.dtype)
-    pooled = Tensor(np.add.reduceat(alpha[:, None] * z, starts, axis=0))
+    pooled = Tensor(np.stack([alpha[a:e] @ z[a:e] for a, e in zip(starts, starts + lengths)]))
 
     def grad_fn(g):
         g_rows = np.repeat(g, lengths, axis=0)

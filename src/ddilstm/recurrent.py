@@ -14,16 +14,20 @@ direction gathers each step's tokens and scatters the states into its half
 of the (T, 2N) output; the backward cell reads each sentence last to first.
 X U^T is one GEMM before the time loop; the steps multiply by a contiguous
 W^T, copied once per call, several times faster than the transposed view for
-few rows. BPTT keeps only the gate activations and cell states, sweeps one
-direction and frees them before the other, and gathers the inputs and
-previous states again for its closing GEMMs for dU, dW and dX.
+few rows. As sigmoid(v) = (1 + tanh(v / 2)) / 2, those copies of U and W
+and of b have their i, f and o rows halved, which is exact, so one in-place
+tanh over a step's (n_t, 4N) block makes all four gates, bit for bit; c and
+h go straight into the rows BPTT keeps. BPTT keeps only the gate
+activations and cell states, sweeps one direction and frees them before
+the other, and gathers the inputs and previous states again for its
+closing GEMMs for dU, dW and dX, by the unscaled U and W.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, _sigmoid, record_op, segment_starts
+from .autodiff import Parameter, Tensor, record_op, segment_starts
 
 
 class LstmParams:
@@ -72,20 +76,9 @@ def _gates(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(z[..., k * n:(k + 1) * n] for k in range(4))
 
 
-def _cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gate equations on pre-activations z (..., 4N), gates i, f, o, g.
-    Overwrites z with the gate activations; returns the new (c, h)."""
-    n3 = 3 * (z.shape[-1] // 4)
-    z[..., :n3] = _sigmoid(z[..., :n3])
-    np.tanh(z[..., n3:], out=z[..., n3:])
-    i, f, o, g = _gates(z)
-    c = c_prev * f + g * i
-    return c, np.tanh(c) * o
-
-
 def _cell_grads(act, c_prev, c, dh, dc) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of `_cell` from the activations it left behind, given the
-    gradients at h and c; returns those of the pre-activations and c_prev."""
+    """Backward of one step from the activations `_run` left behind, given
+    the gradients at h and c; returns those of the pre-activations and c_prev."""
     i, f, o, g = _gates(act)
     tanh_c = np.tanh(c)
     dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
@@ -98,18 +91,28 @@ def _run(p: LstmParams, x: np.ndarray, flat, steps, states: np.ndarray):
     """One direction's recurrence over the rows x[flat], in step-major
     order, writing its states to states[flat]; not a tape op. Returns
     what BPTT keeps: the gate activations and the cell states."""
-    u, w = p.U.data, p.W.data
-    act = x[flat] @ u.T
-    act += p.b.data
-    cs, hs = (np.empty((len(flat), w.shape[1]), dtype=act.dtype) for _ in range(2))
+    n = p.W.data.shape[1]
+    half = np.repeat(np.array([0.5, 0.5, 0.5, 1.0], dtype=p.W.data.dtype), n)
+    act = x[flat] @ (p.U.data * half[:, None]).T
+    act += p.b.data * half
+    w_t = np.ascontiguousarray((p.W.data * half[:, None]).T)
+    cs, hs = (np.empty((len(flat), n), dtype=act.dtype) for _ in range(2))
     # contiguous, so the first step's product takes the same GEMM as the rest
-    h = np.full((steps[0].stop, w.shape[1]), p.h0.data, dtype=act.dtype)
+    h = np.full((steps[0].stop, n), p.h0.data, dtype=act.dtype)
     c = np.broadcast_to(p.c0.data, h.shape)
-    w_t = np.ascontiguousarray(w.T)
     for s in steps:
-        act[s] += h[:s.stop - s.start] @ w_t
-        c, h = _cell(act[s], c[:s.stop - s.start])
-        cs[s], hs[s] = c, h
+        z = act[s]
+        z += h[:len(z)] @ w_t
+        np.tanh(z, out=z)
+        sig = z[:, :3 * n]  # (1 + tanh(v / 2)) / 2
+        sig *= 0.5
+        sig += 0.5
+        i, f, o, g = _gates(z)
+        c_prev, c, h = c[:len(z)], cs[s], hs[s]
+        np.multiply(c_prev, f, out=c)
+        c += np.multiply(g, i, out=h)
+        np.tanh(c, out=h)
+        h *= o
     # with finite weights |c_t| <= |c_{t-1}| + 1: c goes non-finite only as
     # NaN, which reaches h, so the op's output check covers the cell states
     states[flat] = hs

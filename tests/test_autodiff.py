@@ -124,11 +124,7 @@ class TestAffine:
 
 
 class TestPointwise:
-    """The recurrence's sigmoid, and the tanh and the dropout scale of
-    `output_layer`."""
-
-    def test_sigmoid_at_zero(self):
-        np.testing.assert_allclose(ad._sigmoid(np.zeros(1)), [0.5])
+    """The tanh and the dropout scale of `output_layer`."""
 
     def test_tanh_at_zero(self):
         assert squash(ad.Tensor([[0.0]])).data[0, 0] == 0.0
@@ -143,11 +139,6 @@ class TestPointwise:
             squash(x, np.ones((1, 1), dtype=np.float32))
         with pytest.raises(ad.ShapeMismatch):  # no broadcasting either
             squash(x, np.ones(2, dtype=np.float32))
-
-    def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = ad._sigmoid(np.array([-200.0, 200.0], dtype=np.float32))
-        assert np.all(np.isfinite(out))
-        assert out[0] >= 0.0 and out[1] <= 1.0
 
     @pytest.mark.parametrize("mode", ["tanh", "mul"])
     def test_gradients(self, float64_mode, mode):

@@ -579,6 +579,22 @@ def _pipeline_runs(tmp_path) -> list:
     ]
 
 
+# every file option that each command declares, input or output
+FILE_OPTIONS = [(command, name) for command, parser in _subparsers().items()
+                for name in (*parser.get_default("inputs"), *parser.get_default("outputs"))]
+
+
+@pytest.mark.parametrize("command,name", FILE_OPTIONS,
+                         ids=[f"{command}-{name}" for command, name in FILE_OPTIONS])
+def test_empty_path_is_refused(tmp_path, capsys, command, name):
+    """"" names no file: refused by its option, before anything is read."""
+    [argv] = [argv for argv, *_ in _pipeline_runs(tmp_path) if argv[0] == command]
+    flag = "--" + name.replace("_", "-")
+    assert main([*argv, flag, ""]) == 1  # the last value given wins
+    assert assert_one_error_line(capsys) == f"error: {flag}: empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestManifests:
     def test_each_command_writes_one_run_manifest_last(self, tmp_path, monkeypatch):
         """One call of _write_manifest per command, once every output the

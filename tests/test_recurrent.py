@@ -10,7 +10,7 @@ another, with their lengths.
 import numpy as np
 import pytest
 
-from conftest import check_grads, weighted_sum
+from conftest import check_grads, use_dtype, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward
 
@@ -282,3 +282,85 @@ class TestLstmSequence:
         _, stack, _ = self._setup(24)
         with pytest.raises(ad.ShapeMismatch):
             bilstm_forward(stack, ad.Tensor(np.ones((3, 1, 2))), np.array([3]))
+
+
+def textbook_bilstm(stack, x, lengths):
+    """Both directions written out gate by gate, each gate's sigmoid taken
+    on its own unscaled pre-activation.
+
+    Only the products share the module's layouts, since a BLAS product's
+    bits can depend on its shape and on where a row sits in it: x U^T over
+    all T rows in step-major order (step t holds the rows of the sentences
+    still running, longest first), and at step t their states times a
+    contiguous W^T.
+    """
+
+    def sigmoid(v):
+        return 0.5 + 0.5 * np.tanh(0.5 * v)
+
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    n = stack.fwd.W.data.shape[1]
+    out = np.empty((len(x), 2 * n), dtype=x.dtype)
+    for p, reverse, half in ((stack.fwd, False, slice(0, n)), (stack.bwd, True, slice(n, 2 * n))):
+        live = [order[lengths[order] > t] for t in range(lengths.max())]
+        rows = [starts[b] + (lengths[b] - 1 - t if reverse else t) for t, b in enumerate(live)]
+        xu = x[np.concatenate(rows)] @ p.U.data.T
+        w_t = np.ascontiguousarray(p.W.data.T)
+        h = np.tile(p.h0.data, (len(lengths), 1))
+        c = np.tile(p.c0.data, (len(lengths), 1))
+        done = 0
+        for b, r in zip(live, rows):
+            z = xu[done:done + len(b)] + p.b.data
+            done += len(b)
+            z += h[b] @ w_t
+            i, f, o = (sigmoid(z[:, k * n:(k + 1) * n]) for k in range(3))
+            g = np.tanh(z[:, 3 * n:])
+            c[b] = f * c[b] + i * g
+            h[b] = o * np.tanh(c[b])
+            out[r, half] = h[b]
+    return out
+
+
+class TestExactness:
+    """The fused recurrence gives the textbook update's bits, and its
+    sigmoid gates stay exact and bounded at the extremes."""
+
+    # ragged, with a tie and a 1-token sentence
+    LENGTHS = np.array([5, 1, 9, 3, 5, 2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [200, 7])
+    def test_matches_textbook_bits(self, dtype, hidden):
+        rng = np.random.default_rng(hidden)
+        with use_dtype(dtype):
+            stack = BiLstmStack(hidden, 11, rng)
+            _randomized(stack.fwd, rng, scale=1.0)
+            _randomized(stack.bwd, rng, scale=1.0)
+            x = rng.normal(size=(self.LENGTHS.sum(), 11)).astype(dtype)
+            out = bilstm_forward(stack, ad.Tensor(x), self.LENGTHS).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, textbook_bilstm(stack, x, self.LENGTHS))
+
+    def _one_step(self, b, c0):
+        """h after one token of a cell with zero maps, bias b and cell state c0."""
+        p = LstmParams(len(c0), 2, np.random.default_rng(0))
+        for t in p.parameters():
+            t.data[...] = 0.0
+        p.b.data[...] = b
+        return run_steps(p, [np.ones(2)], np.zeros(len(c0)), c0)[0]
+
+    def test_zero_pre_activations_give_half_gates(self):
+        c0 = np.float32([-2.0, 0.0, 0.75])
+        # i, f, o at 0, g at 1: h = o tanh(f c0 + i g) only if each is 1/2
+        h = self._one_step(np.repeat(np.float32([0, 0, 0, 1]), 3), c0)
+        half = np.float32(0.5)
+        np.testing.assert_array_equal(h, half * np.tanh(half * c0 + half * np.tanh(np.float32(1))))
+
+    def test_extreme_pre_activations_stay_finite(self):
+        c0 = np.float32([-2.0, 0.0, 0.75])
+        # every gate saturates to exactly 0, or to exactly 1
+        np.testing.assert_array_equal(self._one_step(np.float32(-200), c0), np.zeros(3))
+        np.testing.assert_array_equal(self._one_step(np.float32(200), c0),
+                                      np.tanh(c0 + np.float32(1)))
