@@ -87,8 +87,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name", "weight_decay")
 
-    def __init__(self, data, name: str = "", weight_decay: bool = True, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data, name: str = "", weight_decay: bool = True):
+        super().__init__(data, requires_grad=True)
         self.name = name
         self.weight_decay = weight_decay
 

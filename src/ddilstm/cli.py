@@ -9,8 +9,9 @@ byte for byte (timestamps live only in the manifest). Before it reads
 anything, a command refuses an output that is the same file as one of its
 inputs, another of its outputs or its manifest, or that it could not create.
 Each subcommand names its file options once, in its parser's
-`set_defaults(inputs=..., outputs=...)`; the check and the manifest both
-read that.
+`set_defaults(inputs=..., outputs=...)`, a directory option standing for
+its files (`_DIR_FILES`); the check and the manifest both read that, after
+train's config file has written its values into the same arguments.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .model import (MANIFEST_FILE, PARAMS_FILE, VARIANTS, VOCAB_FILE, ModelConfi
 from .training import TrainConfig
 
 
-# the files train writes in --out-dir: the checkpoint's three, its log and
-# the run manifest
+# the files each directory option stands for: a checkpoint's three, and
+# those train writes in --out-dir, with its log and the run manifest
 _LOG_FILE, _RUN_MANIFEST = "train_log.jsonl", "run_manifest.json"
-_OUT_DIR_FILES = (MANIFEST_FILE, PARAMS_FILE, VOCAB_FILE, _LOG_FILE, _RUN_MANIFEST)
+_DIR_FILES = {"checkpoint": (MANIFEST_FILE, PARAMS_FILE, VOCAB_FILE)}
+_DIR_FILES["out_dir"] = (*_DIR_FILES["checkpoint"], _LOG_FILE, _RUN_MANIFEST)
 
 
 def _manifest_path(args: argparse.Namespace) -> str:
@@ -63,25 +65,25 @@ def _write_manifest(args: argparse.Namespace, config: dict, seed) -> None:
     })
 
 
-def _check_paths(args: argparse.Namespace) -> None:
+def _check_paths(args: argparse.Namespace, labels: dict) -> None:
     """Refuse, before anything is read, an empty path to any file option,
-    and an output file that is the same file as an input (`args.inputs`,
-    each an option name), an earlier output file or the run manifest, that
-    is a directory, or whose directory does not exist. An option not given
-    is skipped. --out-dir stands for the files train writes in it; train
-    creates the directory."""
-    def given(names):
-        return [("--" + name.replace("_", "-"), getattr(args, name)) for name in names
-                if getattr(args, name) is not None]
+    and an output file that is the same file as an input file (of
+    `args.inputs`), an earlier output file or the run manifest, that is a
+    directory, or whose directory does not exist. Options not given are
+    skipped; a directory option stands for its `_DIR_FILES` (train creates
+    --out-dir). Each option is named by `labels`, else by its flag."""
+    def files(names):
+        for name in names:
+            flag, path = labels.get(name, "--" + name.replace("_", "-")), getattr(args, name)
+            if path == "":
+                raise ValueError(f"{flag}: empty path")
+            if path is not None:
+                yield from ([(flag, os.path.join(path, f)) for f in _DIR_FILES[name]]
+                            if name in _DIR_FILES else [(flag, path)])
 
-    for flag, path in given((*args.inputs, *args.outputs)):
-        if not path:
-            raise ValueError(f"{flag}: empty path")
-    owner = {os.path.realpath(path): flag for flag, path in reversed(given(args.inputs))}
-    if "out_dir" in args.outputs:
-        outputs = [("--out-dir", os.path.join(args.out_dir, name)) for name in _OUT_DIR_FILES]
-    else:
-        outputs = given(args.outputs)
+    owner = {os.path.realpath(path): flag for flag, path in reversed([*files(args.inputs)])}
+    outputs = [*files(args.outputs)]
+    if "out_dir" not in args.outputs:
         outputs.insert(1, (f"the manifest of {outputs[0][0]}", _manifest_path(args)))
     for flag, path in outputs:
         real = os.path.realpath(path)
@@ -94,19 +96,20 @@ def _check_paths(args: argparse.Namespace) -> None:
         owner[real] = flag
 
 
-def _resolve(options: dict, config_path, args: argparse.Namespace) -> dict:
-    """Precedence: defaults < config file < explicit command-line flags.
-    The config file holds one JSON object of option keys, each value of
-    its flag's type (`inputs.check_fields`)."""
-    resolved = {key: default for key, (_, default) in options.items()}
-    if config_path is not None:
-        file_cfg = json_document(config_path, {})  # any object; its keys follow
-        check_fields(file_cfg, {key: options[key][0] for key in file_cfg if key in options},
-                     str(config_path), closed=True)
-        resolved.update(file_cfg)
-    resolved.update({key: getattr(args, key) for key in resolved
-                     if getattr(args, key) is not None})  # each key is a flag
-    return resolved
+def _resolve(args: argparse.Namespace) -> dict:
+    """Write each train option's value into `args`. Precedence: defaults <
+    config file < explicit command-line flags. The config file holds one
+    JSON object of option keys, each value of its flag's type
+    (`files.check_fields`). Returns each option the config file set, named
+    `FILE: key` for `_check_paths`."""
+    file_cfg = {} if args.config is None else json_document(args.config, {})
+    check_fields(file_cfg, {key: _TRAIN_OPTIONS[key][0] for key in file_cfg
+                            if key in _TRAIN_OPTIONS}, args.config, closed=True)
+    labels = {key: f"{args.config}: {key}" for key in file_cfg if getattr(args, key) is None}
+    for key, (_, default) in _TRAIN_OPTIONS.items():
+        if getattr(args, key) is None:  # each key is a flag
+            setattr(args, key, file_cfg.get(key, default))
+    return labels
 
 
 def _featurize_all(instances, vocab, pv):
@@ -150,28 +153,28 @@ _TRAIN_OPTIONS = {
 }
 
 
-def _given_fields(cls, options: dict) -> dict:
+def _given_fields(cls, args: argparse.Namespace) -> dict:
     """The fields of dataclass `cls` whose options were set, by field name."""
     return {f.name: value for f in fields(cls)
-            if (value := options[_OPTION_NAMES.get(f.name, f.name)]) is not None}
+            if (value := getattr(args, _OPTION_NAMES.get(f.name, f.name))) is not None}
 
 
 def _cmd_train(args):
-    cfg = _resolve(_TRAIN_OPTIONS, args.config, args)
-    mcfg = replace(default_config(cfg["variant"]), **_given_fields(ModelConfig, cfg))
-    tcfg = TrainConfig(**_given_fields(TrainConfig, cfg))
+    _check_paths(args, _resolve(args))  # the config's paths, as the command line's
+    mcfg = replace(default_config(args.variant), **_given_fields(ModelConfig, args))
+    tcfg = TrainConfig(**_given_fields(TrainConfig, args))
     seed = tcfg.seed
 
     instances = corpus.read_instances(args.instances)
     if not instances:
         raise ValueError(f"{args.instances}: no instances")
-    vocab = build_vocab([i.tokens for i in instances], min_count=cfg["min_count"])
-    pv = PositionVocab(cfg["radius"])
+    vocab = build_vocab([i.tokens for i in instances], min_count=args.min_count)
+    pv = PositionVocab(args.radius)
     parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
     os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
-    word_matrix = (load_word_vectors(cfg["word_vectors"], vocab, mcfg.word_dim,
+    word_matrix = (load_word_vectors(args.word_vectors, vocab, mcfg.word_dim,
                                      rng_mod.named_stream(seed, "word-vectors"))
-                   if cfg["word_vectors"] is not None else None)
+                   if args.word_vectors is not None else None)
     params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
     feats = featurize(instances, vocab, pv)
 
@@ -183,8 +186,8 @@ def _cmd_train(args):
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
                else "no held-out split")
     print(f"best epoch {best.epoch}: {heldout} (train loss {best.train_loss:.4f})")
-    return {"model": asdict(mcfg), "train": asdict(tcfg), "min_count": cfg["min_count"],
-            "radius": cfg["radius"], "word_vectors": cfg["word_vectors"]}, seed
+    return {"model": asdict(mcfg), "train": asdict(tcfg), "min_count": args.min_count,
+            "radius": args.radius, "word_vectors": args.word_vectors}, seed
 
 
 def _read_predictions(path, gold_instances) -> list[int]:
@@ -320,14 +323,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_paths(args)
+        _check_paths(args, {})  # the command line's; train adds its config's
         with np.errstate(all="ignore"):  # the finiteness checks report overflow
             config, seed = args.fn(args)
         _write_manifest(args, config, seed)  # after every output
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # one line, whatever text of an input file the message quotes
-        print("error: " + str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)
+        print("error: " + (str(exc) or "out of memory").translate(_ESCAPED_BREAKS),
+              file=sys.stderr)
         return 1
 
 

@@ -195,8 +195,6 @@ def output_layer(pooled: Sequence[Tensor], drop: Optional[np.ndarray],
         d *= 1.0 - h3 * h3
         if drop is not None:
             d *= drop
-        if len(shapes) == 1:
-            return d, h3.T @ g, g.sum(axis=0)
         parts = np.split(d, np.cumsum([s[1] for s in shapes])[:-1], axis=1)
         return (*[part.copy() for part in parts], h3.T @ g, g.sum(axis=0))
 
@@ -205,15 +203,14 @@ def output_layer(pooled: Sequence[Tensor], drop: Optional[np.ndarray],
 
 
 def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
-           training: bool = False,
            dropout_rng: Optional[np.random.Generator] = None,
            ) -> tuple[Tensor, Optional[Tensor]]:
     """(B, C) class scores of a batch, and its flat (T,) attention weights,
     each instance's over its own tokens, where the variant has them.
 
-    Dropout hits only the pooled feature h2, and only when training with
-    keep_prob < 1, drawing one (B, width) block in batch order; inference
-    and keep_prob == 1 are bit-identical.
+    Dropout hits only the pooled feature h2, and only given a dropout
+    stream and keep_prob < 1, drawing one (B, width) block in batch order;
+    without a stream (inference) or at keep_prob == 1 they are bit-identical.
     """
     lengths = batch.lengths
     X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
@@ -228,9 +225,7 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
             pooled.append(z_att)
 
     drop = None
-    if training and cfg.keep_prob < 1.0:
-        if dropout_rng is None:
-            raise ValueError("training with dropout needs a dropout stream")
+    if dropout_rng is not None and cfg.keep_prob < 1.0:
         keep = dropout_rng.random((len(lengths), cfg.pooled_width)) < cfg.keep_prob
         # inverted scaling: inference needs no correction
         drop = (keep / cfg.keep_prob).astype(pooled[0].data.dtype)

@@ -152,7 +152,7 @@ def _batch_loss(params: ModelParams, mcfg: ModelConfig,
                 batch: Sequence[InstanceFeatures],
                 dropout_rng: Optional[np.random.Generator]) -> Tensor:
     collated = collate(batch)
-    s, _ = scores(params, mcfg, collated, training=True, dropout_rng=dropout_rng)
+    s, _ = scores(params, mcfg, collated, dropout_rng=dropout_rng)
     return softmax_cross_entropy(s, collated.labels)
 
 

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import resource
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict, fields
@@ -26,8 +28,9 @@ from ddilstm.corpus import generate_instances, parse_corpus, read_instances, wri
 from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.filtering import apply_filters
 from ddilstm.labels import label_id, label_name
-from ddilstm.model import (MAX_PARAMS, VARIANTS, ModelConfig, build_model, default_config,
-                           load_checkpoint, save_checkpoint)
+from ddilstm.model import (MANIFEST_FILE, MAX_PARAMS, PARAMS_FILE, VARIANTS, VOCAB_FILE,
+                           ModelConfig, build_model, default_config, load_checkpoint,
+                           save_checkpoint)
 from ddilstm.training import TrainConfig
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "filter_fixture.xml")
@@ -437,6 +440,14 @@ CLASHES = {
     "preprocess-out-is-corpus": (
         "preprocess --corpus {corpus} --out {corpus}", "--corpus and --out"),
 }
+# --checkpoint stands for its three files: predict writes over none of them
+for _name in (MANIFEST_FILE, PARAMS_FILE, VOCAB_FILE):
+    CLASHES[f"predict-out-is-checkpoint-{_name}"] = (
+        "predict --checkpoint {ckpt} --instances {instances} --out {ckpt}/" + _name,
+        "--checkpoint and --out")
+    CLASHES[f"predict-attention-is-checkpoint-{_name}"] = (
+        "predict --checkpoint {ckpt} --instances {instances} --out {tmp}/x "
+        "--attention {ckpt}/" + _name, "--checkpoint and --attention")
 
 # an output that cannot be written, and what the error says of it
 UNWRITABLE = {
@@ -544,6 +555,37 @@ class TestWholeOrAbsent:
         load_checkpoint(ckpt)
         assert [p.name for p in ckpt.glob("*.tmp")] == ["params.bin.tmp"]
 
+    def test_running_out_of_memory_is_one_error_line(self, tmp_path, synthetic_file):
+        """train in a child process whose address space is capped at 1 GiB
+        runs out in its first forward pass at hidden 3000 (nothing here
+        allocates to find a limit): exit 1, one error line, no file."""
+        def cap():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out_dir = tmp_path / "ckpt"
+        child = subprocess.run(
+            [sys.executable, "-m", "ddilstm", "train", "--instances", str(synthetic_file),
+             "--out-dir", str(out_dir), "--hidden", "3000", "--epochs", "1"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 1
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1, \
+            child.stderr
+        assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+
+    def test_memory_error_without_text_is_named(self, tmp_path, synthetic_file, capsys,
+                                                 monkeypatch):
+        """Python's own MemoryError carries no message (bytearray(2**62))."""
+        def read_instances(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.corpus, "read_instances", read_instances)
+        assert main(["analyze", "--predictions", str(tmp_path / "p.jsonl"), "--gold",
+                     str(synthetic_file), "--out", str(tmp_path / "s.json")]) == 1
+        assert assert_one_error_line(capsys) == "error: out of memory\n"
+
 
 def _subparsers() -> dict:
     """Each command's parser, by name."""
@@ -553,10 +595,14 @@ def _subparsers() -> dict:
 
 def _pipeline_runs(tmp_path) -> list:
     """Each command once, in pipeline order, on the fixture: its argv, its
-    run manifest, and the manifest's inputs and outputs."""
+    run manifest, and the manifest's inputs and outputs. train takes its
+    word vectors from a config file, which this writes."""
     raw, kept, report = (str(tmp_path / n) for n in ("raw.jsonl", "kept.jsonl", "r.json"))
     ckpt, preds, att = (str(tmp_path / n) for n in ("ckpt", "preds.jsonl", "att.jsonl"))
     ev, stats = str(tmp_path / "eval.json"), str(tmp_path / "stats.json")
+    cfg, vectors = str(tmp_path / "train.json"), str(tmp_path / "vectors.txt")
+    Path(vectors).write_text("the 0.1 0.2 0.3 0.4 0.5\n")
+    Path(cfg).write_text(json.dumps({"word_vectors": vectors}))
     return [
         (["preprocess", "--corpus", FIXTURE, "--out", raw], raw + ".manifest.json",
          {"corpus": FIXTURE}, {"instances": raw}),
@@ -564,9 +610,9 @@ def _pipeline_runs(tmp_path) -> list:
           "test"], kept + ".manifest.json",
          {"instances": raw}, {"filtered": kept, "report": report}),
         (["train", "--instances", raw, "--out-dir", ckpt, "--variant", "ab-lstm",
-          "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1"],
-         os.path.join(ckpt, "run_manifest.json"),
-         {"instances": raw, "config": None, "word_vectors": None}, {"checkpoint": ckpt}),
+          "--hidden", "4", "--word-dim", "5", "--pos-dim", "2", "--epochs", "1",
+          "--config", cfg], os.path.join(ckpt, "run_manifest.json"),
+         {"instances": raw, "config": cfg, "word_vectors": vectors}, {"checkpoint": ckpt}),
         (["predict", "--checkpoint", ckpt, "--instances", kept, "--out", preds,
           "--attention", att], preds + ".manifest.json",
          {"checkpoint": ckpt, "instances": kept}, {"predictions": preds, "attention": att}),
@@ -589,10 +635,29 @@ FILE_OPTIONS = [(command, name) for command, parser in _subparsers().items()
 def test_empty_path_is_refused(tmp_path, capsys, command, name):
     """"" names no file: refused by its option, before anything is read."""
     [argv] = [argv for argv, *_ in _pipeline_runs(tmp_path) if argv[0] == command]
+    before = sorted(tmp_path.iterdir())
     flag = "--" + name.replace("_", "-")
     assert main([*argv, flag, ""]) == 1  # the last value given wins
     assert assert_one_error_line(capsys) == f"error: {flag}: empty path\n"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("vectors,said", [
+    ("", "word_vectors: empty path"),
+    ("ckpt/params.bin", "word_vectors and --out-dir name the same file: {tmp}/ckpt/params.bin"),
+    ("ckpt/run_manifest.json", "word_vectors and --out-dir name the same file: "
+                               "{tmp}/ckpt/run_manifest.json"),
+], ids=["empty", "checkpoint-file", "run-manifest"])
+def test_config_path_is_checked_like_its_flag(tmp_path, capsys, vectors, said):
+    """A path the config file sets is refused as its flag's would be, named
+    by the config file and its key, before anything is read or created."""
+    [argv] = [argv for argv, *_ in _pipeline_runs(tmp_path) if argv[0] == "train"]
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"word_vectors": vectors and str(tmp_path / vectors)}))
+    before = _tree(tmp_path)
+    assert main(argv) == 1
+    assert assert_one_error_line(capsys) == f"error: {cfg}: {said.format(tmp=tmp_path)}\n"
+    assert _tree(tmp_path) == before and not (tmp_path / "ckpt").exists()
 
 
 class TestManifests:
@@ -882,7 +947,7 @@ class TestTrainPredictEvaluate:
                      *(["--word-vectors", ""] if via == "flag" else ["--config", str(cfg)])])
         assert code == 1
         assert_one_error_line(capsys)
-        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_no_heldout_split_is_named(self, tmp_path, synthetic_file, capsys):
         run_train(tmp_path, synthetic_file, extra=("--val-fraction", "0"))

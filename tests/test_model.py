@@ -112,20 +112,16 @@ class TestForward:
         cfg = ModelConfig(variant="ab-lstm", hidden=4, word_dim=5, pos_dim=2,
                           keep_prob=1.0, l2=0.0)
         params = build_model(cfg, len(vocab), len(pv), seed=3)
-        train_scores, _ = scores(params, cfg, collate([f]), training=True)
-        infer_scores, _ = scores(params, cfg, collate([f]), training=False)
+        train_scores, _ = scores(params, cfg, collate([f]),
+                                 dropout_rng=named_stream(5, "dropout"))
+        infer_scores, _ = scores(params, cfg, collate([f]))
         np.testing.assert_array_equal(train_scores.data, infer_scores.data)
-
-    def test_dropout_needs_stream(self):
-        _, _, cfg, params, f = tiny_setup()
-        with pytest.raises(ValueError):
-            scores(params, cfg, collate([f]), training=True)
 
     def test_dropout_reproducible_from_stream(self):
         _, _, cfg, params, f = tiny_setup()
-        a, _ = scores(params, cfg, collate([f]), training=True,
+        a, _ = scores(params, cfg, collate([f]),
                       dropout_rng=named_stream(5, "dropout"))
-        b, _ = scores(params, cfg, collate([f]), training=True,
+        b, _ = scores(params, cfg, collate([f]),
                       dropout_rng=named_stream(5, "dropout"))
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -184,11 +180,11 @@ class TestBatch:
 
     def test_batch_dropout_draws_instance_order(self):
         cfg, params, feats = self._mixed("ab-lstm")
-        batch, _ = scores(params, cfg, collate(feats), training=True,
+        batch, _ = scores(params, cfg, collate(feats),
                           dropout_rng=named_stream(3, "dropout"))
         stream = named_stream(3, "dropout")
         for b, f in enumerate(feats):
-            alone, _ = scores(params, cfg, collate([f]), training=True,
+            alone, _ = scores(params, cfg, collate([f]),
                               dropout_rng=stream)
             np.testing.assert_allclose(batch.data[b], alone.data[0],
                                        rtol=1e-5, atol=1e-6)
