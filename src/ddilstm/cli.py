@@ -7,7 +7,8 @@ analyze. Each command returns its resolved configuration and seed, and
 after the last of them; identical inputs and seed reproduce every output
 byte for byte (timestamps live only in the manifest). Before it reads
 anything, a command refuses an output that is the same file as one of its
-inputs, another of its outputs or its manifest, or that it could not create.
+inputs, another of its outputs or its manifest, or that it could not create;
+a train that fails removes the --out-dir it made.
 Each subcommand names its file options once, in its parser's
 `set_defaults(inputs=..., outputs=...)`, a directory option standing for
 its files (`_DIR_FILES`); the check and the manifest both read that, after
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -128,12 +130,12 @@ def _cmd_preprocess(args):
 def _cmd_filter(args):
     texts, instances = corpus.read_instance_lines(args.instances)  # every line checked
     disabled = args.disable or []
-    report = filtering.apply_filters(instances, mode=args.mode, disabled=disabled)
-    kept = set(map(id, report.kept))  # apply_filters keeps the objects it was given
-    write_lines(args.out, (text for text, inst in zip(texts, instances) if id(inst) in kept))
-    write_json(args.report, report.summary_dict())
-    print(f"kept {len(report.kept)} of {report.n_input} "
-          f"({report.n_removed} removed, {report.n_removed_positive} positive)")
+    decisions = filtering.apply_filters(instances, disabled)
+    write_lines(args.out, (text for text, hit in zip(texts, decisions) if hit is None))
+    report = filtering.build_report(args.mode, instances, decisions)
+    write_json(args.report, report)
+    print(f"kept {report['n_kept']} of {report['n_input']} "
+          f"({report['n_removed']} removed, {report['n_removed_positive']} positive)")
     return {name: name not in disabled for name in filtering.PATTERNS}, None
 
 
@@ -159,6 +161,16 @@ def _given_fields(cls, args: argparse.Namespace) -> dict:
             if (value := getattr(args, _OPTION_NAMES.get(f.name, f.name))) is not None}
 
 
+def _make_dirs(path):
+    """Make directory `path` and its missing parents; the topmost one it
+    made, or None when `path` was already a directory."""
+    top, parent = None, os.path.abspath(path)
+    while not os.path.isdir(parent):
+        top, parent = parent, os.path.dirname(parent)
+    os.makedirs(path, exist_ok=True)
+    return top
+
+
 def _cmd_train(args):
     _check_paths(args, _resolve(args))  # the config's paths, as the command line's
     mcfg = replace(default_config(args.variant), **_given_fields(ModelConfig, args))
@@ -171,17 +183,19 @@ def _cmd_train(args):
     vocab = build_vocab([i.tokens for i in instances], min_count=args.min_count)
     pv = PositionVocab(args.radius)
     parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
-    os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
-    word_matrix = (load_word_vectors(args.word_vectors, vocab, mcfg.word_dim,
-                                     rng_mod.named_stream(seed, "word-vectors"))
-                   if args.word_vectors is not None else None)
-    params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
-    feats = featurize(instances, vocab, pv)
-
-    result = training.train(params, feats, tcfg, mcfg)
-
-    save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
-    write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
+    made = _make_dirs(args.out_dir)  # before the run it would store
+    try:
+        word_matrix = (load_word_vectors(args.word_vectors, vocab, mcfg.word_dim,
+                                         rng_mod.named_stream(seed, "word-vectors"))
+                       if args.word_vectors is not None else None)
+        params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
+        result = training.train(params, featurize(instances, vocab, pv), tcfg, mcfg)
+        save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
+        write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
+    except BaseException:
+        if made is not None:  # a failed run leaves no directory it made
+            shutil.rmtree(made)
+        raise
     best = result.log[result.best_epoch]
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
                else "no held-out split")

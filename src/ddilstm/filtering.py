@@ -18,16 +18,17 @@ holding any other token, so coding stops there. Any pattern can be
 switched off by its name, and each removal is attributed to one rule and
 pattern, so the exact pattern set in use is always auditable.
 
-`apply_filters` keeps the input's own instance objects, in input order; the
-`filter` command writes each one kept as the line it was read from
-(`corpus.read_instance_lines`), so a kept record's bytes pass through as given.
+`apply_filters` gives one decision per instance, in input order: the
+(rule, pattern) that removes it, or None when it is kept. The `filter`
+command writes the line each kept instance was read from
+(`corpus.read_instance_lines`), so a kept record's bytes pass through as
+given, and then the report that `build_report` makes of the decisions.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
 from .corpus import DRUG_N, RawInstance
@@ -52,44 +53,6 @@ PATTERNS = {
     # DRUG-A , DRUG-N (, DRUG-N)* ,? (and|or) DRUG-B
     "coord_list_conj": ("rule3", re.compile(",N(?:,N)*,?&")),
 }
-
-
-@dataclass
-class Removal:
-    doc_id: str
-    sent_id: str
-    pair_id: str
-    label: str
-    rule: str
-    pattern: str
-
-
-@dataclass
-class FilterReport:
-    mode: str
-    n_input: int
-    kept: list[RawInstance]
-    removed: list[Removal]
-
-    @property
-    def n_removed(self) -> int:
-        return len(self.removed)
-
-    @property
-    def n_removed_positive(self) -> int:
-        return sum(1 for r in self.removed if r.label != label_name(NEGATIVE_ID))
-
-    def summary_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_input": self.n_input,
-            "n_kept": len(self.kept),
-            "n_removed": self.n_removed,
-            "n_removed_positive": self.n_removed_positive,
-            "by_rule": Counter(r.rule for r in self.removed),
-            "by_label": Counter(r.label for r in self.removed),
-            "removed": [dict(vars(r)) for r in self.removed],
-        }
 
 
 def _coded_span(tokens: Sequence[str]) -> Optional[str]:
@@ -119,26 +82,34 @@ def match_rule(inst: RawInstance,
     return None
 
 
-def apply_filters(instances: Sequence[RawInstance], mode: str = "train",
-                  disabled: Collection[str] = frozenset()) -> FilterReport:
-    """Partition instances into kept and removed, with rule attribution;
-    the patterns named in `disabled` are switched off."""
-    if mode not in ("train", "test"):
-        raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
+def apply_filters(instances: Sequence[RawInstance],
+                  disabled: Collection[str] = frozenset()) -> list[Optional[tuple[str, str]]]:
+    """Each instance's `match_rule` decision, in input order; the patterns
+    named in `disabled` are switched off."""
     for name in disabled:
         if name not in PATTERNS:
             raise ValueError(f"unknown filter pattern {name!r}; "
                              f"pick one of {list(PATTERNS)}")
-    kept: list[RawInstance] = []
-    removed: list[Removal] = []
-    for inst in instances:
-        hit = match_rule(inst, disabled)
-        if hit is None:
-            kept.append(inst)
-        else:
-            removed.append(Removal(inst.doc_id, inst.sent_id, inst.pair_id,
-                                   label_name(inst.label), *hit))
-    return FilterReport(mode, len(instances), kept, removed)
+    return [match_rule(inst, disabled) for inst in instances]
+
+
+def build_report(mode: str, instances: Sequence[RawInstance],
+                 decisions: Sequence[Optional[tuple[str, str]]]) -> dict:
+    """The report `filter` writes: the counts, and each removed instance
+    with its label's name and the (rule, pattern) that removed it."""
+    removed = [{"doc_id": inst.doc_id, "sent_id": inst.sent_id, "pair_id": inst.pair_id,
+                "label": label_name(inst.label), "rule": hit[0], "pattern": hit[1]}
+               for inst, hit in zip(instances, decisions) if hit is not None]
+    return {
+        "mode": mode,
+        "n_input": len(instances),
+        "n_kept": len(instances) - len(removed),
+        "n_removed": len(removed),
+        "n_removed_positive": sum(r["label"] != label_name(NEGATIVE_ID) for r in removed),
+        "by_rule": Counter(r["rule"] for r in removed),
+        "by_label": Counter(r["label"] for r in removed),
+        "removed": removed,
+    }
 
 
 def read_removed_labels(path, n_kept: int) -> list[int]:

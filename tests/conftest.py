@@ -1,7 +1,7 @@
 """Shared oracles: central finite differences against the tape gradients,
 the float64 switch they run under, the names of the tape ops, and a
-synthetic corpus to train on. Every Hypothesis test draws the same
-examples on every run."""
+synthetic corpus to train on, and the instances the filter keeps. Every
+Hypothesis test draws the same examples on every run."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from hypothesis import settings
 from ddilstm import autodiff as ad
 from ddilstm.corpus import DRUG_A, DRUG_B, RawInstance
 from ddilstm.features import featurize
+from ddilstm.filtering import apply_filters
 from ddilstm.labels import LABELS, label_id
 from ddilstm.model import output_layer
 from ddilstm.rng import named_stream
@@ -26,6 +27,11 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 EPS = 1e-4
+
+
+def kept_instances(instances):
+    """The instances `filter` keeps, in input order."""
+    return [inst for inst, hit in zip(instances, apply_filters(instances)) if hit is None]
 
 
 def finite_difference(loss_fn, tensors, eps=EPS):

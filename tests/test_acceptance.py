@@ -39,7 +39,7 @@ from ddilstm.features import (
     embed,
     featurize,
 )
-from ddilstm.filtering import apply_filters
+from ddilstm.filtering import apply_filters, build_report
 from ddilstm.model import (
     ModelConfig,
     build_model,
@@ -335,11 +335,11 @@ def test_criterion_05_overfit_synthetic_corpus():
 @criterion(6, "filtering fixtures")
 def test_criterion_06_filter_fixture_exact():
     instances = generate_instances(parse_corpus(FIXTURE))
-    report = apply_filters(instances, mode="test")
-    got = {r.pair_id.split(".", 2)[-1]: (r.rule, r.pattern)
-           for r in report.removed}
+    decisions = apply_filters(instances)
+    got = {inst.pair_id.split(".", 2)[-1]: hit
+           for inst, hit in zip(instances, decisions) if hit is not None}
     assert got == EXPECTED_REMOVALS
-    assert report.n_removed_positive == 0
+    assert build_report("test", instances, decisions)["n_removed_positive"] == 0
 
 
 @criterion(7, "training determinism")
@@ -418,16 +418,17 @@ def test_criterion_10_corpus_dependent_counts():
     assert len(test_instances) == 5716
 
     negative = 4
-    test_report = apply_filters(test_instances, mode="test")
+    test_decisions = apply_filters(test_instances)
+    test_kept = [i for i, hit in zip(test_instances, test_decisions) if hit is None]
     positives_in = sum(1 for i in test_instances if i.label != negative)
-    positives_kept = sum(1 for i in test_report.kept if i.label != negative)
+    positives_kept = sum(1 for i in test_kept if i.label != negative)
     assert positives_in == 979
     assert positives_kept == 979, "a test-set positive was filtered out"
-    assert test_report.n_removed_positive == 0
+    assert build_report("test", test_instances, test_decisions)["n_removed_positive"] == 0
 
-    train_report = apply_filters(train_instances, mode="train")
-    assert abs(len(train_report.kept) - 16495) <= 0.03 * 16495
-    assert abs(len(test_report.kept) - 4025) <= 0.03 * 4025
+    train_kept = apply_filters(train_instances).count(None)
+    assert abs(train_kept - 16495) <= 0.03 * 16495
+    assert abs(len(test_kept) - 4025) <= 0.03 * 4025
 
 
 @criterion(11, "full-run recipe documented")

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_xml, make_synthetic_instances, op_names
+from conftest import corpus_xml, kept_instances, make_synthetic_instances, op_names
 from ddilstm import cli
 from ddilstm.cli import _TRAIN_OPTIONS, _build_parser, main
 from ddilstm.corpus import generate_instances, parse_corpus, read_instances, write_instances
 from ddilstm.features import PositionVocab, build_vocab
-from ddilstm.filtering import apply_filters
+from ddilstm.filtering import apply_filters, build_report
 from ddilstm.labels import label_id, label_name
 from ddilstm.model import (MANIFEST_FILE, MAX_PARAMS, PARAMS_FILE, VARIANTS, VOCAB_FILE,
                            ModelConfig, build_model, default_config, load_checkpoint,
@@ -294,14 +294,12 @@ class TestFilter:
         out = tmp_path / "kept.jsonl"
         assert main(["filter", "--instances", str(src), "--out", str(out),
                      "--report", str(tmp_path / "report.json"), "--mode", "test"]) == 0
-        report = apply_filters(read_instances(src), mode="test")
-        kept = {inst.pair_id for inst in report.kept}
-        expected = [line.strip() + "\n" for line, inst in zip(lines, read_instances(src))
-                    if inst.pair_id in kept]
+        decisions = apply_filters(read_instances(src))
+        expected = [line.strip() + "\n" for line, hit in zip(lines, decisions) if hit is None]
         assert 0 < len(expected) < len(lines)
         assert any('"label":  " Advise"' in line for line in expected)
         assert out.read_bytes() == "".join(expected).encode("utf-8")
-        assert read_instances(out) == report.kept
+        assert read_instances(out) == kept_instances(read_instances(src))
 
 
 @functools.cache
@@ -369,7 +367,7 @@ class TestFilterFuzz:
                 code = main(["filter", "--instances", str(src), "--out", str(out),
                              "--report", str(report), "--mode", mode])
             if code == 0:
-                kept = apply_filters(read_instances(src), mode=mode).kept
+                kept = kept_instances(read_instances(src))
                 assert read_instances(out) == kept
                 assert json.loads(report.read_text())["n_kept"] == len(kept)
             else:
@@ -558,7 +556,7 @@ class TestWholeOrAbsent:
     def test_running_out_of_memory_is_one_error_line(self, tmp_path, synthetic_file):
         """train in a child process whose address space is capped at 1 GiB
         runs out in its first forward pass at hidden 3000 (nothing here
-        allocates to find a limit): exit 1, one error line, no file."""
+        allocates to find a limit): exit 1, one error line, no --out-dir."""
         def cap():  # in the child only
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -573,7 +571,7 @@ class TestWholeOrAbsent:
         assert child.returncode == 1
         assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1, \
             child.stderr
-        assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+        assert not out_dir.exists() and not list(tmp_path.rglob("*.tmp"))
 
     def test_memory_error_without_text_is_named(self, tmp_path, synthetic_file, capsys,
                                                  monkeypatch):
@@ -934,6 +932,7 @@ class TestTrainPredictEvaluate:
                      "--epochs", "1", "--word-vectors", str(vectors)])
         assert code == 1
         assert f"{vectors}:1: non-finite float" in assert_one_error_line(capsys)
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_empty_word_vectors_path_is_refused(self, tmp_path, synthetic_file, capsys,
@@ -1533,9 +1532,173 @@ class TestRecordBoundary:
 
 
 @functools.cache
+def _scoring_inputs() -> tuple[bytes, tuple, dict, tuple]:
+    """The fixture's test-mode filter run: the kept instances as a gold
+    file's bytes, a prediction line for each (its gold label on odd lines,
+    negative on even ones), the report `build_report` makes, and the pair
+    id of every instance, kept or removed."""
+    instances = generate_instances(parse_corpus(FIXTURE))
+    decisions = apply_filters(instances)
+    kept = [inst for inst, hit in zip(instances, decisions) if hit is None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "gold.jsonl")
+        write_instances(path, kept)
+        gold = path.read_bytes()
+    lines = tuple(json.dumps({"pair_id": inst.pair_id,
+                              "label": label_name(inst.label) if k % 2 else "negative"})
+                  for k, inst in enumerate(kept))
+    return (gold, lines, build_report("test", instances, decisions),
+            tuple(inst.pair_id for inst in instances))
+
+
+# edits of a predictions file's lines, each position taken modulo the
+# line count: two lines swapped, one dropped or repeated, one naming the
+# pair of any fixture instance, or one with another label spelling
+_LABEL_SPELLINGS = st.sampled_from(["advice", "Advise", " mechanism ", "INT", "negative",
+                                    "effect\n", "", "bogus", "advice advice"])
+PREDICTION_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["swap", "drop", "repeat", "pair"]), _AT, _AT),
+    st.tuples(st.just("label"), _AT, _LABEL_SPELLINGS))
+
+# edits of a filter report: a top-level key set to another JSON value (often
+# n_kept to a count near the gold file's) or deleted, or one entry of
+# `removed` relabelled, unlabelled, dropped or repeated
+_REPORT_KEYS = st.sampled_from(["mode", "n_input", "n_kept", "n_removed", "by_label",
+                                "removed"])
+_JSON_VALUES = st.sampled_from([None, True, 0, 12, 13, -1, 12.0, "12", [], {}, [{}],
+                                [{"label": "negative"}], ["negative"]])
+REPORT_EDITS = st.one_of(
+    st.tuples(st.just("set"), _REPORT_KEYS, _JSON_VALUES),
+    st.tuples(st.just("set"), st.just("n_kept"), st.integers(10, 14)),
+    st.tuples(st.just("del"), _REPORT_KEYS, st.none()),
+    st.tuples(st.just("label"), _AT, _LABEL_SPELLINGS),
+    st.tuples(st.sampled_from(["unlabel", "drop", "repeat"]), _AT, st.none()))
+
+
+def _edited_predictions(lines, edits, pair_ids) -> list[str]:
+    lines = list(lines)
+    for kind, i, arg in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "swap":
+            j = arg % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            rec = json.loads(lines[i])
+            if kind == "pair":
+                rec["pair_id"] = pair_ids[arg % len(pair_ids)]
+            else:
+                rec["label"] = arg
+            lines[i] = json.dumps(rec)
+    return lines
+
+
+def _edited_report(report: dict, edits) -> dict:
+    report = json.loads(json.dumps(report))
+    for kind, at, arg in edits:
+        if kind == "set":
+            report[at] = arg
+        elif kind == "del":
+            report.pop(at, None)
+        elif type(report.get("removed")) is list and report["removed"]:
+            removed = report["removed"]
+            k = at % len(removed)
+            if kind == "drop":
+                del removed[k]
+            elif kind == "repeat":
+                removed.insert(k, removed[k])
+            elif type(removed[k]) is dict and kind == "unlabel":
+                removed[k].pop("label", None)
+            elif type(removed[k]) is dict:
+                removed[k]["label"] = arg
+    return report
+
+
+def _score(command: str, files: dict) -> tuple[int, str, object, list]:
+    """`command` on input files given as option -> bytes, in a new
+    directory: the exit code, stderr, the output read back (None when
+    absent), and the names of the files the run added."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for option, data in files.items():
+            Path(tmp, option[2:]).write_bytes(data)
+            argv += [option, str(Path(tmp, option[2:]))]
+        out, err = Path(tmp, "out.json"), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        result = json.loads(out.read_text()) if out.exists() else None
+        added = sorted(set(os.listdir(tmp)) - {option[2:] for option in files})
+        return code, err.getvalue(), result, added
+
+
+def _assert_read_back_or_refused(code, err, result, added):
+    """Exit 0 quietly with the output and its manifest, or exit 1 with one
+    `error:` line and no file added."""
+    if code == 0:
+        assert err == "" and result is not None
+        assert added == ["out.json", "out.json.manifest.json"]
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert added == []
+
+
+class TestScoringFuzz:
+    """evaluate and analyze on damaged predictions and filter reports."""
+
+    @given(st.sampled_from(["evaluate", "analyze"]), st.lists(PREDICTION_EDITS, max_size=3),
+           st.lists(BYTE_EDITS, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_predictions(self, command, edits, byte_edits):
+        gold, lines, report, pair_ids = _scoring_inputs()
+        edited = _edited_predictions(lines, edits, pair_ids)
+        preds = _edited("".join(line + "\n" for line in edited).encode(), byte_edits)
+        files = {"--predictions": preds, "--gold": gold}
+        if command == "evaluate":
+            files["--filter-report"] = json.dumps(report).encode()
+        code, err, result, added = _score(command, files)
+        _assert_read_back_or_refused(code, err, result, added)
+        if code == 0:  # the gold pairs, in order, as read with universal newlines
+            text = preds.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            assert [json.loads(line)["pair_id"] for line in text.split("\n")
+                    if line and not line.isspace()] == [json.loads(line)["pair_id"]
+                                                        for line in lines]
+        if code == 0 and command == "evaluate":
+            assert result["n_scored"] == 12 and result["n_filtered"] == 10
+            assert sum(map(sum, result["confusion"])) == 22
+        elif code == 0:
+            assert sum(result[group]["n"] for group in ("correct", "incorrect")
+                       if group in result) == 12
+
+    @given(st.lists(REPORT_EDITS, max_size=3), st.lists(BYTE_EDITS, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_filter_report(self, edits, byte_edits):
+        gold, lines, report, _ = _scoring_inputs()
+        data = _edited(json.dumps(_edited_report(report, edits), indent=1).encode(),
+                       byte_edits)
+        code, err, result, added = _score("evaluate", {
+            "--predictions": "".join(line + "\n" for line in lines).encode(),
+            "--gold": gold, "--filter-report": data})
+        _assert_read_back_or_refused(code, err, result, added)
+        if code == 0:
+            damaged = json.loads(data.decode("utf-8"))
+            removed = damaged["removed"]
+            assert damaged["n_kept"] == 12
+            assert result["n_scored"] == 12 and result["n_filtered"] == len(removed)
+            assert result["n_filtered_positive"] == sum(
+                label_id(entry["label"]) != label_id("negative") for entry in removed)
+            assert sum(map(sum, result["confusion"])) == 12 + len(removed)
+
+
+@functools.cache
 def _fixture_training_instances() -> list:
     """The fixture's 12 instances after `filter` in train mode."""
-    return apply_filters(generate_instances(parse_corpus(FIXTURE))).kept
+    return kept_instances(generate_instances(parse_corpus(FIXTURE)))
 
 
 @functools.cache
@@ -1559,14 +1722,14 @@ def _train_on_fixture(tmp, *flags) -> tuple[int, str, Path]:
 
 def _assert_finite_checkpoint_or_one_line(code, err, out, start):
     """Exit 0 quietly with every stored float finite, or exit 1 with one
-    line that starts `start` and no file in --out-dir."""
+    line that starts `start` and no --out-dir."""
     if code == 0:
         assert err == ""
         assert np.isfinite(np.frombuffer((out / "params.bin").read_bytes(), "<f4")).all()
     else:
         assert code == 1
         assert err.startswith(start) and err.count("\n") == 1, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestDivergence:
@@ -1581,7 +1744,23 @@ class TestDivergence:
     def test_diverging_run_says_where_and_writes_nothing(self, tmp_path, flags, start):
         code, err, out = _train_on_fixture(tmp_path, *flags)
         assert code == 1 and err == start
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out_dir", ["ckpt", "ckpt/nested/deeper"])
+    def test_failed_run_keeps_a_directory_it_did_not_make(self, tmp_path, out_dir):
+        """A diverging run removes the directories it made for --out-dir, and
+        leaves one that was there before as it was."""
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "notes.txt").write_text("kept\n")
+        src, err = tmp_path / "kept.jsonl", io.StringIO()
+        src.write_bytes(_fixture_training_bytes())
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--instances", str(src), "--out-dir", str(tmp_path / out_dir),
+                         "--hidden", "4", "--epochs", "1", "--batch-size", "50",
+                         "--lr", "1e300", "--val-fraction", "0"])
+        assert code == 1 and err.getvalue().startswith("error: epoch 0")
+        assert [path.name for path in (tmp_path / "ckpt").rglob("*")] == ["notes.txt"]
+        assert (tmp_path / "ckpt" / "notes.txt").read_text() == "kept\n"
 
     # lr and l2 log-uniform; lr's second range, where float32 first
     # overflows, is drawn as often as the whole
@@ -1733,4 +1912,4 @@ class TestConfigFuzz:
             else:
                 assert code == 1
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-                assert not out.exists() or list(out.iterdir()) == []
+                assert not out.exists()

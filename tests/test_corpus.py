@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_xml
+from conftest import corpus_xml, kept_instances
 from ddilstm.cli import main
 from ddilstm.corpus import (
     DRUG_A,
@@ -26,7 +26,6 @@ from ddilstm.corpus import (
     tokenize_normalize,
     write_instances,
 )
-from ddilstm.filtering import apply_filters
 from ddilstm.labels import label_id, label_name
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -565,6 +564,6 @@ class TestGeneratedDocuments:
                              "--out", raw]) == 0
                 assert main(["filter", "--instances", raw, "--out", kept, "--report",
                              os.path.join(tmp, "report.json"), "--mode", mode]) == 0
-            write_instances(reference, apply_filters(read_instances(raw), mode=mode).kept)
+            write_instances(reference, kept_instances(read_instances(raw)))
             with open(kept, "rb") as copied, open(reference, "rb") as encoded:
                 assert copied.read() == encoded.read()

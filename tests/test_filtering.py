@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddilstm.corpus import RawInstance, generate_instances, parse_corpus
+from ddilstm.cli import main
+from ddilstm.corpus import RawInstance, generate_instances, parse_corpus, write_instances
 from ddilstm.files import write_json
-from ddilstm.filtering import apply_filters, match_rule, read_removed_labels
+from ddilstm.filtering import apply_filters, build_report, match_rule, read_removed_labels
 from ddilstm.labels import label_id
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -121,23 +122,33 @@ class TestRules:
 
 class TestApplyFilters:
     def test_fixture_matches_hand_labels(self):
-        report = apply_filters(fixture_instances(), mode="test")
-        got = {r.pair_id.split(".", 2)[-1]: (r.rule, r.pattern)
-               for r in report.removed}
+        instances = fixture_instances()
+        decisions = apply_filters(instances)
+        got = {inst.pair_id.split(".", 2)[-1]: hit
+               for inst, hit in zip(instances, decisions) if hit is not None}
         assert got == EXPECTED_REMOVALS
-        assert report.n_removed_positive == 0
-        assert report.n_input == 22 and len(report.kept) == 12
+        report = build_report("test", instances, decisions)
+        assert report["n_removed_positive"] == 0
+        assert report["n_input"] == 22 and report["n_kept"] == 12
 
     def test_counts_are_consistent(self):
-        report = apply_filters(fixture_instances(), mode="train")
-        assert len(report.kept) + report.n_removed == report.n_input
-        summary = report.summary_dict()
-        assert sum(summary["by_rule"].values()) == report.n_removed
-        assert sum(summary["by_label"].values()) == report.n_removed
+        instances = fixture_instances()
+        report = build_report("train", instances, apply_filters(instances))
+        assert report["n_kept"] + report["n_removed"] == report["n_input"]
+        assert len(report["removed"]) == report["n_removed"]
+        assert sum(report["by_rule"].values()) == report["n_removed"]
+        assert sum(report["by_label"].values()) == report["n_removed"]
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            apply_filters([], mode="dev")
+    def test_bad_mode_rejected(self, tmp_path):
+        """--mode only labels the report; the parser refuses any other."""
+        raw, kept, report = (tmp_path / name for name in ("raw.jsonl", "kept.jsonl",
+                                                          "report.json"))
+        write_instances(raw, fixture_instances())
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", "--instances", str(raw), "--out", str(kept),
+                  "--report", str(report), "--mode", "dev"])
+        assert exc.value.code == 2
+        assert not kept.exists() and not report.exists()
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
@@ -145,15 +156,16 @@ class TestApplyFilters:
         instances = fixture_instances()
         shuffled = instances[:]
         rnd.shuffle(shuffled)
-        a = apply_filters(instances, mode="train")
-        b = apply_filters(shuffled, mode="train")
-        assert {i.pair_id for i in a.kept} == {i.pair_id for i in b.kept}
-        assert {r.pair_id for r in a.removed} == {r.pair_id for r in b.removed}
+        a = dict(zip((i.pair_id for i in instances), apply_filters(instances)))
+        b = dict(zip((i.pair_id for i in shuffled), apply_filters(shuffled)))
+        assert a == b
 
     def test_report_roundtrip(self, tmp_path):
-        report = apply_filters(fixture_instances(), mode="test")
+        instances = fixture_instances()
+        decisions = apply_filters(instances)
         path = tmp_path / "report.json"
-        write_json(path, report.summary_dict())
-        labels = read_removed_labels(path, len(report.kept))
-        assert len(labels) == report.n_removed
-        assert labels == [label_id(r.label) for r in report.removed]
+        write_json(path, build_report("test", instances, decisions))
+        labels = read_removed_labels(path, decisions.count(None))
+        assert len(labels) == len(EXPECTED_REMOVALS)
+        assert labels == [inst.label for inst, hit in zip(instances, decisions)
+                          if hit is not None]

@@ -1,7 +1,7 @@
 """Variant assembly, dropout placement, parameter counts, checkpoints."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +217,19 @@ class TestParameterCount:
         total = sum(p.data.size for _, p in params.named_parameters())
         assert total == expected
         assert parameter_count(cfg, vocab_size, pos_size) == expected
+
+    @pytest.mark.parametrize("variant", ["b-lstm", "ab-lstm", "joint"])
+    @pytest.mark.parametrize("hidden,word_dim,pos_dim,vocab_size,position_size", [
+        (3, 4, 2, 7, 5), (40, 30, 6, 300, 101)], ids=["tiny", "small"])
+    def test_count_is_the_built_float_count(self, variant, hidden, word_dim, pos_dim,
+                                            vocab_size, position_size):
+        """MAX_PARAMS is enforced through the formula: it must count what
+        build_model allocates."""
+        cfg = replace(default_config(variant), hidden=hidden, word_dim=word_dim,
+                      pos_dim=pos_dim)
+        params = build_model(cfg, vocab_size, position_size, seed=3)
+        assert parameter_count(cfg, vocab_size, position_size) == sum(
+            p.data.size for _, p in params.named_parameters())
 
     def test_oversized_model_refused_before_any_draw(self):
         # counted, not built: a million words at the default sizes pass
