@@ -7,8 +7,11 @@ analyze. Each command returns its resolved configuration and seed, and
 after the last of them; identical inputs and seed reproduce every output
 byte for byte (timestamps live only in the manifest). Before it reads
 anything, a command refuses an output that is the same file as one of its
-inputs, another of its outputs or its manifest, or that it could not create;
-a train that fails removes the --out-dir it made.
+inputs, another of its outputs or its manifest, or that it could not create.
+A command that fails, Ctrl-C included, removes every path it created: its
+output files, its manifest and the directories train makes for --out-dir
+(`_check_paths` lists them). An output file that was there before keeps
+what the failed run wrote over it.
 Each subcommand names its file options once, in its parser's
 `set_defaults(inputs=..., outputs=...)`, a directory option standing for
 its files (`_DIR_FILES`); the check and the manifest both read that, after
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -67,13 +69,15 @@ def _write_manifest(args: argparse.Namespace, config: dict, seed) -> None:
     })
 
 
-def _check_paths(args: argparse.Namespace, labels: dict) -> None:
+def _check_paths(args: argparse.Namespace, labels: dict) -> list:
     """Refuse, before anything is read, an empty path to any file option,
     and an output file that is the same file as an input file (of
     `args.inputs`), an earlier output file or the run manifest, that is a
     directory, or whose directory does not exist. Options not given are
     skipped; a directory option stands for its `_DIR_FILES` (train creates
-    --out-dir). Each option is named by `labels`, else by its flag."""
+    --out-dir). Each option is named by `labels`, else by its flag. Returns
+    every path the run would create: each output file not yet there, and
+    each missing directory above it (those of --out-dir)."""
     def files(names):
         for name in names:
             flag, path = labels.get(name, "--" + name.replace("_", "-")), getattr(args, name)
@@ -87,6 +91,7 @@ def _check_paths(args: argparse.Namespace, labels: dict) -> None:
     outputs = [*files(args.outputs)]
     if "out_dir" not in args.outputs:
         outputs.insert(1, (f"the manifest of {outputs[0][0]}", _manifest_path(args)))
+    created = {}
     for flag, path in outputs:
         real = os.path.realpath(path)
         if real in owner:
@@ -96,6 +101,10 @@ def _check_paths(args: argparse.Namespace, labels: dict) -> None:
         if flag != "--out-dir" and not os.path.isdir(os.path.dirname(real)):
             raise ValueError(f"{flag}: directory {os.path.dirname(path)} does not exist")
         owner[real] = flag
+        while not os.path.lexists(real):
+            created[real] = None
+            real = os.path.dirname(real)
+    return list(created)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -161,16 +170,6 @@ def _given_fields(cls, args: argparse.Namespace) -> dict:
             if (value := getattr(args, _OPTION_NAMES.get(f.name, f.name))) is not None}
 
 
-def _make_dirs(path):
-    """Make directory `path` and its missing parents; the topmost one it
-    made, or None when `path` was already a directory."""
-    top, parent = None, os.path.abspath(path)
-    while not os.path.isdir(parent):
-        top, parent = parent, os.path.dirname(parent)
-    os.makedirs(path, exist_ok=True)
-    return top
-
-
 def _cmd_train(args):
     _check_paths(args, _resolve(args))  # the config's paths, as the command line's
     mcfg = replace(default_config(args.variant), **_given_fields(ModelConfig, args))
@@ -183,19 +182,14 @@ def _cmd_train(args):
     vocab = build_vocab([i.tokens for i in instances], min_count=args.min_count)
     pv = PositionVocab(args.radius)
     parameter_count(mcfg, len(vocab), len(pv))  # before the word vectors' table
-    made = _make_dirs(args.out_dir)  # before the run it would store
-    try:
-        word_matrix = (load_word_vectors(args.word_vectors, vocab, mcfg.word_dim,
-                                         rng_mod.named_stream(seed, "word-vectors"))
-                       if args.word_vectors is not None else None)
-        params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
-        result = training.train(params, featurize(instances, vocab, pv), tcfg, mcfg)
-        save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
-        write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
-    except BaseException:
-        if made is not None:  # a failed run leaves no directory it made
-            shutil.rmtree(made)
-        raise
+    os.makedirs(args.out_dir, exist_ok=True)  # before the run it would store
+    word_matrix = (load_word_vectors(args.word_vectors, vocab, mcfg.word_dim,
+                                     rng_mod.named_stream(seed, "word-vectors"))
+                   if args.word_vectors is not None else None)
+    params = build_model(mcfg, len(vocab), len(pv), seed=seed, word_matrix=word_matrix)
+    result = training.train(params, featurize(instances, vocab, pv), tcfg, mcfg)
+    save_checkpoint(args.out_dir, result.params, mcfg, vocab, pv)
+    write_json_lines(os.path.join(args.out_dir, _LOG_FILE), map(asdict, result.log))
     best = result.log[result.best_epoch]
     heldout = (f"heldout F1 {best.heldout_f1:.4f}" if result.n_heldout
                else "no held-out split")
@@ -337,10 +331,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_paths(args, {})  # the command line's; train adds its config's
-        with np.errstate(all="ignore"):  # the finiteness checks report overflow
-            config, seed = args.fn(args)
-        _write_manifest(args, config, seed)  # after every output
+        created = _check_paths(args, {})  # the command line's; train adds its config's
+        try:
+            with np.errstate(all="ignore"):  # the finiteness checks report overflow
+                config, seed = args.fn(args)
+            _write_manifest(args, config, seed)  # after every output
+        except BaseException:  # a failed run leaves no path it created
+            for path in sorted(filter(os.path.lexists, created), reverse=True):
+                (os.rmdir if os.path.isdir(path) else os.remove)(path)  # files first
+            raise
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         # one line, whatever text of an input file the message quotes

@@ -126,7 +126,8 @@ def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
         ptype = pair.get("type")
         if ddi == "true" and ptype is not None:
             try:
-                label_id(ptype)
+                if label_id(ptype) == NEGATIVE_ID:
+                    raise ValueError(f"type {ptype!r} names no interaction")
             except ValueError as exc:
                 raise CorpusError(f"pair {pid}: {exc}") from None
         pairs.append(PairAnnotation(pid, e1, e2, ddi == "true", ptype))

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -102,8 +103,8 @@ class TestPreprocess:
         assert str(path) in err and "no <document>" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("ddi,ptype", [("maybe", None), (True, "bogus")],
-                             ids=["ddi-maybe", "unknown-type"])
+    @pytest.mark.parametrize("ddi,ptype", [("maybe", None), (True, "bogus"), (True, "negative")],
+                             ids=["ddi-maybe", "unknown-type", "interaction-typed-negative"])
     def test_bad_pair_names_file_and_pair(self, tmp_path, capsys, ddi, ptype):
         sid, text, entities, _ = THREE_DRUGS[0]
         path = tmp_path / "one.xml"
@@ -585,6 +586,55 @@ class TestWholeOrAbsent:
         assert assert_one_error_line(capsys) == "error: out of memory\n"
 
 
+# a command (argv with {name} for pipeline_files and {tmp} for tmp_path),
+# the writer it calls that fails, and the end of the path it fails on
+FAILED_WRITES = {
+    "train-run-manifest-new-out-dir": (
+        "train --instances {instances} --out-dir {tmp}/new/ckpt --hidden 4 --epochs 1",
+        cli, "write_json", "run_manifest.json"),
+    "train-run-manifest-existing-out-dir": (
+        "train --instances {instances} --out-dir {tmp}/old --hidden 4 --epochs 1",
+        cli, "write_json", "run_manifest.json"),
+    "filter-report": (
+        "filter --instances {instances} --out {tmp}/k.jsonl --report {tmp}/r.json",
+        cli, "write_json", "r.json"),
+    "predict-attention": (
+        "predict --checkpoint {ckpt} --instances {instances} --out {tmp}/p.jsonl "
+        "--attention {tmp}/a.jsonl", cli.evaluation, "write_attention_records", "a.jsonl"),
+}
+
+
+class TestFailedRunLeavesNothing:
+    """A command that fails part-way, as on a full disk or at Ctrl-C,
+    removes every path it created and leaves the others as they were."""
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["enospc", "interrupt"])
+    @pytest.mark.parametrize("case", sorted(FAILED_WRITES))
+    def test_failed_write(self, tmp_path, pipeline_files, capsys, monkeypatch, case, exc):
+        argv, module, name, suffix = FAILED_WRITES[case]
+        write = getattr(module, name)
+
+        def failing(path, *args):
+            if str(path).endswith(suffix):
+                raise exc
+            write(path, *args)
+
+        monkeypatch.setattr(module, name, failing)
+        (tmp_path / "old").mkdir()  # an --out-dir that was there before, with one file
+        (tmp_path / "old" / "notes.txt").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
+        argv = argv.format(tmp=tmp_path, **pipeline_files).split()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            err = assert_one_error_line(capsys)
+            assert err.startswith(f"error: [Errno {errno.ENOSPC}] No space"), err
+        assert (sorted(tmp_path.rglob("*")), _tree(tmp_path)) == before
+
+
 def _subparsers() -> dict:
     """Each command's parser, by name."""
     [action] = [a for a in _build_parser()._actions if a.dest == "command"]
@@ -656,6 +706,24 @@ def test_config_path_is_checked_like_its_flag(tmp_path, capsys, vectors, said):
     assert main(argv) == 1
     assert assert_one_error_line(capsys) == f"error: {cfg}: {said.format(tmp=tmp_path)}\n"
     assert _tree(tmp_path) == before and not (tmp_path / "ckpt").exists()
+
+
+def test_check_paths_returns_what_a_run_creates(tmp_path, monkeypatch):
+    """Each command's run creates exactly the paths `_check_paths` returned,
+    the paths a failed run removes."""
+    returned, check_paths = [], cli._check_paths
+
+    def spy(*args):
+        returned.append(check_paths(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "_check_paths", spy)
+    root = Path(os.path.realpath(tmp_path))
+    for argv, *_ in _pipeline_runs(tmp_path):
+        before = set(root.rglob("*"))
+        returned.clear()
+        assert main(argv) == 0, argv[0]
+        assert set(map(Path, returned[0])) == set(root.rglob("*")) - before, argv[0]
 
 
 class TestManifests:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import json
 import os
 import tempfile
 import xml.etree.ElementTree as ET
@@ -26,7 +27,7 @@ from ddilstm.corpus import (
     tokenize_normalize,
     write_instances,
 )
-from ddilstm.labels import label_id, label_name
+from ddilstm.labels import NEGATIVE_ID, label_id, label_name
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "filter_fixture.xml")
@@ -480,8 +481,8 @@ def ddi_documents(draw, words=WORDS):
             for d in range(draw(st.integers(1, 2)))]
 
 
-def parse_documents(documents, directory):
-    """Write `documents` as one DDI XML file and parse it back."""
+def document_tree(documents) -> ET.Element:
+    """`documents` as the root element of one DDI XML file."""
     root = ET.Element("corpus")
     for doc_id, sentences in documents:
         doc = ET.SubElement(root, "document", id=doc_id)
@@ -495,8 +496,13 @@ def parse_documents(documents, directory):
                 attrs = {"type": ptype} if ptype else {}
                 ET.SubElement(sent, "pair", id=pid, e1=e1, e2=e2,
                               ddi=str(ddi).lower(), **attrs)
+    return root
+
+
+def parse_documents(documents, directory):
+    """Write `documents` as one DDI XML file and parse it back."""
     path = os.path.join(directory, "corpus.xml")
-    ET.ElementTree(root).write(path, encoding="utf-8")
+    ET.ElementTree(document_tree(documents)).write(path, encoding="utf-8")
     return parse_corpus(path)
 
 
@@ -567,3 +573,158 @@ class TestGeneratedDocuments:
             write_instances(reference, kept_instances(read_instances(raw)))
             with open(kept, "rb") as copied, open(reference, "rb") as encoded:
                 assert copied.read() == encoded.read()
+
+
+# what a corpus file may hold where the format wants a charOffset, a ddi
+# flag or an interaction type
+BAD_OFFSETS = ["", "x", "3", "5-3", "-1-2", "1-", "0-99999", "0-2;1-3", "1-1;1-1",
+               "0-0;;2-2", " 0-1 ", "٣-٤", "0-1;"]
+BAD_DDI = ["", "yes", "1", "TRUE", " false ", "none"]
+BAD_TYPES = ["", "bogus", "Advise", "negative", " INT ", "effect;mechanism"]
+
+
+@st.composite
+def damaged_corpus(draw) -> bytes:
+    """The bytes of a generated corpus after up to three edits, each in one
+    sentence: an entity's charOffset replaced, or drawn in or past the
+    text, so that it may overlap other mentions; an entity removed; a pair
+    naming a missing entity; a ddi or type value replaced. One time in
+    four, truncated."""
+    root = document_tree(draw(ddi_documents()))
+    for _ in range(draw(st.integers(0, 3))):
+        sent = draw(st.sampled_from(root.findall(".//sentence")))
+        entity = draw(st.sampled_from(sent.findall("entity")))
+        pair = draw(st.sampled_from(sent.findall("pair")))
+        kind = draw(st.sampled_from(["offset", "span", "drop", "dangling", "ddi", "type"]))
+        if kind == "offset":
+            entity.set("charOffset", draw(st.sampled_from(BAD_OFFSETS)))
+        elif kind == "span":
+            offset = st.integers(0, len(sent.get("text")) + 2)
+            entity.set("charOffset", f"{draw(offset)}-{draw(offset)}")
+        elif kind == "drop":
+            sent.remove(entity)
+        elif kind == "dangling":
+            pair.set(draw(st.sampled_from(["e1", "e2"])),
+                     draw(st.sampled_from(["", pair.get("e1") + "x", "d9.s0.e0"])))
+        else:
+            pair.set(kind, draw(st.sampled_from(BAD_DDI if kind == "ddi" else BAD_TYPES)))
+    data = ET.tostring(root, encoding="utf-8")
+    cut = draw(st.sampled_from([False, False, False, True]))
+    return data[:draw(st.integers(0, len(data) - 1))] if cut else data
+
+
+class TestCorpusFuzz:
+    @given(damaged_corpus())
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_corpus(self, data):
+        """preprocess exits 0 with one instance per pair that read_instances
+        reads back, positive just when its pair's ddi is true, or exits 1
+        with one `error:` line naming the corpus file, and writes nothing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = os.path.join(tmp, "corpus.xml"), os.path.join(tmp, "raw.jsonl")
+            with open(corpus, "wb") as fh:
+                fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["preprocess", "--corpus", corpus, "--out", out])
+            if code == 0:
+                assert err.getvalue() == ""
+                assert [inst.label != NEGATIVE_ID for inst in read_instances(out)] == [
+                    pair.get("ddi").strip().lower() == "true"
+                    for pair in ET.fromstring(data).iter("pair")]
+            else:
+                assert code == 1
+                assert err.getvalue().startswith(f"error: {corpus}: "), err.getvalue()
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert os.listdir(tmp) == ["corpus.xml"]
+
+
+# the words of new drug names: letters of DRUG-, a digit, tokens the filter
+# reads, non-ASCII letters (İ lowercases to two characters)
+NAME_WORDS = st.text(st.sampled_from("aDRUG-1(,βİ"), min_size=1, max_size=6).filter(
+    lambda word: "DRUG-" not in word)
+
+
+@st.composite
+def drug_renaming(draw) -> dict:
+    """A new name for each of DRUGS with as many words, one to one: no two
+    words the same after lowercasing, and none holding DRUG-."""
+    words = iter(draw(st.lists(NAME_WORDS, min_size=8, max_size=8, unique_by=str.lower)))
+    return {name: " ".join(next(words) for _ in name.split()) for name in DRUGS}
+
+
+def renamed(documents, names):
+    """`documents` with each mention of a name in `names` written as its new
+    name, every later offset moved by the change in length, and the mention
+    of a two-word name's last word on the new name's last word."""
+    def sentence(sid, text, entities, pairs):
+        new_text, pos, moved = "", 0, []  # (old start, old end, new start, new name)
+        for (start, end), name in sorted((spans[0], names[surface])
+                                         for _, spans, surface in entities if surface in names):
+            new_text += text[pos:start]
+            moved.append((start, end, len(new_text), name))
+            new_text += name
+            pos = end + 1
+
+        def at(i):
+            return i + sum(len(name) - (end + 1 - start)
+                           for start, end, _, name in moved if end < i)
+
+        out = []
+        for eid, spans, surface in entities:
+            inside = [m for m in moved if m[0] <= spans[0][0] <= m[1]]
+            if inside:  # the renamed mention or its last word
+                _, _, start, name = inside[0]
+                word = name if surface in names else name.rsplit(" ", 1)[1]
+                out.append((eid, [(start + len(name) - len(word), start + len(name) - 1)], word))
+            else:
+                out.append((eid, [(at(a), at(b)) for a, b in spans], surface))
+        return sid, new_text + text[pos:], out, pairs
+
+    return [(doc_id, [sentence(*s) for s in sentences]) for doc_id, sentences in documents]
+
+
+def _pipeline(documents, tmp) -> dict:
+    """preprocess, filter (train mode), a tiny ab-lstm train and predict
+    --attention on `documents`: each output file's bytes, by name."""
+    ET.ElementTree(document_tree(documents)).write(os.path.join(tmp, "corpus.xml"),
+                                                   encoding="utf-8")
+    runs = ["preprocess --corpus {d}/corpus.xml --out {d}/raw.jsonl",
+            "filter --instances {d}/raw.jsonl --out {d}/kept.jsonl --report {d}/report.json",
+            "train --instances {d}/raw.jsonl --out-dir {d}/ckpt --variant ab-lstm --hidden 3 "
+            "--word-dim 4 --pos-dim 2 --epochs 1",
+            "predict --checkpoint {d}/ckpt --instances {d}/raw.jsonl --out {d}/preds.jsonl "
+            "--attention {d}/att.jsonl"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert main(argv.format(d=tmp).split()) == 0, argv
+    names = ["raw.jsonl", "kept.jsonl", "report.json", "ckpt/params.bin", "preds.jsonl",
+             "att.jsonl"]
+    return {name: open(os.path.join(tmp, name), "rb").read() for name in names}
+
+
+def _split_names(instance_bytes: bytes) -> tuple[list, list]:
+    """The records of an instance file without a_text and b_text, and the
+    (a_text, b_text) of each."""
+    records = [json.loads(line) for line in instance_bytes.splitlines()]
+    return ([{**rec, "a_text": None, "b_text": None} for rec in records],
+            [(rec["a_text"], rec["b_text"]) for rec in records])
+
+
+class TestRenamedDrugs:
+    @given(ddi_documents(), drug_renaming())
+    @settings(max_examples=30, deadline=None)
+    def test_renaming_changes_only_the_names(self, documents, names):
+        """Blinding hides which drugs a sentence names: renamed one to one,
+        the instances differ only in a_text and b_text, which hold the new
+        names, and every later output is the same bytes. filter's kept lines
+        hold the names too, so they are compared as the instances are."""
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as tmp2:
+            before = _pipeline(documents, tmp)
+            after = _pipeline(renamed(documents, names), tmp2)
+        for name in ("raw.jsonl", "kept.jsonl"):
+            (records, old), (renamed_records, new) = map(_split_names, (before[name], after[name]))
+            assert renamed_records == records
+            assert new == [(names.get(a, a), names.get(b, b)) for a, b in old]
+        for name in ("report.json", "ckpt/params.bin", "preds.jsonl", "att.jsonl"):
+            assert after[name] == before[name], name
