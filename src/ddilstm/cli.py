@@ -236,19 +236,18 @@ def _cmd_evaluate(args):
     gold_instances = corpus.read_instances(args.gold)
     pred_ids = _read_predictions(args.predictions, gold_instances)
     gold = [inst.label for inst in gold_instances]
-    extra = {}
-    if args.against is not None:
-        other_ids = _read_predictions(args.against, gold_instances)
-        extra["mcnemar"] = evaluation.compare(gold, pred_ids, other_ids)
+    test = (evaluation.compare(gold, pred_ids, _read_predictions(args.against, gold_instances))
+            if args.against is not None else None)
     filtered = []
     if args.filter_report:
         filtered = filtering.read_removed_labels(args.filter_report, len(gold))
     report = evaluation.evaluate(gold, pred_ids, filtered)
-    write_json(args.out, {**vars(report), **extra})
-    print(f"micro P {report.micro_p:.4f} R {report.micro_r:.4f} "
-          f"F1 {report.micro_f1:.4f} MAVG {report.mavg:.4f}")
-    if extra:
-        test = extra["mcnemar"]
+    if test is not None:
+        report["mcnemar"] = test
+    write_json(args.out, report)
+    print(f"micro P {report['micro_p']:.4f} R {report['micro_r']:.4f} "
+          f"F1 {report['micro_f1']:.4f} MAVG {report['mavg']:.4f}")
+    if test is not None:
         print(f"McNemar against {args.against}: b {test['b']} c {test['c']}, "
               f"{test['significance'] or 'no discordant predictions'}")
     return {}, None

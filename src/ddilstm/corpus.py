@@ -19,7 +19,7 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Optional, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 from .files import json_lines, write_json_lines
 from .labels import NEGATIVE_ID, label_id, label_name
@@ -50,8 +50,7 @@ class PairAnnotation:
     id: str
     e1: str
     e2: str
-    ddi: bool
-    type: Optional[str]
+    label: int  # NEGATIVE_ID just when the pair's ddi is false
 
 
 @dataclass
@@ -68,7 +67,7 @@ def _parse_offsets(raw: str, sentence_id: str, entity_id: str) -> list[tuple[int
     """The spans of `raw` in text order; they may not overlap."""
     spans = []
     for part in raw.split(";"):
-        m = re.fullmatch(r"(\d+)-(\d+)", part.strip())
+        m = re.fullmatch(r"([0-9]+)-([0-9]+)", part.strip())
         if not m:
             raise CorpusError(f"sentence {sentence_id}: bad charOffset {raw!r}")
         start, end = int(m.group(1)), int(m.group(2))
@@ -123,14 +122,16 @@ def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
         if ddi not in ("true", "false"):
             raise CorpusError(f"pair {pid}: ddi must be 'true' or 'false', "
                               f"got {pair.get('ddi')!r}")
-        ptype = pair.get("type")
-        if ddi == "true" and ptype is not None:
-            try:
-                if label_id(ptype) == NEGATIVE_ID:
-                    raise ValueError(f"type {ptype!r} names no interaction")
-            except ValueError as exc:
-                raise CorpusError(f"pair {pid}: {exc}") from None
-        pairs.append(PairAnnotation(pid, e1, e2, ddi == "true", ptype))
+        # a true pair with no type asserts an interaction with no further detail
+        ptype = pair.get("type", "int" if ddi == "true" else "negative")
+        try:
+            label = label_id(ptype)
+        except ValueError as exc:
+            raise CorpusError(f"pair {pid}: {exc}") from None
+        if (label != NEGATIVE_ID) != (ddi == "true"):
+            kind = "no interaction" if ddi == "true" else "an interaction but ddi is 'false'"
+            raise CorpusError(f"pair {pid}: type {ptype!r} names {kind}")
+        pairs.append(PairAnnotation(pid, e1, e2, label))
     return SentenceRecord(sid, doc_id, text, list(entities.values()), pairs, path)
 
 
@@ -209,15 +210,6 @@ class RawInstance:
     swapped: bool  # True when e2 appears before e1 in the text
 
 
-def _pair_label(pair: PairAnnotation) -> int:
-    if not pair.ddi:
-        return NEGATIVE_ID
-    if pair.type is None:
-        # interaction asserted with no further detail
-        return label_id("int")
-    return label_id(pair.type)
-
-
 def _layout(text: str, spans: list, placed: frozenset) -> tuple:
     """The tokens of `text` with DRUG-N on each mention in `placed` (on its
     first span; its later spans deleted), and the index of each DRUG-N."""
@@ -285,7 +277,7 @@ def generate_instances(records: Sequence[SentenceRecord]) -> list[RawInstance]:
                 tokens=tokens,
                 drug_a=drug_a,
                 drug_b=drug_b,
-                label=_pair_label(pair),
+                label=pair.label,
                 doc_id=s.doc_id,
                 sent_id=s.id,
                 pair_id=pair.id,

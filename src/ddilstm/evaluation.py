@@ -3,13 +3,16 @@
 The headline metric is micro-averaged detection+classification F1 over
 the four interaction classes pooled together: a positive prediction with
 the wrong class counts against both the predicted class (FP) and the
-gold class (FN). Instances removed by the negative filter are reinserted
-as predicted-Negative before scoring.
+gold class (FN). Instances removed by the negative filter count as
+predicted Negative: `evaluate` builds one confusion matrix whose rows are
+the scored gold labels then the filtered-out ones, and whose columns are
+the predictions then one Negative per filtered-out instance. Every score,
+support and count of the report it returns, which the `evaluate` command
+writes, comes from that matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,73 +28,44 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-@dataclass
-class EvalReport:
-    confusion: list[list[int]]
-    per_class: dict[str, dict[str, float]]
-    micro_p: float
-    micro_r: float
-    micro_f1: float
-    mavg: float
-    n_scored: int
-    n_filtered: int
-    n_filtered_positive: int
-    counts: dict[str, int] = field(default_factory=dict)
-
-
 def evaluate(gold: Sequence[int], predictions: Sequence[int],
-             filtered_out: Sequence[int] = ()) -> EvalReport:
-    """Score predictions against gold labels.
+             filtered_out: Sequence[int] = ()) -> dict:
+    """The JSON-ready scoring report of `predictions` against `gold`.
 
     `filtered_out` carries the gold labels of instances the negative
-    filter removed; they are scored as predicted Negative.
+    filter removed; each enters the confusion matrix as one more
+    predicted Negative.
     """
     if len(gold) != len(predictions):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(gold)} gold instances"
-        )
+        raise ValueError(f"{len(predictions)} predictions for {len(gold)} gold instances")
+    # row 0 the gold labels, row 1 the predictions, one column per instance
+    ids = np.array([[*gold, *filtered_out],
+                     [*predictions, *[NEGATIVE_ID] * len(filtered_out)]], dtype=int)
+    if ((ids < 0) | (ids >= NUM_CLASSES)).any():
+        raise ValueError(f"label id outside [0, {NUM_CLASSES})")
     cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
-    for g, p in zip(gold, predictions):
-        if not (0 <= g < NUM_CLASSES and 0 <= p < NUM_CLASSES):
-            raise ValueError(f"label pair ({g}, {p}) out of range")
-        cm[g, p] += 1
-    n_filtered_positive = 0
-    for g in filtered_out:
-        if not 0 <= g < NUM_CLASSES:
-            raise ValueError(f"filtered-out label {g} out of range")
-        if g != NEGATIVE_ID:
-            n_filtered_positive += 1
-        cm[g, NEGATIVE_ID] += 1
+    np.add.at(cm, tuple(ids), 1)
 
+    tp, support = cm.diagonal(), cm.sum(axis=1)
+    fp, fn = cm.sum(axis=0) - tp, support - tp
     per_class = {}
-    f1s = []
-    micro_tp = micro_fp = micro_fn = 0
     for c in POSITIVE_IDS:
-        tp = int(cm[c, c])
-        fp = int(cm[:, c].sum() - cm[c, c])
-        fn = int(cm[c, :].sum() - cm[c, c])
-        p, r, f1 = _prf(tp, fp, fn)
-        per_class[LABELS[c]] = {"p": p, "r": r, "f1": f1,
-                                "support": int(cm[c, :].sum())}
-        f1s.append(f1)
-        micro_tp += tp
-        micro_fp += fp
-        micro_fn += fn
-
-    micro_p, micro_r, micro_f1 = _prf(micro_tp, micro_fp, micro_fn)
-    counts = {LABELS[c]: int(cm[c, :].sum()) for c in range(NUM_CLASSES)}
-    return EvalReport(
-        confusion=cm.tolist(),
-        per_class=per_class,
-        micro_p=micro_p,
-        micro_r=micro_r,
-        micro_f1=micro_f1,
-        mavg=float(np.mean(f1s)),
-        n_scored=len(gold),
-        n_filtered=len(filtered_out),
-        n_filtered_positive=n_filtered_positive,
-        counts=counts,
-    )
+        p, r, f1 = _prf(int(tp[c]), int(fp[c]), int(fn[c]))
+        per_class[LABELS[c]] = {"p": p, "r": r, "f1": f1, "support": int(support[c])}
+    positive = list(POSITIVE_IDS)
+    micro_p, micro_r, micro_f1 = _prf(*(int(v[positive].sum()) for v in (tp, fp, fn)))
+    return {
+        "confusion": cm.tolist(),
+        "per_class": per_class,
+        "micro_p": micro_p,
+        "micro_r": micro_r,
+        "micro_f1": micro_f1,
+        "mavg": float(np.mean([v["f1"] for v in per_class.values()])),
+        "n_scored": len(gold),
+        "n_filtered": len(filtered_out),
+        "n_filtered_positive": int((ids[0, len(gold):] != NEGATIVE_ID).sum()),
+        "counts": {name: int(n) for name, n in zip(LABELS, support)},
+    }
 
 
 _CHI2_CRITICAL = ((10.828, "p<0.001"), (6.635, "p<0.01"), (3.841, "p<0.05"))

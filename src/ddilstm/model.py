@@ -286,10 +286,6 @@ def save_checkpoint(directory, params: ModelParams, cfg: ModelConfig,
         write_file(os.path.join(directory, fname), [payload])
 
 
-class CheckpointError(ValueError):
-    """A checkpoint whose manifest, vocabulary or parameter blob is malformed."""
-
-
 def _check_digest(manifest: dict, key: str, manifest_path, digest: str, named) -> None:
     """Refuse `named` unless `digest` is the manifest's `key`, present."""
     if key not in manifest:
@@ -312,60 +308,57 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, Vocabulary,
                                         PositionVocab]:
     """Rebuild a model bit-exactly from a checkpoint directory.
 
-    Any malformed manifest, vocabulary or blob raises CheckpointError
-    naming its file, as does a vocabulary, blob or config whose sha256 is
+    Any malformed manifest, vocabulary or blob raises ValueError naming
+    its file, as does a vocabulary, blob or config whose sha256 is
     not the manifest's, a blob holding NaN or Inf, or a checkpoint of an
     older layout; a missing or unreadable file raises OSError.
     """
     manifest_path, vocab_path, params_path = (
         os.path.join(directory, name) for name in (MANIFEST_FILE, VOCAB_FILE, PARAMS_FILE))
-    try:
-        manifest = json_document(manifest_path, {"config": dict, "params": list,
-                                                 "params_sha256": str})
-        check_fields(manifest["config"], get_type_hints(ModelConfig),
-                     f"{manifest_path}: config", closed=True)
-        for k, entry in enumerate(manifest["params"]):
-            check_fields(entry, {"name": str, "shape": list[int]},
-                         f"{manifest_path}: params[{k}]")
-        vocab_blob = json_document(vocab_path, {"words": list[str], "position_radius": int})
+    manifest = json_document(manifest_path, {"config": dict, "params": list,
+                                             "params_sha256": str})
+    check_fields(manifest["config"], get_type_hints(ModelConfig),
+                 f"{manifest_path}: config", closed=True)
+    for k, entry in enumerate(manifest["params"]):
+        check_fields(entry, {"name": str, "shape": list[int]},
+                     f"{manifest_path}: params[{k}]")
+    vocab_blob = json_document(vocab_path, {"words": list[str], "position_radius": int})
 
-        with _naming(f"{manifest_path}: config"):
-            cfg = ModelConfig(**manifest["config"])
-        words = vocab_blob["words"]
-        vocab = Vocabulary(words[1:])  # UNK is re-reserved by the constructor
-        if vocab.tokens() != words:
-            raise ValueError(f"{vocab_path}: words: not <unk> then distinct words; "
-                             "a checkpoint with a <pad> row must be retrained")
-        with _naming(f"{vocab_path}: position_radius"):
-            pv = PositionVocab(vocab_blob["position_radius"])
-        with open(vocab_path, "rb") as fh:
-            _check_digest(manifest, "vocab_sha256", manifest_path,
-                          hashlib.sha256(fh.read()).hexdigest(), vocab_path)
+    with _naming(f"{manifest_path}: config"):
+        cfg = ModelConfig(**manifest["config"])
+    words = vocab_blob["words"]
+    vocab = Vocabulary(words[1:])  # UNK is re-reserved by the constructor
+    if vocab.tokens() != words:
+        raise ValueError(f"{vocab_path}: words: not <unk> then distinct words; "
+                         "a checkpoint with a <pad> row must be retrained")
+    with _naming(f"{vocab_path}: position_radius"):
+        pv = PositionVocab(vocab_blob["position_radius"])
+    with open(vocab_path, "rb") as fh:
+        _check_digest(manifest, "vocab_sha256", manifest_path,
+                      hashlib.sha256(fh.read()).hexdigest(), vocab_path)
 
-        # the blob overwrites every parameter, so nothing is drawn
-        no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))
-        with _naming(manifest_path):
-            params = _assemble(cfg, len(vocab), len(pv), no_draws)
-        entries = params.named_parameters()
-        listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-        if [(n, p.data.shape) for n, p in entries] != listed:
-            raise ValueError(f"{manifest_path}: parameter list does not match this build")
+    # the blob overwrites every parameter, so nothing is drawn
+    no_draws = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size, "f4"))
+    with _naming(manifest_path):
+        params = _assemble(cfg, len(vocab), len(pv), no_draws)
+    entries = params.named_parameters()
+    listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+    if [(n, p.data.shape) for n, p in entries] != listed:
+        raise ValueError(f"{manifest_path}: parameter list does not match this build")
 
-        with open(params_path, "rb") as fh:
-            blob = fh.read()
-        if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
-            raise ValueError(f"{params_path}: does not match the manifest's sha256")
-        raw = np.frombuffer(blob, dtype="<f4")
-        expected = sum(p.data.size for _, p in entries)
-        if raw.size != expected:
-            raise ValueError(f"{params_path}: holds {raw.size} floats, "
-                             f"the manifest expects {expected}")
-        if not np.isfinite(raw).all():
-            raise ValueError(f"{params_path}: holds non-finite floats")
-        _check_digest(manifest, "config_sha256", manifest_path,
-                      json_sha256(manifest["config"]), f"{manifest_path}: config")
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+    with open(params_path, "rb") as fh:
+        blob = fh.read()
+    if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
+        raise ValueError(f"{params_path}: does not match the manifest's sha256")
+    raw = np.frombuffer(blob, dtype="<f4")
+    expected = sum(p.data.size for _, p in entries)
+    if raw.size != expected:
+        raise ValueError(f"{params_path}: holds {raw.size} floats, "
+                         f"the manifest expects {expected}")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{params_path}: holds non-finite floats")
+    _check_digest(manifest, "config_sha256", manifest_path,
+                  json_sha256(manifest["config"]), f"{manifest_path}: config")
     ends = np.cumsum([p.data.size for _, p in entries])[:-1]
     for (_, p), values in zip(entries, np.split(raw, ends)):
         p.data[...] = values.reshape(p.data.shape)

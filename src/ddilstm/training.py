@@ -160,7 +160,7 @@ def _heldout_metrics(params: ModelParams, mcfg: ModelConfig,
                      heldout: Sequence[InstanceFeatures]) -> tuple[float, float, float]:
     preds, _ = predict(params, mcfg, heldout)
     report = evaluation.evaluate([f.label for f in heldout], preds)
-    return report.micro_p, report.micro_r, report.micro_f1
+    return report["micro_p"], report["micro_r"], report["micro_f1"]
 
 
 def train(params: ModelParams, data: Sequence[InstanceFeatures],

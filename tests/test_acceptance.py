@@ -398,9 +398,9 @@ def test_criterion_09_exact_scores():
     advice, effect, negative = 0, 1, 4
     report = evaluate([advice, advice, effect, negative],
                       [advice, effect, effect, negative])
-    assert report.micro_p == 2 / 3
-    assert report.micro_r == 2 / 3
-    assert report.micro_f1 == 2 / 3
+    assert report["micro_p"] == 2 / 3
+    assert report["micro_r"] == 2 / 3
+    assert report["micro_f1"] == 2 / 3
     assert mcnemar(15, 5)[0] == 4.05
 
 

@@ -103,8 +103,10 @@ class TestPreprocess:
         assert str(path) in err and "no <document>" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("ddi,ptype", [("maybe", None), (True, "bogus"), (True, "negative")],
-                             ids=["ddi-maybe", "unknown-type", "interaction-typed-negative"])
+    @pytest.mark.parametrize("ddi,ptype", [
+        ("maybe", None), (True, "bogus"), (True, "negative"), (False, "bogus"),
+        (False, "effect")], ids=["ddi-maybe", "unknown-type", "interaction-typed-negative",
+                                  "negative-unknown-type", "negative-typed-interaction"])
     def test_bad_pair_names_file_and_pair(self, tmp_path, capsys, ddi, ptype):
         sid, text, entities, _ = THREE_DRUGS[0]
         path = tmp_path / "one.xml"
@@ -161,7 +163,10 @@ class TestPreprocess:
          "sentence d9.s0: entity d9.s0.e2: charOffset '41-47;43-45' overlaps itself"),
         ('<entity id="d9.s0.e1" charOffset="41-47" type="drug" text="heparin"/>',
          "sentence d9.s0: entity id 'd9.s0.e1' used twice"),
-    ], ids=["self-overlap", "duplicate-id"])
+        # heparin's offsets in Arabic-Indic digits
+        ('<entity id="d9.s0.e2" charOffset="\u0664\u0661-\u0664\u0667" type="drug" '
+         'text="heparin"/>', "sentence d9.s0: bad charOffset '\u0664\u0661-\u0664\u0667'"),
+    ], ids=["self-overlap", "duplicate-id", "non-ascii-digits"])
     def test_bad_entity_names_file_and_sentence(self, tmp_path, capsys, entity, error):
         path = tmp_path / "one.xml"
         path.write_text(
@@ -173,7 +178,7 @@ class TestPreprocess:
             f"    {entity}\n"
             '    <pair id="d9.s0.p0" e1="d9.s0.e0" e2="d9.s0.e1" ddi="false"/>\n'
             "  </sentence>\n"
-            "</document>\n")
+            "</document>\n", encoding="utf-8")
         out = tmp_path / "o.jsonl"
         code = main(["preprocess", "--corpus", str(path), "--out", str(out)])
         assert code == 1
@@ -301,6 +306,64 @@ class TestFilter:
         assert any('"label":  " Advise"' in line for line in expected)
         assert out.read_bytes() == "".join(expected).encode("utf-8")
         assert read_instances(out) == kept_instances(read_instances(src))
+
+
+class TestEvaluateReport:
+    def test_fixture_report_bytes(self, tmp_path):
+        """The reports `evaluate` writes for the fixture's test-mode instances,
+        pinned by sha256: three hand-written predictions files (gold copied,
+        all negative, and gold rotated one line so each pair takes the next
+        pair's label), each scored with and without the filter report and
+        with and without McNemar against the next file. No model is trained,
+        so no digest depends on the BLAS thread count."""
+        raw, gold = tmp_path / "raw.jsonl", tmp_path / "test.jsonl"
+        removed = tmp_path / "test.report.json"
+        assert main(["preprocess", "--corpus", FIXTURE, "--out", str(raw)]) == 0
+        assert main(["filter", "--instances", str(raw), "--out", str(gold),
+                     "--report", str(removed), "--mode", "test"]) == 0
+        instances = read_instances(gold)
+        labels = [label_name(inst.label) for inst in instances]
+        predicted = {"gold": labels, "negative": ["negative"] * len(labels),
+                     "rotated": labels[1:] + labels[:1]}
+        for name, column in predicted.items():
+            (tmp_path / f"{name}.jsonl").write_text("".join(
+                json.dumps({"pair_id": inst.pair_id, "label": label}) + "\n"
+                for inst, label in zip(instances, column)))
+        names = list(predicted)
+        digests = {}
+        for k, name in enumerate(names):
+            against = names[(k + 1) % len(names)]
+            for options in ([], ["--filter-report", str(removed)],
+                            ["--against", str(tmp_path / f"{against}.jsonl")],
+                            ["--filter-report", str(removed),
+                             "--against", str(tmp_path / f"{against}.jsonl")]):
+                out = tmp_path / "eval.json"
+                assert main(["evaluate", "--predictions", str(tmp_path / f"{name}.jsonl"),
+                             "--gold", str(gold), "--out", str(out), *options]) == 0
+                run = " ".join([name, *(o for o in options if o.startswith("--"))])
+                digests[run] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "gold": "c35624e073e53fa15e30623c0cc9553e7f796212d0a42f40dbb902148feab4d4",
+            "gold --filter-report":
+                "772f16828bb92b85b89fa7741ca129c62df8c30fa7b92f8609e8eb175cc122d8",
+            "gold --against": "cab2303debcdfbadf1e3526734a2d63ffa9fba99fa37bc3dc949875546843e7b",
+            "gold --filter-report --against":
+                "34c384a905193f8ccb3ec822e7597174269c7e0a08afcd651ef2761eba14c8ff",
+            "negative": "b7ef440df0e5e8ce34d75580d285ac87498480d9a9265388b01500c511ecbfde",
+            "negative --filter-report":
+                "a9664b4c900a81636ee2ec7380ac1979e513eb8a62e5db3a282a8c246d44cd8a",
+            "negative --against":
+                "a51d81455f2522cad167c2330a133f5136ab53e529879607b26421a21efea9dd",
+            "negative --filter-report --against":
+                "4f82bd3361c05c4e01d70746d4dae9a876ed5cdb62ebfe790388cbecfe07b3c7",
+            "rotated": "24d933c0b231ca9c94b5d56f2ef8202780a93d188457b2f6010451ad7ff7e81f",
+            "rotated --filter-report":
+                "8bfc90f4f54f45c8720c56b526bee5c0aa2528740ec89569bddd6c34c9da92f7",
+            "rotated --against":
+                "6089cd2a77a85dd975f0a9a0494fc23dc26d44742bd3724df6599bf506efa07a",
+            "rotated --filter-report --against":
+                "dcfff7a565dd21e182d8092cf0101083becb71920568eee2763db10b81cd6b39",
+        }
 
 
 @functools.cache

@@ -121,7 +121,7 @@ class TestParse:
         rec = records[0]
         assert rec.id == "d1.s0" and rec.doc_id == "d1"
         assert [e.text for e in rec.entities] == ["Aspirin", "warfarin"]
-        assert len(rec.pairs) == 1 and rec.pairs[0].ddi is False
+        assert len(rec.pairs) == 1 and rec.pairs[0].label == NEGATIVE_ID
 
     def test_discontinuous_offsets(self, tmp_path):
         path = tmp_path / "disc.xml"

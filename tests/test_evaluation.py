@@ -1,5 +1,7 @@
 """Challenge-style scoring, McNemar, and length statistics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,57 +16,91 @@ from ddilstm.evaluation import (
     mcnemar,
     write_attention_records,
 )
-from ddilstm.labels import LABELS, label_id
+from ddilstm.labels import LABELS, NEGATIVE_ID, NUM_CLASSES, POSITIVE_IDS, label_id
 
 A, E, M, I, NEG = (label_id(x) for x in LABELS)
+
+
+def _prf(tp, fp, fn):
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    return p, r, 2 * p * r / (p + r) if p + r else 0.0
+
+
+def reference_report(gold, predictions, filtered_out):
+    """The scoring report built pair by pair: each scored pair enters the
+    confusion matrix, then each filtered-out pair as predicted Negative."""
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
+    for g, p in zip(gold, predictions):
+        cm[g, p] += 1
+    for g in filtered_out:
+        cm[g, NEGATIVE_ID] += 1
+    per_class, f1s, micro = {}, [], [0, 0, 0]
+    for c in POSITIVE_IDS:
+        tp = int(cm[c, c])
+        fp = int(cm[:, c].sum() - cm[c, c])
+        fn = int(cm[c, :].sum() - cm[c, c])
+        p, r, f1 = _prf(tp, fp, fn)
+        per_class[LABELS[c]] = {"p": p, "r": r, "f1": f1, "support": int(cm[c, :].sum())}
+        f1s.append(f1)
+        micro = [micro[0] + tp, micro[1] + fp, micro[2] + fn]
+    micro_p, micro_r, micro_f1 = _prf(*micro)
+    return {
+        "confusion": cm.tolist(), "per_class": per_class,
+        "micro_p": micro_p, "micro_r": micro_r, "micro_f1": micro_f1,
+        "mavg": float(np.mean(f1s)), "n_scored": len(gold),
+        "n_filtered": len(filtered_out),
+        "n_filtered_positive": sum(g != NEGATIVE_ID for g in filtered_out),
+        "counts": {LABELS[c]: int(cm[c, :].sum()) for c in range(NUM_CLASSES)},
+    }
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         gold = [A, E, M, I, NEG]
         report = evaluate(gold, gold)
-        assert report.micro_f1 == 1.0
-        assert report.mavg == 1.0
-        assert all(v["f1"] == 1.0 for v in report.per_class.values())
+        assert report["micro_f1"] == 1.0
+        assert report["mavg"] == 1.0
+        assert all(v["f1"] == 1.0 for v in report["per_class"].values())
 
     def test_all_negative_predictions(self):
         gold = [A, E, NEG]
         report = evaluate(gold, [NEG, NEG, NEG])
-        assert report.micro_r == 0.0 and report.micro_f1 == 0.0
+        assert report["micro_r"] == 0.0 and report["micro_f1"] == 0.0
 
     def test_hand_confusion_example(self):
         gold = [A, A, E, NEG]
         pred = [A, E, E, NEG]
         report = evaluate(gold, pred)
-        advice = report.per_class["advice"]
-        effect = report.per_class["effect"]
+        advice = report["per_class"]["advice"]
+        effect = report["per_class"]["effect"]
         assert advice["p"] == 1.0 and advice["r"] == 0.5
         assert advice["f1"] == pytest.approx(2 / 3)
         assert effect["p"] == 0.5 and effect["r"] == 1.0
         assert effect["f1"] == pytest.approx(2 / 3)
-        assert report.micro_p == report.micro_r == report.micro_f1 == 2 / 3
+        assert report["micro_p"] == report["micro_r"] == report["micro_f1"] == 2 / 3
 
     def test_wrong_positive_class_counts_twice(self):
         # one instance, gold advice predicted effect: FP for effect, FN
         # for advice, zero TP anywhere
         report = evaluate([A], [E])
-        assert report.micro_p == 0.0 and report.micro_r == 0.0
+        assert report["micro_p"] == 0.0 and report["micro_r"] == 0.0
 
     def test_filtered_out_scored_as_negative(self):
         gold = [A]
         report = evaluate(gold, [A], filtered_out=[NEG, NEG, E])
-        assert report.n_filtered == 3
-        assert report.n_filtered_positive == 1
+        assert report["n_filtered"] == 3
+        assert report["n_filtered_positive"] == 1
         # the filtered-out effect instance is a miss
-        assert report.per_class["effect"]["r"] == 0.0
-        assert report.confusion[NEG][NEG] == 2
+        assert report["per_class"]["effect"]["r"] == 0.0
+        assert report["confusion"][NEG][NEG] == 2
 
     def test_reinserting_gold_negatives_never_hurts_precision(self):
         gold = [A, E, NEG]
         pred = [A, A, NEG]
         base = evaluate(gold, pred)
         more = evaluate(gold, pred, filtered_out=[NEG] * 50)
-        assert more.micro_p >= base.micro_p
+        assert more["micro_p"] >= base["micro_p"]
 
     def test_alignment_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,8 +110,8 @@ class TestEvaluate:
         gold = [A, A, E, M, I, NEG, NEG]
         pred = [A, E, E, M, NEG, NEG, A]
         report = evaluate(gold, pred)
-        f1s = [report.per_class[LABELS[c]]["f1"] for c in (A, E, M, I)]
-        assert report.mavg == pytest.approx(float(np.mean(f1s)), abs=1e-12)
+        f1s = [report["per_class"][LABELS[c]]["f1"] for c in (A, E, M, I)]
+        assert report["mavg"] == pytest.approx(float(np.mean(f1s)), abs=1e-12)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=40),
@@ -88,8 +124,28 @@ class TestEvaluate:
         shuffled = pairs[:]
         rnd.shuffle(shuffled)
         again = evaluate([g for g, _ in shuffled], [p for _, p in shuffled])
-        assert base.micro_f1 == again.micro_f1
-        assert base.confusion == again.confusion
+        assert base["micro_f1"] == again["micro_f1"]
+        assert base["confusion"] == again["confusion"]
+
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=60),
+           st.lists(st.integers(0, 4), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_report_is_the_pairwise_reference(self, pairs, filtered_out):
+        """The whole report, key order and float digits included, is the one
+        built pair by pair, for any labels, empty lists included."""
+        gold = [g for g, _ in pairs]
+        pred = [p for _, p in pairs]
+        # default=vars also serializes a report held as a dataclass
+        assert (json.dumps(evaluate(gold, pred, filtered_out), indent=1, default=vars)
+                == json.dumps(reference_report(gold, pred, filtered_out), indent=1))
+
+    @pytest.mark.parametrize("gold,pred,filtered_out", [
+        ([A, 5], [A, A], []), ([A], [-1], []), ([A], [A], [NEG, 5])],
+        ids=["gold", "prediction", "filtered-out"])
+    def test_label_out_of_range_rejected(self, gold, pred, filtered_out):
+        with pytest.raises(ValueError, match="out"):
+            evaluate(gold, pred, filtered_out)
 
 
 class TestMcNemar:
@@ -175,8 +231,6 @@ class TestHelpers:
         assert correctness([A, E], [A, NEG]) == [True, False]
 
     def test_attention_export_schema(self, tmp_path):
-        import json
-
         inst = _inst(4, 2)
         path = tmp_path / "attention.jsonl"
         write_attention_records(path, [(inst, [0.1, 0.2, 0.3, 0.4])])
