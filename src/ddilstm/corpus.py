@@ -8,9 +8,10 @@ other drug mention becomes DRUG-N, digits collapse to the DG token and
 everything else is lowercased and split on punctuation.
 
 An instance file holds one JSON record per line (`write_instances`).
-`read_instances` decodes and checks every line; `read_instance_lines` also
-gives each record's line text, stripped, which `filter` writes back for the
-records it keeps, so no kept record is encoded a second time.
+`read_instances` decodes and checks every line, raising a ValueError that
+names the first bad one; `read_instance_lines` also gives each record's
+line text, stripped, which `filter` writes back for the records it keeps,
+so no kept record is encoded a second time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class EntityMention:
     id: str
     spans: list[tuple[int, int]]  # inclusive character offsets, in text order
     text: str
-    type: str
 
     @property
     def start(self) -> int:
@@ -111,7 +111,7 @@ def _parse_sentence(sent: ET.Element, doc_id: str, path: str) -> SentenceRecord:
                 raise CorpusError(
                     f"sentence {sid}: offset {start}-{end} outside text"
                 )
-        entities[eid] = EntityMention(eid, spans, ent.get("text", ""), ent.get("type", ""))
+        entities[eid] = EntityMention(eid, spans, ent.get("text", ""))
     pairs = []
     for pair in sent.findall("pair"):
         pid = pair.get("id", "")
@@ -303,22 +303,18 @@ _RECORD_TYPES = {**get_type_hints(RawInstance), "label": str}
 
 def read_instance_lines(path) -> tuple[list[str], list[RawInstance]]:
     """(texts, records) of an instance file: the text of each record's line
-    stripped of surrounding whitespace, and the record checked from it;
-    CorpusError names a malformed line."""
+    stripped of surrounding whitespace, and the record checked from it; a
+    ValueError names the first malformed line."""
     texts, out = [], []
-    try:
-        for where, text, rec in json_lines(path, "instance record", _RECORD_TYPES,
-                                           closed=True):
-            if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
-                raise ValueError(f"{where}: drug indices out of order or outside the sentence")
-            rec["label"] = label_id(rec["label"], where)
-            texts.append(text)
-            out.append(RawInstance(**rec))
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from None
+    for where, text, rec in json_lines(path, "instance record", _RECORD_TYPES, closed=True):
+        if not 0 <= rec["drug_a"] < rec["drug_b"] < len(rec["tokens"]):
+            raise ValueError(f"{where}: drug indices out of order or outside the sentence")
+        rec["label"] = label_id(rec["label"], where)
+        texts.append(text)
+        out.append(RawInstance(**rec))
     return texts, out
 
 
 def read_instances(path) -> list[RawInstance]:
-    """The records of an instance file; CorpusError names a malformed line."""
+    """The records of an instance file, as `read_instance_lines` checks them."""
     return read_instance_lines(path)[1]

@@ -100,8 +100,9 @@ def random_table(size: int, dim: int, rng: np.random.Generator,
 class InstanceFeatures:
     """Id sequences for one (sentence, drug pair) instance.
 
-    `featurize` fills the three with equal-length int32 views of its flat
-    arrays; `collate` also takes plain lists.
+    `featurize`, their one maker, fills the three with int32 views of one
+    slice of its flat arrays, at least 2 tokens long (the instance's two
+    drugs); `collate` also takes plain lists.
     """
 
     word_ids: Sequence[int]
@@ -112,13 +113,6 @@ class InstanceFeatures:
     @property
     def length(self) -> int:
         return len(self.word_ids)
-
-    def __post_init__(self):
-        m = len(self.word_ids)
-        if m < 1:
-            raise ValueError("instance must have at least one token")
-        if len(self.p1_ids) != m or len(self.p2_ids) != m:
-            raise ValueError("feature sequences must share one length")
 
 
 def featurize(instances: Sequence, vocab: Vocabulary,
@@ -190,7 +184,7 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
     table = random_table(len(vocab), dim, rng, "embed.word")
     first = {}  # the line of each in-vocabulary token read
     for lineno, line in text_lines(path):
-        token, *values = line.split()
+        token, *values = line.split() or [""]  # a line of other whitespace has no fields
         if len(values) != dim:
             raise ValueError(f"{path}:{lineno}: expected {dim} floats, got {len(values)}")
         if token in vocab:

@@ -15,11 +15,12 @@ _decode = json.JSONDecoder().raw_decode
 
 
 def text_lines(path):
-    """(line number, line) for each non-blank line of a UTF-8 text file."""
+    """(line number, line) for each non-blank line of a UTF-8 text file: each
+    line holding more than JSON whitespace (space, tab, CR, LF)."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.isspace():  # a line read from a file is never ""
+                if line.strip(" \t\n\r"):
                     yield lineno, line
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -366,6 +366,31 @@ class TestEvaluateReport:
         }
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\x85", "\x1c", "\v", "\f"])
+@pytest.mark.parametrize("command", ["filter", "evaluate"])
+def test_line_of_other_whitespace_is_refused(tmp_path, capsys, command, space):
+    """A line of whitespace that JSON does not count as such is no blank
+    line: filter's instances and evaluate's predictions refuse it, naming
+    the file and line, and the command writes nothing."""
+    gold = tmp_path / "gold.jsonl"
+    gold.write_bytes(_fixture_instance_bytes())
+    preds = tmp_path / "preds.jsonl"
+    _write_predictions(preds, gold)
+    bad = gold if command == "filter" else preds
+    n_lines = len(bad.read_bytes().splitlines())
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write(space + "\n")
+    before = _tree(tmp_path)
+    argv = (["filter", "--instances", str(gold), "--report", str(tmp_path / "report.json")]
+            if command == "filter" else
+            ["evaluate", "--predictions", str(preds), "--gold", str(gold)])
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = assert_one_error_line(capsys)
+    assert err.startswith(f"error: {bad}:{n_lines + 1}: bad "), err
+    assert "malformed JSON" in err
+    assert _tree(tmp_path) == before
+
+
 @functools.cache
 def _fixture_instance_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:

@@ -409,7 +409,7 @@ class TestInstances:
     def test_bad_instance_file(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"tokens": ["x"]}\n')
-        with pytest.raises(CorpusError, match="broken.jsonl:1"):
+        with pytest.raises(ValueError, match="broken.jsonl:1"):
             read_instances(path)
 
 

@@ -175,6 +175,26 @@ class TestFeaturizeFile:
             assert f.p2_ids.tolist() == p2
             assert f.label == inst.label
 
+    @given(instance_files(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_result_fits_its_instance(self, instances, data):
+        """What InstanceFeatures no longer checks, `featurize` holds: three
+        id arrays of the instance's length, at least 2, and its label; and
+        `collate` of any subset, in any order, joins those ids."""
+        feats = featurize(instances, build_vocab([WORDS[::2]]), PositionVocab(5))
+        for inst, f in zip(instances, feats, strict=True):
+            assert len(f.word_ids) == len(f.p1_ids) == len(f.p2_ids) == len(inst.tokens) >= 2
+            assert f.length == len(inst.tokens)
+            assert f.label == inst.label
+        picked = data.draw(st.lists(st.sampled_from(range(len(feats))), min_size=1,
+                                    unique=True))
+        batch = collate([feats[k] for k in picked])
+        for name in ("word_ids", "p1_ids", "p2_ids"):
+            np.testing.assert_array_equal(
+                getattr(batch, name), np.concatenate([getattr(feats[k], name) for k in picked]))
+        assert batch.lengths.tolist() == [len(instances[k].tokens) for k in picked]
+        assert batch.labels.tolist() == [instances[k].label for k in picked]
+
     def test_empty_file(self):
         assert featurize([], build_vocab([["a"]]), PositionVocab(3)) == []
 
@@ -268,6 +288,15 @@ class TestWordVectors:
         path.write_text(f"fine 0.1 0.2\ndrug 0.1 {value}\n")
         vocab = build_vocab([["drug", "fine"]])
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite float"):
+            load_word_vectors(path, vocab, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\x85", "\x1c", "\v", "\f"])
+    def test_line_of_other_whitespace_has_no_fields(self, tmp_path, space):
+        """Only spaces, tabs, CR and LF make a blank line."""
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"drug 0.1 0.2\n \t\n{space}\n", encoding="utf-8")
+        vocab = build_vocab([["drug"]])
+        with pytest.raises(ValueError, match=r"^\S*vecs\.txt:3: expected 2 floats, got 0$"):
             load_word_vectors(path, vocab, 2, np.random.default_rng(0))
 
     def test_repeated_vocabulary_token_names_both_lines(self, tmp_path):

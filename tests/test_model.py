@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import featurize_one, make_synthetic_instances
+from conftest import featurize_one, make_synthetic_instances, raw_instance
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     PositionVocab,
@@ -17,6 +17,7 @@ from ddilstm.features import (
 )
 from ddilstm.model import (
     MAX_PARAMS,
+    PREDICT_CHUNK,
     VARIANTS,
     ModelConfig,
     build_model,
@@ -199,6 +200,69 @@ class TestBatch:
         assert [len(a) for a in alphas] == [f.length for f in feats]
         monkeypatch.setattr(model_mod, "PREDICT_CHUNK", 3)
         assert predict(params, cfg, feats) == (preds, alphas)
+
+
+def generated_instances(n: int, seed: int) -> list:
+    """`n` instances of 2-12 tokens drawn from 40 words, drugs anywhere."""
+    rng, words = np.random.default_rng(seed), [f"w{i}" for i in range(40)]
+    out = []
+    for k in range(n):
+        m = int(rng.integers(2, 13))
+        a, b = sorted(rng.choice(m, 2, replace=False).tolist())
+        out.append(raw_instance(rng.choice(words, m).tolist(), a, b,
+                                label=int(rng.integers(NUM_CLASSES)), pair_id=f"g.s{k}.p0"))
+    return out
+
+
+class TestPredictRelations:
+    """Metamorphic relations of `predict` at each variant's default sizes,
+    over more than PREDICT_CHUNK instances: reordering the instances
+    reorders the predictions, and both copies of a duplicated instance
+    get the same prediction and attention weights, wherever the chunk
+    boundaries fall.
+
+    The attention weights agree within one float32 ulp, not bit for bit:
+    an instance's rows sit at other row offsets, in a chunk of another
+    row count, once the instances move, and OpenBLAS picks its GEMM
+    kernel and blocking by the row count. Here the second copy of one
+    joint instance gets weights one ulp off the first's; no prediction
+    moves."""
+
+    N = PREDICT_CHUNK + 57
+
+    @pytest.fixture(scope="class")
+    def feats(self):
+        insts = generated_instances(self.N, seed=1)
+        vocab = build_vocab([i.tokens for i in insts])
+        return featurize(insts, vocab, PositionVocab(50)), len(vocab)
+
+    def _predict(self, variant, feats, order):
+        feats, vocab_size = feats
+        cfg = default_config(variant)
+        params = build_model(cfg, vocab_size, 101, seed=3)
+        return predict(params, cfg, [feats[k] for k in order])
+
+    @staticmethod
+    def _assert_same_weights(got, expected):
+        for a, b in zip(got, expected, strict=True):
+            if b is not None:
+                np.testing.assert_array_max_ulp(np.float32(a), np.float32(b), maxulp=1)
+            else:
+                assert a is None
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_reordered_instances(self, variant, feats):
+        order = np.random.default_rng(2).permutation(self.N)
+        preds, alphas = self._predict(variant, feats, range(self.N))
+        got, got_alphas = self._predict(variant, feats, order)
+        assert got == [preds[k] for k in order]
+        self._assert_same_weights(got_alphas, [alphas[k] for k in order])
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_duplicated_instances(self, variant, feats):
+        preds, alphas = self._predict(variant, feats, [*range(self.N), *range(self.N)])
+        assert preds[:self.N] == preds[self.N:]
+        self._assert_same_weights(alphas[self.N:], alphas[:self.N])
 
 
 class TestParameterCount:
