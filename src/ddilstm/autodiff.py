@@ -6,7 +6,8 @@ that requires it. There are no generic ops: each layer (the embedding
 lookup, a BiLSTM stack, a pooling, the output layer, the loss) is one
 fused op that its module records through :func:`record_op`, and every
 backward returns a fresh array per input, so no gradient is copied.
-`softmax` is a plain float64 helper that records nothing.
+`softmax` is a plain float64 helper that records nothing. No op checks
+the packed layout it reads: `features.collate` decided it once.
 
 No broadcasting: any shape disagreement raises :class:`ShapeMismatch`.
 `record_op` checks each op's output for NaN/Inf, taped or not, and
@@ -159,24 +160,6 @@ def _apply(rec: _Record) -> None:
     for tensor, grad in zip(rec.inputs, rec.backward(rec.out.grad)):
         if grad is not None and tensor.requires_grad:
             tensor.accumulate(grad)
-
-
-def segment_starts(lengths, packed: np.ndarray) -> np.ndarray:
-    """Start rows of the sentences of a packed (T, k) array, one sentence's
-    rows after another's. `lengths` must be 1-D integers >= 1 that sum to
-    T: `np.add.reduceat` would give an empty sentence its neighbour's row.
-    """
-    if packed.ndim != 2:
-        raise ShapeMismatch(f"expected a packed (T, k) array, got {packed.shape}")
-    lengths = np.asarray(lengths)
-    if lengths.ndim != 1 or not lengths.size or lengths.dtype.kind not in "iu":
-        raise ValueError(f"lengths must be a non-empty 1-D integer array, "
-                         f"got {lengths.dtype} of shape {lengths.shape}")
-    if lengths.min() < 1:
-        raise ValueError("empty sequence: every length must be >= 1")
-    if lengths.sum() != len(packed):
-        raise ValueError(f"lengths sum to {lengths.sum()}, input has {len(packed)} rows")
-    return np.cumsum(lengths) - lengths
 
 
 def record_op(name: str, out: Tensor, inputs: Sequence[Tensor],

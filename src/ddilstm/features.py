@@ -5,7 +5,8 @@ word itself and its signed distances to the two target drug mentions.
 `featurize` encodes a whole instance file as three flat id arrays (one
 dict pass for the words, one clip for both distances) and gives each
 instance views of its slice. `collate` packs instances end to end, with
-no padding; `embed` concatenates each token's three embedding rows.
+no padding, and decides the batch's layout once for every op; `embed`
+concatenates each token's three embedding rows.
 """
 
 from __future__ import annotations
@@ -150,26 +151,44 @@ def featurize(instances: Sequence, vocab: Vocabulary,
 @dataclass
 class Batch:
     """Instances packed end to end: flat (T,) id arrays, one instance's
-    tokens after another's, T the sum of the B `lengths`; the B labels."""
+    tokens after another's from its row `starts[i]`, T the sum of the B
+    `lengths`, each at least 1; the B labels. The step-major schedule:
+    `steps[t]` holds token t of each instance longer than t, longest
+    first, ties in batch order; `forward` and `backward` give the row of
+    each step position, reading each instance first to last and last to first."""
 
     word_ids: np.ndarray
     p1_ids: np.ndarray
     p2_ids: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
+    starts: np.ndarray
+    steps: list[slice]
+    forward: np.ndarray
+    backward: np.ndarray
 
 
 def collate(feats: Sequence[InstanceFeatures]) -> Batch:
-    """Concatenate the instances' ids, in the order given."""
+    """Concatenate the instances' ids, in the order given, and lay out
+    the batch: the one place its lengths are checked."""
     if not feats:
         raise ValueError("collate needs at least one instance")
+    lengths = np.array([f.length for f in feats])
+    if lengths.min() < 1:
+        raise ValueError("empty sequence: every instance needs a token")
 
     def ids(attr):
         return np.concatenate([getattr(f, attr) for f in feats], dtype=np.int64)
 
-    return Batch(ids("word_ids"), ids("p1_ids"), ids("p2_ids"),
-                 np.array([f.length for f in feats]),
-                 np.array([f.label for f in feats]))
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    # step t holds token t of each of the first n_t instances in that order
+    t_idx, r_idx = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    bounds = [0, *np.cumsum(np.bincount(t_idx)).tolist()]
+    return Batch(ids("word_ids"), ids("p1_ids"), ids("p2_ids"), lengths,
+                 np.array([f.label for f in feats]), starts,
+                 [slice(a, z) for a, z in zip(bounds, bounds[1:])],
+                 starts[order][r_idx] + t_idx, (starts + lengths - 1)[order][r_idx] - t_idx)
 
 
 def load_word_vectors(path, vocab: Vocabulary, dim: int,

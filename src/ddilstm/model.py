@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 from typing import Optional, Sequence, get_type_hints
 
@@ -84,10 +84,9 @@ class ModelConfig:
 
 
 def default_config(variant: str) -> ModelConfig:
-    """ModelConfig with the variant's defaults (`VARIANTS`)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return ModelConfig(variant=variant, **VARIANTS[variant][1])
+    """ModelConfig with the variant's defaults (`VARIANTS`); ModelConfig
+    refuses an unknown variant."""
+    return replace(ModelConfig(variant=variant), **VARIANTS[variant][1])
 
 
 def _uniform(rng: np.random.Generator, shape, name: str) -> Parameter:
@@ -212,21 +211,20 @@ def scores(params: ModelParams, cfg: ModelConfig, batch: Batch,
     stream and keep_prob < 1, drawing one (B, width) block in batch order;
     without a stream (inference) or at keep_prob == 1 they are bit-identical.
     """
-    lengths = batch.lengths
     X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
 
     alpha, pooled = None, []
     for stack, pooling in zip(params.stacks, cfg.poolings):
-        h = bilstm_forward(stack, X, lengths)
+        h = bilstm_forward(stack, X, batch)
         if pooling == "max":
-            pooled.append(max_pool(h, lengths))
+            pooled.append(max_pool(h, batch))
         else:
-            z_att, alpha = attentive_pool(h, params.w_a, lengths)
+            z_att, alpha = attentive_pool(h, params.w_a, batch)
             pooled.append(z_att)
 
     drop = None
     if dropout_rng is not None and cfg.keep_prob < 1.0:
-        keep = dropout_rng.random((len(lengths), cfg.pooled_width)) < cfg.keep_prob
+        keep = dropout_rng.random((len(batch.lengths), cfg.pooled_width)) < cfg.keep_prob
         # inverted scaling: inference needs no correction
         drop = (keep / cfg.keep_prob).astype(pooled[0].data.dtype)
 
@@ -255,7 +253,7 @@ def predict(params: ModelParams, cfg: ModelConfig,
         s, alpha = scores(params, cfg, batch)
         preds += np.argmax(s.data, axis=1).tolist()
         alphas += ([None] * len(s.data) if alpha is None else [
-            a.tolist() for a in np.split(alpha.data, np.cumsum(batch.lengths)[:-1])])
+            a.tolist() for a in np.split(alpha.data, batch.starts[1:])])
     return preds, alphas
 
 

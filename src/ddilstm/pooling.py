@@ -1,8 +1,9 @@
 """Collapse per-token encoder outputs into one fixed-length feature.
 
 Both poolings read a packed (T, k) batch, the B sentences' rows one
-sentence after another, and reduce each sentence's own rows to one row
-of a (B, k) result in one tape op. Max pooling keeps the per-dimension
+sentence after another, where the `features.Batch` that `collate` laid
+out says, and reduce each sentence's own rows to one row of a (B, k)
+result in one tape op. Max pooling keeps the per-dimension
 maximum (`np.maximum.reduce`); attentive pooling computes softmax
 weights from tanh-squashed features and returns the weighted sum (one
 product `alpha @ z` per sentence) together with the weights themselves
@@ -13,24 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, record_op, segment_starts
+from .autodiff import Tensor, record_op
+from .features import Batch
 
 
-def max_pool(Z: Tensor, lengths) -> Tensor:
+def max_pool(Z: Tensor, batch: Batch) -> Tensor:
     """Per-dimension maximum over each sentence's rows: (T, k) to (B, k).
 
     Gradient flows only to the winning row of each dimension, first
     occurrence on ties, so training stays deterministic. The winners are
     found only when a gradient arrives.
     """
-    z = Z.data
-    starts = segment_starts(lengths, z)
-    peak = np.stack([np.maximum.reduce(z[a:e]) for a, e in zip(starts, starts + lengths)])
+    z, bounds = Z.data, list(zip(batch.starts, batch.starts + batch.lengths))
+    peak = np.stack([np.maximum.reduce(z[a:e]) for a, e in bounds])
 
     def grad_fn(g):
         # each sentence's first winning row of each dimension
-        winners = np.stack([a + z[a:e].argmax(axis=0)
-                            for a, e in zip(starts, starts + lengths)])
+        winners = np.stack([a + z[a:e].argmax(axis=0) for a, e in bounds])
         dz = np.zeros(z.shape, dtype=g.dtype)
         dz[winners, np.arange(z.shape[1])] = g
         return (dz,)
@@ -38,7 +38,7 @@ def max_pool(Z: Tensor, lengths) -> Tensor:
     return record_op("max_pool", Tensor(peak), (Z,), grad_fn)
 
 
-def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
+def attentive_pool(Z: Tensor, w_a: Tensor, batch: Batch) -> tuple[Tensor, Tensor]:
     """Softmax-weighted sum over each sentence's rows; returns (pooled,
     weights).
 
@@ -48,7 +48,7 @@ def attentive_pool(Z: Tensor, w_a: Tensor, lengths) -> tuple[Tensor, Tensor]:
     carry no gradient; the pooled vector is one fused tape op.
     """
     z, w_data = Z.data, w_a.data
-    starts = segment_starts(lengths, z)
+    starts, lengths = batch.starts, batch.lengths
     s = (np.tanh(z) @ w_data).astype(np.float64)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), lengths))
     alpha64 = e / np.repeat(np.add.reduceat(e, starts), lengths)

@@ -7,9 +7,9 @@ One step computes the usual gated update
     c       = c_prev * f + g * i
     h       = tanh(c) * o
 
-The encoder reads a packed (T, d) batch, one sentence's tokens after
-another's. Sentences step longest first, so the n_t still running at step t
-are a prefix: the active batch shrinks as short ones end. One flat index per
+The encoder reads a packed (T, d) batch in the schedule `collate` laid out.
+Sentences step longest first, so the n_t still running at step t are a
+prefix: the active batch shrinks as short ones end. One flat index per
 direction gathers each step's tokens and scatters the states into its half
 of the (T, 2N) output; the backward cell reads each sentence last to first.
 X U^T is one GEMM before the time loop; the steps multiply by a contiguous
@@ -17,17 +17,18 @@ W^T, copied once per call, several times faster than the transposed view for
 few rows. As sigmoid(v) = (1 + tanh(v / 2)) / 2, those copies of U and W
 and of b have their i, f and o rows halved, which is exact, so one in-place
 tanh over a step's (n_t, 4N) block makes all four gates, bit for bit; c and
-h go straight into the rows BPTT keeps. BPTT keeps only the gate
-activations and cell states, sweeps one direction and frees them before
-the other, and gathers the inputs and previous states again for its
-closing GEMMs for dU, dW and dX, by the unscaled U and W.
+h go straight into the rows BPTT keeps. `_bptt`, one direction a call like
+`_run`, keeps only the gate activations and cell states, frees them before
+the other direction, and gathers the inputs and previous states again for
+its closing GEMMs for dU, dW and dX, by the unscaled U and W.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, record_op, segment_starts
+from .autodiff import Parameter, Tensor, record_op
+from .features import Batch
 
 
 class LstmParams:
@@ -119,8 +120,32 @@ def _run(p: LstmParams, x: np.ndarray, flat, steps, states: np.ndarray):
     return act, cs
 
 
-def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
-    """Encode a packed (T, d) batch of sentences with the given lengths
+def _bptt(p: LstmParams, x: np.ndarray, flat, shift: int, steps, states: np.ndarray,
+          dh: np.ndarray, saved: list) -> list[np.ndarray]:
+    """One direction's BPTT from the gradients dh at its states, on what its
+    `_run` kept, popped from `saved`; returns those of x, U, W, b, h0, c0."""
+    act, cs = saved.pop()
+    dh_out = dh[flat]
+    dh_next, dc_next = np.zeros((2, steps[0].stop, p.W.data.shape[1]), dtype=dh.dtype)
+    for k in reversed(range(len(steps))):
+        s, m = steps[k], steps[k].stop - steps[k].start
+        c_prev = cs[steps[k - 1]][:m] if k else p.c0.data
+        act[s], dc_next[:m] = _cell_grads(act[s], c_prev, cs[s],
+                                          dh_out[s] + dh_next[:m], dc_next[:m])
+        dh_next[:m] = act[s] @ p.W.data
+    del cs, dh_out  # freed before the gathers below
+    dx = np.empty(x.shape, dtype=dh.dtype)
+    dx[flat] = act @ p.U.data
+    # the inputs and the previous states are gathered again; the first
+    # step's rows, clipped, read h0
+    h_prev = states[(flat + shift).clip(0, len(x) - 1)]
+    h_prev[:steps[0].stop] = p.h0.data
+    return [dx, act.T @ x[flat], act.T @ h_prev, act.sum(axis=0),
+            dh_next.sum(axis=0), dc_next.sum(axis=0)]
+
+
+def bilstm_forward(stack: BiLstmStack, X: Tensor, batch: Batch) -> Tensor:
+    """Encode a packed (T, d) batch of sentences, laid out by `collate`,
     into (T, 2N) per-token features in one tape op: the forward cell's
     states on the left, the backward cell's on the right.
 
@@ -128,45 +153,19 @@ def bilstm_forward(stack: BiLstmStack, X: Tensor, lengths) -> Tensor:
     identically whatever it is packed beside.
     """
     x = X.data
-    starts = segment_starts(lengths, x)
-    lengths = np.asarray(lengths)
-    order = np.argsort(-lengths, kind="stable")
-    sorted_len = lengths[order]
-    # step-major: step t holds token t of each of the first n_t sorted sentences
-    t_idx, r_idx = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len)
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(t_idx))])
-    steps = [slice(a, z) for a, z in zip(bounds[:-1], bounds[1:])]
     n = stack.fwd.W.data.shape[1]
     # per direction: cell, rows in step order, shift to the previous state, half
-    directions = ((stack.fwd, starts[order][r_idx] + t_idx, -1, slice(0, n)),
-                  (stack.bwd, (starts + lengths - 1)[order][r_idx] - t_idx, 1,
-                   slice(n, 2 * n)))
+    directions = ((stack.fwd, batch.forward, -1, slice(0, n)),
+                  (stack.bwd, batch.backward, 1, slice(n, 2 * n)))
     out = np.empty((len(x), 2 * n), dtype=np.result_type(x, stack.fwd.U.data))
-    saved = [_run(cell, x, flat, steps, out[:, half]) for cell, flat, _, half in directions]
+    saved = [_run(cell, x, flat, batch.steps, out[:, half])
+             for cell, flat, _, half in directions]
 
     def grad_fn(g):
         # the backward direction first: X receives its gradients in that order
-        grads = []
-        for cell, flat, shift, half in reversed(directions):
-            act, cs = saved.pop()
-            dh_out = g[flat, half]
-            dh_next, dc_next = np.zeros((2, len(order), n), dtype=g.dtype)
-            for k in reversed(range(len(steps))):
-                s, m = steps[k], steps[k].stop - steps[k].start
-                c_prev = cs[steps[k - 1]][:m] if k else cell.c0.data
-                act[s], dc_next[:m] = _cell_grads(act[s], c_prev, cs[s],
-                                                  dh_out[s] + dh_next[:m], dc_next[:m])
-                dh_next[:m] = act[s] @ cell.W.data
-            del cs, dh_out  # freed before the gathers below
-            dx = np.empty(x.shape, dtype=g.dtype)
-            dx[flat] = act @ cell.U.data
-            # the inputs and the previous states are gathered again; the
-            # first step's rows, clipped, read h0
-            h_prev = out[(flat + shift).clip(0, len(x) - 1), half]
-            h_prev[:len(order)] = cell.h0.data
-            grads += [dx, act.T @ x[flat], act.T @ h_prev, act.sum(axis=0),
-                      dh_next.sum(axis=0), dc_next.sum(axis=0)]
-        return grads
+        return [d for cell, flat, shift, half in reversed(directions)
+                for d in _bptt(cell, x, flat, shift, batch.steps, out[:, half], g[:, half],
+                               saved)]
 
     inputs = [t for cell in (stack.bwd, stack.fwd) for t in (X, *cell.parameters())]
     return record_op("bilstm_forward", Tensor(out), inputs, grad_fn)

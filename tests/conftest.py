@@ -16,7 +16,7 @@ from hypothesis import settings
 
 from ddilstm import autodiff as ad
 from ddilstm.corpus import DRUG_A, DRUG_B, RawInstance
-from ddilstm.features import featurize
+from ddilstm.features import Batch, InstanceFeatures, collate, featurize
 from ddilstm.filtering import apply_filters
 from ddilstm.labels import LABELS, label_id
 from ddilstm.model import output_layer
@@ -121,6 +121,12 @@ def head(x, labels):
     w = ad.Tensor(np.random.default_rng(99).normal(size=(width, 5)))
     return softmax_cross_entropy(output_layer(pooled, None, w, ad.Tensor(np.zeros(5))),
                                  labels)
+
+
+def batch_of(lengths) -> Batch:
+    """The batch that `collate` lays out for instances of these lengths,
+    every id 0: what an op that reads a packed (T, k) array is given."""
+    return collate([InstanceFeatures([0] * m, [0] * m, [0] * m, 0) for m in lengths])
 
 
 def attention_vector(width, rng):

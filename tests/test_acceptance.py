@@ -18,6 +18,7 @@ import pytest
 from conftest import EPS as FD_STEP
 from conftest import (
     attention_vector,
+    batch_of,
     check_grads,
     featurize_one,
     finite_difference,
@@ -32,7 +33,7 @@ from ddilstm.cli import main
 from ddilstm.corpus import generate_instances, parse_corpus, write_instances
 from ddilstm.evaluation import evaluate, mcnemar
 from ddilstm.features import (
-    Batch,
+    InstanceFeatures,
     PositionVocab,
     build_vocab,
     collate,
@@ -119,16 +120,15 @@ def test_criterion_01_gradients_vs_finite_differences():
         # the embedding lookup, with a row picked twice
         tables = [ad.Parameter(rng.normal(size=(3, k)), name=f"embed.t{k}")
                   for k in (2, 1, 1)]
-        ids = Batch(np.array([0, 0, 2]), np.array([1, 2, 1]), np.array([2, 2, 0]),
-                    np.array([3]), np.array([0]))
+        ids = collate([InstanceFeatures([0, 0, 2], [1, 2, 1], [2, 2, 0], 0)])
         check_grads(lambda: head(embed(ids, *tables), labels), tables)
 
         # packed batches: each sentence's rows follow the previous sentence's
         Z = ad.Tensor(rng.normal(size=(9, 4)), requires_grad=True)
-        z_lengths = np.array([3, 5, 1])
-        check_grads(lambda: head(max_pool(Z, z_lengths), [1, 2, 3]), [Z])
+        z_batch = batch_of([3, 5, 1])
+        check_grads(lambda: head(max_pool(Z, z_batch), [1, 2, 3]), [Z])
         att = attention_vector(4, rng)
-        check_grads(lambda: head(attentive_pool(Z, att, z_lengths)[0], [2, 0, 4]),
+        check_grads(lambda: head(attentive_pool(Z, att, z_batch)[0], [2, 0, 4]),
                     [Z, att])
 
         # each direction of the stack alone: one half of its output read out
@@ -137,11 +137,12 @@ def test_criterion_01_gradients_vs_finite_differences():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
         x_in = ad.Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True)
         lengths = np.array([4, 1, 3])
+        batch = batch_of(lengths)
         for half in (slice(0, 3), slice(3, 6)):
             weights = np.zeros((8, 6))
             weights[:, half] = rng.normal(size=(8, 3))
             check_grads(lambda w=weights: weighted_sum(
-                bilstm_forward(cells, x_in, lengths), w),
+                bilstm_forward(cells, x_in, batch), w),
                 [x_in, *cells.parameters()])
 
         # the batched path: mixed lengths with a length-1 sentence, each op once
@@ -154,15 +155,15 @@ def test_criterion_01_gradients_vs_finite_differences():
         b_o = ad.Tensor(rng.normal(size=5), requires_grad=True)
 
         def batch_loss():
-            H = bilstm_forward(stack, xb, lengths)
-            pooled = (max_pool(H, lengths), attentive_pool(H, att6, lengths)[0])
+            H = bilstm_forward(stack, xb, batch)
+            pooled = (max_pool(H, batch), attentive_pool(H, att6, batch)[0])
             return softmax_cross_entropy(output_layer(pooled, None, w_o, b_o),
                                          [0, 3, 4])
 
         # a step of FD_STEP can swap a max-pool winner with a runner-up that
         # close, and the difference then crosses a kink: name it, rather
         # than fail on the relative error it causes
-        H = bilstm_forward(stack, xb, lengths).data
+        H = bilstm_forward(stack, xb, batch).data
         for k, rows in enumerate(np.split(H, np.cumsum(lengths)[:-1])):
             top = np.sort(rows, axis=0)[-2:]
             gap = top[-1] - top[0]
@@ -236,7 +237,7 @@ def test_criterion_02_straight_line_oracles():
     cell.c0.data[...] = c_prev
     stack = BiLstmStack(5, 4, np.random.default_rng(0))
     stack.fwd = cell  # the forward cell's state is the left half
-    h_out = bilstm_forward(stack, ad.Tensor(x[None]), np.array([1]))
+    h_out = bilstm_forward(stack, ad.Tensor(x[None]), batch_of([1]))
     np.testing.assert_allclose(h_out.data[0, :5], h_ref, atol=1e-6)
 
     # attentive pooling against the three-line definition
@@ -246,7 +247,7 @@ def test_criterion_02_straight_line_oracles():
     e = np.exp(raw_scores - raw_scores.max())
     alpha_ref = e / e.sum()
     z_ref = alpha_ref @ z_rows
-    z_out, alpha_out = attentive_pool(ad.Tensor(z_rows), att, np.array([4]))
+    z_out, alpha_out = attentive_pool(ad.Tensor(z_rows), att, batch_of([4]))
     np.testing.assert_allclose(alpha_out.data, alpha_ref, atol=1e-6)
     np.testing.assert_allclose(z_out.data[0], z_ref, atol=1e-6)
 
@@ -278,12 +279,13 @@ def test_criterion_03_softmax_and_attention_sums():
             lengths = rng.integers(1, 12, size=int(rng.integers(1, 5)))
             Z = ad.Tensor(rng.normal(size=(lengths.sum(), att_width))
                           .astype(np.float32))
-            _, alpha = attentive_pool(Z, att, lengths)
+            _, alpha = attentive_pool(Z, att, batch_of(lengths))
             for weights in np.split(alpha.data.astype(np.float64),
                                     np.cumsum(lengths)[:-1]):
                 assert abs(float(weights.sum()) - 1.0) <= 1e-7
+    # a sentence of no tokens never reaches the pooling: collate refuses it
     with pytest.raises(ValueError):
-        attentive_pool(ad.Tensor(np.ones((2, att_width))), att, np.array([2, 0]))
+        attentive_pool(ad.Tensor(np.ones((2, att_width))), att, batch_of([2, 0]))
 
 
 @criterion(4, "Adam first step closed form")

@@ -1200,6 +1200,18 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert f"{cfg}: malformed JSON" in assert_one_error_line(capsys)
 
+    def test_unknown_variant_in_config_names_the_choices(self, tmp_path, synthetic_file,
+                                                         capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"variant": "bogus"}))
+        out_dir = tmp_path / "x"
+        code = main(["train", "--instances", str(synthetic_file),
+                     "--out-dir", str(out_dir), "--config", str(cfg)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "unknown variant 'bogus'" in err and all(repr(v) in err for v in VARIANTS)
+        assert not out_dir.exists()
+
     def test_out_dir_refused_before_training(self, tmp_path, synthetic_file, capsys,
                                              monkeypatch):
         trained = []

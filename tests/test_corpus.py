@@ -9,6 +9,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,9 @@ from ddilstm.corpus import (
     tokenize_normalize,
     write_instances,
 )
+from ddilstm.features import PositionVocab, build_vocab
 from ddilstm.labels import NEGATIVE_ID, label_id, label_name
+from ddilstm.model import ModelConfig, build_model, save_checkpoint
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "filter_fixture.xml")
@@ -475,10 +478,10 @@ def ddi_sentence(draw, sid, words=WORDS):
 
 
 @st.composite
-def ddi_documents(draw, words=WORDS):
+def ddi_documents(draw, words=WORDS, max_documents=2, min_documents=1):
     return [(f"d{d}", [draw(ddi_sentence(f"d{d}.s{k}", words))
                        for k in range(draw(st.integers(1, 3)))])
-            for d in range(draw(st.integers(1, 2)))]
+            for d in range(draw(st.integers(min_documents, max_documents)))]
 
 
 def document_tree(documents) -> ET.Element:
@@ -709,6 +712,67 @@ def _split_names(instance_bytes: bytes) -> tuple[list, list]:
     records = [json.loads(line) for line in instance_bytes.splitlines()]
     return ([{**rec, "a_text": None, "b_text": None} for rec in records],
             [(rec["a_text"], rec["b_text"]) for rec in records])
+
+
+@pytest.fixture(scope="module")
+def fixed_checkpoint(tmp_path_factory) -> str:
+    """A small untrained joint model over WORDS and the blinding
+    placeholders; its predictions already differ between instances."""
+    ckpt = str(tmp_path_factory.mktemp("fixed") / "ckpt")
+    vocab, pv = build_vocab([[*WORDS, DRUG_A, DRUG_B, DRUG_N]]), PositionVocab(10)
+    cfg = ModelConfig(variant="joint", hidden=4, word_dim=4, pos_dim=2)
+    save_checkpoint(ckpt, build_model(cfg, len(vocab), len(pv), seed=1), cfg, vocab, pv)
+    return ckpt
+
+
+def _lines_by_document(path) -> dict:
+    """The records of a JSON lines file, grouped by doc_id in file order."""
+    grouped = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            grouped.setdefault(rec["doc_id"], []).append(rec)
+    return grouped
+
+
+class TestReorderedDocuments:
+    @given(ddi_documents(max_documents=4, min_documents=2), st.randoms(use_true_random=False),
+           st.integers(1, 4))
+    @settings(max_examples=10, deadline=None)
+    def test_instances_and_predictions_permute_with_the_documents(self, fixed_checkpoint,
+                                                                  documents, random, chunk):
+        """preprocess and predict --attention over the same documents in
+        two orders, with PREDICT_CHUNK small so that the chunk boundaries
+        move: each document's instances and predictions are the same, in
+        the new order. The attention weights agree within one float32 ulp,
+        as in `test_model.TestPredictRelations`, which says why."""
+        shuffled = random.sample(documents, len(documents))
+        runs = []
+        with contextlib.redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp, \
+                tempfile.TemporaryDirectory() as tmp:
+            mp.setattr("ddilstm.model.PREDICT_CHUNK", chunk)
+            for k, docs in enumerate((documents, shuffled)):
+                d = os.path.join(tmp, str(k))
+                os.mkdir(d)
+                ET.ElementTree(document_tree(docs)).write(os.path.join(d, "corpus.xml"),
+                                                          encoding="utf-8")
+                for argv in (f"preprocess --corpus {d}/corpus.xml --out {d}/raw.jsonl",
+                             f"predict --checkpoint {fixed_checkpoint} --instances "
+                             f"{d}/raw.jsonl --out {d}/preds.jsonl --attention {d}/att.jsonl"):
+                    assert main(argv.split()) == 0, argv
+                runs.append({name: _lines_by_document(os.path.join(d, name))
+                             for name in ("raw.jsonl", "preds.jsonl", "att.jsonl")})
+        before, after = runs
+        order = [doc_id for doc_id, _ in shuffled if doc_id in before["raw.jsonl"]]
+        for name in ("raw.jsonl", "preds.jsonl"):
+            assert list(after[name]) == order
+            assert after[name] == before[name]
+        for doc_id in order:
+            for new, old in zip(after["att.jsonl"][doc_id], before["att.jsonl"][doc_id],
+                                strict=True):
+                assert {**new, "weights": None} == {**old, "weights": None}
+                np.testing.assert_array_max_ulp(np.float32(new["weights"]),
+                                                np.float32(old["weights"]), maxulp=1)
 
 
 class TestRenamedDrugs:

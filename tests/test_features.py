@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_grads, featurize_one, raw_instance, weighted_sum
+from conftest import batch_of, check_grads, featurize_one, raw_instance, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.features import (
     UNK_ID,
-    Batch,
     InstanceFeatures,
     PositionVocab,
     build_vocab,
@@ -246,6 +245,45 @@ class TestCollate:
         with pytest.raises(ValueError):
             collate([])
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([2, 0, 3], "empty sequence"),
+        ([0], "empty sequence"),
+        ([], "at least one instance"),
+    ])
+    def test_bad_lengths_rejected(self, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            batch_of(lengths)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            collate([InstanceFeatures([1, 2], [0, 0], [0, 0], 0),
+                     InstanceFeatures([], [], [], 1)])
+
+    def test_starts(self):
+        np.testing.assert_array_equal(batch_of([4, 1, 3]).starts, [0, 4, 5])
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_layout(self, lengths):
+        """The step-major schedule every op reads: step t holds token t of
+        each instance longer than t, longest first, ties in batch order."""
+        batch, total = batch_of(lengths), sum(lengths)
+        starts = [sum(lengths[:i]) for i in range(len(lengths))]
+        assert batch.lengths.tolist() == lengths
+        assert batch.starts.tolist() == starts
+        for rows in (batch.forward, batch.backward):
+            assert sorted(rows.tolist()) == list(range(total))
+        assert [s.start for s in batch.steps] == [0, *(s.stop for s in batch.steps[:-1])]
+        assert batch.steps[-1].stop == total
+        sizes = [s.stop - s.start for s in batch.steps]
+        assert sizes == sorted(sizes, reverse=True) and len(sizes) == max(lengths)
+        for t, s in enumerate(batch.steps):
+            live = sorted((i for i, m in enumerate(lengths) if m > t), key=lambda i: -lengths[i])
+            assert batch.forward[s].tolist() == [starts[i] + t for i in live]
+            assert batch.backward[s].tolist() == [starts[i] + lengths[i] - 1 - t for i in live]
+        with pytest.raises(ValueError, match="empty sequence"):
+            batch_of([*lengths[:len(lengths) // 2], 0, *lengths[len(lengths) // 2:]])
+
 
 class TestWordVectors:
     def test_copies_known_rows(self, tmp_path):
@@ -373,8 +411,7 @@ class TestEmbed:
     def test_rows_gather_and_scatter(self, float64_mode):
         vocab, pv, mw, mp1, mp2 = self._setup()
         mw.data[...] = np.arange(6.0).reshape(3, 2)
-        batch = Batch(np.array([1, 1, 2]), np.array([0, 0, 0]), np.array([0, 0, 0]),
-                      np.array([3]), np.array([0]))
+        batch = collate([InstanceFeatures([1, 1, 2], [0, 0, 0], [0, 0, 0], 0)])
         with ad.Tape() as tape:
             picked = embed(batch, mw, mp1, mp2)
             weights = np.zeros((3, 4))

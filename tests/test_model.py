@@ -129,11 +129,10 @@ class TestForward:
     def test_joint_matches_hand_composed_pipeline(self):
         _, _, cfg, params, f = tiny_setup("joint", hidden=3)
         batch = collate([f])
-        lengths = batch.lengths
         X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
-        z_max = max_pool(bilstm_forward(params.stacks[0], X, lengths), lengths)
-        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, lengths),
-                                  params.w_a, lengths)
+        z_max = max_pool(bilstm_forward(params.stacks[0], X, batch), batch)
+        z_att, _ = attentive_pool(bilstm_forward(params.stacks[1], X, batch),
+                                  params.w_a, batch)
         h3 = np.tanh(np.concatenate([z_max.data, z_att.data], axis=1))
         expected = ad.softmax((h3 @ params.W_o.data + params.b_o.data)[0])
         probs, _ = forward(params, cfg, f)
@@ -143,10 +142,10 @@ class TestForward:
         _, _, cfg, params, f = tiny_setup("joint")
         batch = collate([f])
         X = embed(batch, params.word_emb, params.p1_emb, params.p2_emb)
-        before = bilstm_forward(params.stacks[1], X, batch.lengths).data.copy()
+        before = bilstm_forward(params.stacks[1], X, batch).data.copy()
         for p in params.stacks[0].parameters():
             p.data += 0.37
-        after = bilstm_forward(params.stacks[1], X, batch.lengths).data
+        after = bilstm_forward(params.stacks[1], X, batch).data
         np.testing.assert_array_equal(before, after)
 
 

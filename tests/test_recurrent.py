@@ -4,13 +4,13 @@ A single step is the one-token, one-sentence case of the forward cell,
 the left half of `bilstm_forward`, started from h0 = h_prev and
 c0 = c_prev; the cell state is observable only through the steps that
 follow. Batches are packed: the sentences' rows one sentence after
-another, with their lengths.
+another, laid out by `collate` from their lengths.
 """
 
 import numpy as np
 import pytest
 
-from conftest import check_grads, use_dtype, weighted_sum
+from conftest import batch_of, check_grads, use_dtype, weighted_sum
 from ddilstm import autodiff as ad
 from ddilstm.recurrent import BiLstmStack, LstmParams, bilstm_forward
 
@@ -53,12 +53,12 @@ def run_steps(p, xs, h_prev, c_prev):
     p.c0.data[...] = c_prev
     X = ad.Tensor(np.asarray(xs, dtype=p.h0.data.dtype))
     n = p.h0.data.shape[0]
-    return bilstm_forward(with_forward_cell(p), X, np.array([len(xs)])).data[:, :n]
+    return bilstm_forward(with_forward_cell(p), X, batch_of([len(xs)])).data[:, :n]
 
 
 def column(x):
-    """One (L, d) sentence as a packed batch, and its lengths."""
-    return ad.Tensor(np.asarray(x)), np.array([len(x)])
+    """One (L, d) sentence as a packed batch, and its layout."""
+    return ad.Tensor(np.asarray(x)), batch_of([len(x)])
 
 
 class TestLstmStep:
@@ -126,7 +126,7 @@ class TestLstmStep:
         stack = with_forward_cell(p)
 
         def loss():
-            return weighted_sum(bilstm_forward(stack, X, np.array([4])), weights)
+            return weighted_sum(bilstm_forward(stack, X, batch_of([4])), weights)
 
         check_grads(loss, p.parameters())
 
@@ -168,16 +168,10 @@ class TestBilstm:
 
     def test_determinism(self):
         stack = self._stack(seed=5)
-        X, lengths = column(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
-        a = bilstm_forward(stack, X, lengths).data
-        b = bilstm_forward(stack, X, lengths).data
+        X, batch = column(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
+        a = bilstm_forward(stack, X, batch).data
+        b = bilstm_forward(stack, X, batch).data
         np.testing.assert_array_equal(a, b)
-
-    def test_empty_sequence_rejected(self):
-        stack = self._stack()
-        X, _ = column(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="empty sequence"):
-            bilstm_forward(stack, X, np.array([2, 0]))
 
     def test_packed_neighbours_are_ignored(self, float64_mode):
         stack = self._stack(seed=9)
@@ -186,15 +180,8 @@ class TestBilstm:
         alone = bilstm_forward(stack, *column(x)).data
         before, after = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (1, 2))
         batch = bilstm_forward(stack, ad.Tensor(np.vstack([before, x, after])),
-                               np.array([4, 3, 1])).data
+                               batch_of([4, 3, 1])).data
         np.testing.assert_allclose(batch[4:7], alone, rtol=0, atol=1e-12)
-
-    def test_lengths_must_cover_every_row(self):
-        stack = self._stack()
-        X, _ = column(np.ones((3, 2)))
-        for lengths in ([2], [1, 1], [3, 1]):
-            with pytest.raises(ValueError, match="lengths sum to"):
-                bilstm_forward(stack, X, np.array(lengths))
 
     def test_output_width_always_2n(self):
         for hidden in (1, 4):
@@ -225,7 +212,7 @@ class TestLstmSequence:
     def _check_reference_steps(self, reverse, lengths, seed):
         _, stack, X = self._setup(seed, np.float32, lengths)
         p, half = (stack.bwd, slice(3, 6)) if reverse else (stack.fwd, slice(0, 3))
-        out = bilstm_forward(stack, X, lengths).data[:, half]
+        out = bilstm_forward(stack, X, batch_of(lengths)).data[:, half]
         start = 0
         for m in lengths:
             h, c = p.h0.data, p.c0.data
@@ -242,9 +229,10 @@ class TestLstmSequence:
         weights = np.zeros((lengths.sum(), 6))
         half = slice(3, 6) if reverse else slice(0, 3)
         weights[:, half] = rng.normal(size=(lengths.sum(), 3))
+        batch = batch_of(lengths)
 
         def loss():
-            return weighted_sum(bilstm_forward(stack, X, lengths), weights)
+            return weighted_sum(bilstm_forward(stack, X, batch), weights)
 
         check_grads(loss, [X, *stack.parameters()])
 
@@ -270,18 +258,13 @@ class TestLstmSequence:
         for p in stack.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
         X = ad.Tensor(rng.uniform(-1, 1, (7, 2)), requires_grad=True)
-        lengths = np.array([2, 4, 1])
+        batch = batch_of([2, 4, 1])
         weights = rng.normal(size=(7, 4))
 
         def loss():
-            return weighted_sum(bilstm_forward(stack, X, lengths), weights)
+            return weighted_sum(bilstm_forward(stack, X, batch), weights)
 
         check_grads(loss, [X, *stack.parameters()])
-
-    def test_padded_batch_rejected(self):
-        _, stack, _ = self._setup(24)
-        with pytest.raises(ad.ShapeMismatch):
-            bilstm_forward(stack, ad.Tensor(np.ones((3, 1, 2))), np.array([3]))
 
 
 def textbook_bilstm(stack, x, lengths):
@@ -339,7 +322,7 @@ class TestExactness:
             _randomized(stack.fwd, rng, scale=1.0)
             _randomized(stack.bwd, rng, scale=1.0)
             x = rng.normal(size=(self.LENGTHS.sum(), 11)).astype(dtype)
-            out = bilstm_forward(stack, ad.Tensor(x), self.LENGTHS).data
+            out = bilstm_forward(stack, ad.Tensor(x), batch_of(self.LENGTHS)).data
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, textbook_bilstm(stack, x, self.LENGTHS))
 
